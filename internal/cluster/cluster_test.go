@@ -373,45 +373,6 @@ func TestNetModeTree(t *testing.T) {
 	}
 }
 
-func TestServedFederatorClientParity(t *testing.T) {
-	tr, err := Assemble(Config{Nodes: 4, FanOut: 2, Seed: 3, Interval: testInterval})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	srv, addr, err := Serve(tr.Root, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := pcp.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	tr.Clock.Advance(testInterval + 1)
-	remote, err := c.FetchAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := tr.Root.FetchAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(remote, local) {
-		t.Errorf("served FetchAll differs from in-process: %+v vs %+v", remote, local)
-	}
-	rn, err := c.Names()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, _ := tr.Root.Names()
-	if !reflect.DeepEqual(rn, ln) {
-		t.Error("served Names differs from in-process")
-	}
-}
-
 func BenchmarkRootFetchAll(b *testing.B) {
 	for _, nodes := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {

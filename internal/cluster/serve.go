@@ -1,276 +1,64 @@
 package cluster
 
 import (
-	"bufio"
-	"errors"
-	"fmt"
 	"net"
-	"runtime"
-	"sync"
-	"time"
 
 	"papimc/internal/pcp"
 )
 
-// Server serves a Federator over the PCP PDU protocol, so a tree can
-// span processes and machines: a parent federator dials it like any
-// daemon, and partial results travel as PDUFetchPartialResp. The
-// accept/serve structure mirrors pcp.Daemon's.
-type Server struct {
-	f  *Federator
-	ln net.Listener
+// Server is a running federator server: a pcp.Server whose handler
+// scatter-gathers through a Federator, so a tree can span processes and
+// machines — a parent federator dials it like any daemon, and partial
+// results travel as PDUFetchPartialResp (or the batch response's missing
+// header).
+type Server = pcp.Server
 
-	wg        sync.WaitGroup
-	closed    chan struct{}
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-}
+// taggedConcurrency is the server's in-flight depth per tagged
+// connection: requests run concurrently, so a fetch whose scatter is
+// stalled on a hedging or dead edge does not head-of-line-block the
+// requests queued behind it — at the federation tier per-request
+// latency is dominated by downstream round trips, not handler CPU, so
+// concurrency is where pipelining pays. The cap keeps a pipelined client
+// from spawning unbounded handler goroutines.
+const taggedConcurrency = 32
 
 // Serve starts serving f on addr (e.g. "127.0.0.1:0") and returns the
 // running server and its bound address.
 func Serve(f *Federator, addr string) (*Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
+	s := newServer(f)
+	bound, err := s.Start(addr)
 	if err != nil {
-		return nil, "", fmt.Errorf("cluster: listen: %w", err)
+		return nil, "", err
 	}
-	s := &Server{
-		f:      f,
-		ln:     ln,
-		closed: make(chan struct{}),
-		conns:  make(map[net.Conn]struct{}),
-	}
-	// Shard the accept path like pcp.Daemon: one blocked Accept per
-	// processor, load-balanced by the kernel, so connection setup does
-	// not serialise behind a single goroutine wakeup.
-	shards := runtime.GOMAXPROCS(0)
-	s.wg.Add(shards)
-	for i := 0; i < shards; i++ {
-		go s.acceptLoop()
-	}
-	return s, ln.Addr().String(), nil
+	return s, bound, nil
 }
 
-const acceptBackoffMax = time.Second
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			if backoff == 0 {
-				backoff = time.Millisecond
-			} else if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			select {
-			case <-s.closed:
-				return
-			case <-time.After(backoff):
-			}
-			continue
-		}
-		backoff = 0
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				conn.Close()
-				s.connMu.Lock()
-				delete(s.conns, conn)
-				s.connMu.Unlock()
-			}()
-			s.serveConn(conn)
-		}()
-	}
+// ServeOn is Serve on an existing listener — the injection point for
+// wrapped listeners, like StartOn on the daemon and the proxy.
+func ServeOn(f *Federator, ln net.Listener) (*Server, string) {
+	s := newServer(f)
+	return s, s.StartOn(ln)
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	if err := pcp.ServerHandshake(br, bw); err != nil {
-		return
-	}
-	var payloadBuf, respBuf []byte
-	for {
-		typ, payload, err := pcp.ReadPDUInto(br, payloadBuf)
-		if err != nil {
-			return
-		}
-		payloadBuf = payload
-		if typ == pcp.PDUVersionReq {
-			respType, resp, version := pcp.NegotiateVersionV(payload, respBuf[:0])
-			respBuf = resp
-			if err := pcp.WritePDU(bw, respType, resp); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			if version >= pcp.Version2 {
-				s.serveTagged(conn, br, bw, version >= pcp.Version3)
-				return
-			}
-			continue
-		}
-		respType, resp := s.handleReq(typ, payload)
-		if err := pcp.WritePDU(bw, respType, resp); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
+func newServer(f *Federator) *Server {
+	h := fedHandler{f}
+	return pcp.NewServer(taggedConcurrency, func() pcp.Handler { return h })
 }
 
-// taggedConcurrency caps in-flight requests per tagged connection: a
-// pipelined client cannot spawn unbounded handler goroutines; past the
-// cap the reader blocks, which is exactly TCP backpressure.
-const taggedConcurrency = 32
+// fedHandler adapts a Federator to pcp.Handler. It is stateless — every
+// answer is freshly allocated by the scatter-gather, which dwarfs the
+// allocation cost — so one value serves all connections and their
+// concurrent requests.
+type fedHandler struct{ f *Federator }
 
-// serveTagged serves the tagged, pipelined protocol with true
-// out-of-order completion: each request runs in its own goroutine, so a
-// fetch whose scatter is stalled on a hedging or dead edge does not
-// head-of-line-block the requests queued behind it. This differs from
-// pcp.ServeTagged (sequential) deliberately — at the federation tier
-// per-request latency is dominated by downstream round trips, not
-// handler CPU, so concurrency is where pipelining pays. Responses are
-// serialised by a write mutex.
-func (s *Server) serveTagged(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, wide bool) {
-	var (
-		wmu sync.Mutex
-		wg  sync.WaitGroup
-	)
-	sem := make(chan struct{}, taggedConcurrency)
-	defer wg.Wait()
-	var payloadBuf []byte
-	for {
-		var (
-			typ     uint8
-			tag     uint32
-			tenant  uint32
-			payload []byte
-			err     error
-		)
-		if wide {
-			typ, tag, tenant, payload, err = pcp.ReadWidePDUInto(br, payloadBuf)
-		} else {
-			typ, tag, payload, err = pcp.ReadTaggedPDUInto(br, payloadBuf)
-		}
-		if err != nil {
-			return
-		}
-		payloadBuf = payload
-		// The handler runs concurrently with the next read, so it gets
-		// its own copy of the payload.
-		req := append([]byte(nil), payload...)
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(typ uint8, tag, tenant uint32, payload []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			respType, resp := s.handleReq(typ, payload)
-			wmu.Lock()
-			defer wmu.Unlock()
-			var werr error
-			if wide {
-				werr = pcp.WriteWidePDU(bw, respType, tag, tenant, resp)
-			} else {
-				werr = pcp.WriteTaggedPDU(bw, respType, tag, resp)
-			}
-			if werr != nil {
-				conn.Close() // unblocks the reader; the loop exits on its error
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				conn.Close()
-			}
-		}(typ, tag, tenant, req)
-	}
+func (h fedHandler) Names() ([]pcp.NameEntry, error) { return h.f.names, nil }
+
+func (h fedHandler) Fetch(_ uint32, pmids []uint32) (pcp.FetchResult, error) {
+	return h.f.Fetch(pmids)
 }
 
-// handleReq dispatches one request PDU to the federator and encodes the
-// response. It allocates its buffers because the tagged path runs it
-// from concurrent goroutines; at this tier the downstream scatter
-// dwarfs the allocation cost.
-func (s *Server) handleReq(typ uint8, payload []byte) (uint8, []byte) {
-	switch typ {
-	case pcp.PDUNamesReq:
-		return pcp.PDUNamesResp, pcp.AppendNamesResp(nil, s.f.names)
-	case pcp.PDUFetchReq:
-		pmids, err := pcp.DecodeFetchReqInto(payload, nil)
-		if err != nil {
-			return pcp.PDUError, pcp.AppendError(nil, err.Error())
-		}
-		res, ferr := s.f.Fetch(pmids)
-		return s.answer(nil, res, ferr)
-	case pcp.PDUFetchAllReq:
-		res, ferr := s.f.FetchAll()
-		return s.answer(nil, res, ferr)
-	case pcp.PDUFetchBatchReq:
-		sets, err := pcp.DecodeFetchBatchReqInto(payload, nil)
-		if err != nil {
-			return pcp.PDUError, pcp.AppendError(nil, err.Error())
-		}
-		results, ferr := s.f.FetchBatch(sets)
-		return s.answerBatch(nil, results, ferr)
-	default:
-		return pcp.PDUError, pcp.AppendError(nil, fmt.Sprintf("unknown PDU type %d", typ))
-	}
-}
+func (h fedHandler) FetchAll(uint32) (pcp.FetchResult, error) { return h.f.FetchAll() }
 
-// answer encodes a scatter-gather outcome: full results as a fetch
-// response, partial results as PDUFetchPartialResp, hard failures as a
-// PDU error.
-func (s *Server) answer(dst []byte, res pcp.FetchResult, err error) (uint8, []byte) {
-	var pe *pcp.PartialError
-	switch {
-	case err == nil:
-		return pcp.PDUFetchResp, pcp.AppendFetchResp(dst, res)
-	case errors.As(err, &pe):
-		return pcp.PDUFetchPartialResp, pcp.AppendPartialResp(dst, res, pe.Missing, pe.Cause)
-	default:
-		return pcp.PDUError, pcp.AppendError(dst, err.Error())
-	}
-}
-
-// answerBatch is answer for the batch PDU: partial outcomes ride in the
-// batch response's own missing/cause header instead of a separate PDU
-// type.
-func (s *Server) answerBatch(dst []byte, results []pcp.FetchResult, err error) (uint8, []byte) {
-	var pe *pcp.PartialError
-	switch {
-	case err == nil:
-		return pcp.PDUFetchBatchResp, pcp.AppendFetchBatchResp(dst, results, nil, "")
-	case errors.As(err, &pe):
-		return pcp.PDUFetchBatchResp, pcp.AppendFetchBatchResp(dst, results, pe.Missing, pe.Cause)
-	default:
-		return pcp.PDUError, pcp.AppendError(dst, err.Error())
-	}
-}
-
-// Close stops the listener, disconnects clients, and waits for handlers.
-func (s *Server) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		err = s.ln.Close()
-		s.connMu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.connMu.Unlock()
-		s.wg.Wait()
-	})
-	return err
+func (h fedHandler) FetchBatch(_ uint32, sets [][]uint32) ([]pcp.FetchResult, error) {
+	return h.f.FetchBatch(sets)
 }

@@ -7,38 +7,83 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Client is an unprivileged connection to a PMCD daemon. It is safe for
 // concurrent use.
 //
-// Against a Version2 peer (negotiated at connection setup) the client
-// pipelines: many requests stay outstanding on the one connection, a
-// writer goroutine coalesces them into vectored tagged frames, and a
-// demux reader completes them out of order, each under its own
+// Every request method is written once over a single round-trip seam
+// (roundTrip) with two transports behind it. Against a Version2 or
+// Version3 peer (negotiated at connection setup) the transport is the
+// pipeline: many requests stay outstanding on the one connection, a
+// writer goroutine coalesces them into vectored tagged (or wide) frames,
+// and a demux reader completes them out of order, each under its own
 // per-request deadline. Against a Version1 peer — or when pinned with
-// DialMax(addr, Version1) — requests are serialized on the connection
-// in lockstep, exactly as before the version bump.
+// DialMax(addr, Version1) — the transport is lockstep: requests are
+// serialized on the connection, one plain frame out and one back,
+// exactly as before the version bump.
 type Client struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
+	mu      sync.Mutex    // guards timeout and names
 	timeout time.Duration // per-round-trip wall deadline; 0 = none
-	armed   bool          // lockstep: whether a conn deadline is set
+	names   map[string]uint32
 
-	version uint32    // negotiated wire version (read-only after setup)
-	pl      *pipeline // non-nil iff version >= Version2
-
-	// Scratch buffers reused across lockstep round trips (guarded by
-	// mu): the encoded request and the received payload. A round trip's
-	// response is decoded before mu is released, so aliasing is safe.
-	reqBuf  []byte
-	recvBuf []byte
-
-	names map[string]uint32 // lazily populated name table
+	version uint32        // negotiated wire version (read-only after setup)
+	tr      transport     // lockstep below Version2, pipeline from there up
+	tenant  atomic.Uint32 // stamped on outgoing wide frames (Version3)
 }
+
+// transport carries one request to the server and its reply back:
+// call.typ and call.req go out, call.respTyp and call.resp come in, under
+// the wall deadline d (0 = none). After an error the call must not be
+// pooled again.
+type transport interface {
+	roundTrip(call *pcall, d time.Duration) error
+	close() error
+}
+
+// lockstep is the Version1 transport: one request on the wire at a time
+// — one WritePDU and flush, one ReadPDUInto — under a connection-level
+// deadline. A timed-out round trip leaves the stream mid-PDU.
+type lockstep struct {
+	mu    sync.Mutex // serializes round trips
+	conn  net.Conn
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	armed bool // whether a conn deadline is set
+}
+
+// roundTrip manages the connection deadline edge-triggered: armed (one
+// SetDeadline) per round trip while a timeout is configured, disarmed
+// (one SetDeadline) only on the first round trip after the timeout is
+// cleared, and never touched when no timeout has been set — zero
+// deadline syscalls on the common path.
+func (l *lockstep) roundTrip(call *pcall, d time.Duration) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if d > 0 {
+		l.conn.SetDeadline(time.Now().Add(d))
+		l.armed = true
+	} else if l.armed {
+		l.conn.SetDeadline(time.Time{})
+		l.armed = false
+	}
+	if err := WritePDU(l.bw, call.typ, call.req); err != nil {
+		return err
+	}
+	if err := l.bw.Flush(); err != nil {
+		return err
+	}
+	typ, resp, err := ReadPDUInto(l.br, call.resp)
+	if err != nil {
+		return err
+	}
+	call.respTyp, call.resp = typ, resp
+	return nil
+}
+
+func (l *lockstep) close() error { return l.conn.Close() }
 
 // Dial connects, performs the protocol handshake, and negotiates the
 // highest wire version both sides speak.
@@ -88,34 +133,38 @@ func NewClientConnRaw(conn net.Conn, magic string) (*Client, error) {
 }
 
 func newClientConn(conn net.Conn, magic string, maxVersion uint32) (*Client, error) {
-	c := &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), version: Version1}
-	if _, err := c.bw.WriteString(magic); err != nil {
+	ls := &lockstep{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	c := &Client{version: Version1, tr: ls}
+	err := clientHandshake(ls, magic)
+	if err == nil && maxVersion > Version1 {
+		err = c.negotiate(maxVersion)
+	}
+	if err != nil {
 		conn.Close()
 		return nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	echo := make([]byte, len(Magic))
-	if _, err := io.ReadFull(c.br, echo); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("pcp: handshake: %w", err)
-	}
-	if string(echo) != Magic {
-		conn.Close()
-		return nil, fmt.Errorf("%w: bad handshake %q", ErrProtocol, echo)
-	}
-	if maxVersion > Version1 {
-		if err := c.negotiate(maxVersion); err != nil {
-			conn.Close()
-			return nil, err
-		}
 	}
 	if c.version >= Version2 {
-		c.pl = newPipeline(conn, c.br, c.version >= Version3)
+		c.tr = newPipeline(conn, ls.br, c.version >= Version3)
 	}
 	return c, nil
+}
+
+// clientHandshake sends magic and expects the server to echo Magic.
+func clientHandshake(ls *lockstep, magic string) error {
+	if _, err := ls.bw.WriteString(magic); err != nil {
+		return err
+	}
+	if err := ls.bw.Flush(); err != nil {
+		return err
+	}
+	echo := make([]byte, len(Magic))
+	if _, err := io.ReadFull(ls.br, echo); err != nil {
+		return fmt.Errorf("pcp: handshake: %w", err)
+	}
+	if string(echo) != Magic {
+		return fmt.Errorf("%w: bad handshake %q", ErrProtocol, echo)
+	}
+	return nil
 }
 
 // DialTenant is Dial plus SetTenant: the connection identifies itself as
@@ -136,39 +185,30 @@ func DialTenant(addr string, tenant uint32) (*Client, error) {
 // on older connections it is a no-op. Safe for concurrent use; requests
 // already enqueued keep the tenant they were issued with.
 func (c *Client) SetTenant(tenant uint32) {
-	if c.pl != nil && c.pl.wide {
-		c.pl.tenant.Store(tenant)
+	if c.version >= Version3 {
+		c.tenant.Store(tenant)
 	}
 }
 
 // Tenant returns the tenant currently stamped on outgoing requests
 // (zero — the default tenant — on connections below Version3).
-func (c *Client) Tenant() uint32 {
-	if c.pl != nil && c.pl.wide {
-		return c.pl.tenant.Load()
-	}
-	return 0
-}
+func (c *Client) Tenant() uint32 { return c.tenant.Load() }
 
-// negotiate runs the version exchange on a fresh lockstep connection.
+// negotiate runs the version exchange on the fresh lockstep connection.
 // A Version1-only server does not know PDUVersionReq and answers with
 // PDUError; that is the fallback signal — the connection is still in
 // lockstep protocol state, so the client simply stays at Version1.
 func (c *Client) negotiate(maxVersion uint32) error {
-	if err := WritePDU(c.bw, PDUVersionReq, AppendVersion(c.reqBuf[:0], maxVersion)); err != nil {
+	call := getCall()
+	call.typ = PDUVersionReq
+	call.req = AppendVersion(call.req[:0], maxVersion)
+	if err := c.tr.roundTrip(call, 0); err != nil {
 		return err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	typ, resp, err := ReadPDUInto(c.br, c.recvBuf)
-	if err != nil {
-		return err
-	}
-	c.recvBuf = resp
-	switch typ {
+	defer putCall(call)
+	switch call.respTyp {
 	case PDUVersionResp:
-		v, err := DecodeVersion(resp)
+		v, err := DecodeVersion(call.resp)
 		if err != nil {
 			return err
 		}
@@ -178,9 +218,8 @@ func (c *Client) negotiate(maxVersion uint32) error {
 		c.version = v
 	case PDUError:
 		// Old server: keep lockstep Version1.
-		c.version = Version1
 	default:
-		return fmt.Errorf("%w: expected PDU %d, got %d", ErrProtocol, PDUVersionResp, typ)
+		return fmt.Errorf("%w: expected PDU %d, got %d", ErrProtocol, PDUVersionResp, call.respTyp)
 	}
 	return nil
 }
@@ -190,12 +229,7 @@ func (c *Client) Version() uint32 { return c.version }
 
 // Close closes the connection. On a pipelined client every request in
 // flight fails with ErrClientClosed.
-func (c *Client) Close() error {
-	if c.pl != nil {
-		return c.pl.close()
-	}
-	return c.conn.Close()
-}
+func (c *Client) Close() error { return c.tr.close() }
 
 // SetTimeout bounds every subsequent round trip by a wall-clock
 // deadline; zero disables it. On a lockstep connection a timed-out
@@ -217,88 +251,48 @@ func (c *Client) timeoutNow() time.Duration {
 	return d
 }
 
-// roundTripLocked sends one request PDU and decodes the reply, surfacing
-// daemon-side error PDUs as Go errors. The caller must hold c.mu. The
-// returned payload aliases the client's receive buffer and is only valid
-// until the next round trip; callers decode it before releasing the lock.
-func (c *Client) roundTripLocked(reqType uint8, payload []byte, wantType uint8) ([]byte, error) {
-	resp, _, err := c.roundTripAnyLocked(reqType, payload, wantType, wantType)
-	return resp, err
-}
-
-// roundTripAnyLocked is roundTripLocked accepting either of two response
-// types, returning which one arrived.
-//
-// The connection deadline is managed edge-triggered: armed (one
-// SetDeadline) per round trip while a timeout is configured, disarmed
-// (one SetDeadline) only on the first round trip after the timeout is
-// cleared, and never touched when no timeout has been set — zero
-// deadline syscalls on the common path instead of the old
-// arm-plus-defer-disarm pair per request.
-func (c *Client) roundTripAnyLocked(reqType uint8, payload []byte, want1, want2 uint8) ([]byte, uint8, error) {
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
-		c.armed = true
-	} else if c.armed {
-		c.conn.SetDeadline(time.Time{})
-		c.armed = false
+// roundTrip is the client's one request/response seam: it sends call
+// (typ and req already set) through the connection's transport and
+// classifies the reply, surfacing server-side error PDUs as Go errors.
+// On success the caller decodes call.resp and then releases the call
+// with putCall; on error the call is already disposed of.
+func (c *Client) roundTrip(call *pcall, want1, want2 uint8) error {
+	call.tenant = c.tenant.Load()
+	if err := c.tr.roundTrip(call, c.timeoutNow()); err != nil {
+		return err
 	}
-	if err := WritePDU(c.bw, reqType, payload); err != nil {
-		return nil, 0, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, 0, err
-	}
-	typ, resp, err := ReadPDUInto(c.br, c.recvBuf)
-	if err != nil {
-		return nil, 0, err
-	}
-	c.recvBuf = resp
-	if typ == PDUError {
-		msg, derr := DecodeError(resp)
-		if derr != nil {
-			return nil, 0, derr
+	var err error
+	switch call.respTyp {
+	case want1, want2:
+		return nil
+	case PDUError:
+		var msg string
+		if msg, err = DecodeError(call.resp); err == nil {
+			err = fmt.Errorf("pcp: daemon error: %s", msg)
 		}
-		return nil, 0, fmt.Errorf("pcp: daemon error: %s", msg)
-	}
-	if typ == PDUStatusError {
-		se, derr := DecodeStatusError(resp)
-		if derr != nil {
-			return nil, 0, derr
+	case PDUStatusError:
+		var se *StatusError
+		if se, err = DecodeStatusError(call.resp); err == nil {
+			err = se
 		}
-		return nil, 0, se
+	default:
+		err = fmt.Errorf("%w: expected PDU %d, got %d", ErrProtocol, want1, call.respTyp)
 	}
-	if typ != want1 && typ != want2 {
-		return nil, 0, fmt.Errorf("%w: expected PDU %d, got %d", ErrProtocol, want1, typ)
-	}
-	return resp, typ, nil
+	putCall(call)
+	return err
 }
 
 // Names fetches the daemon's metric table.
 func (c *Client) Names() ([]NameEntry, error) {
-	var entries []NameEntry
-	if c.pl != nil {
-		call, err := c.pl.roundTrip(PDUNamesReq, nil, c.timeoutNow(), PDUNamesResp, PDUNamesResp)
-		if err != nil {
-			return nil, err
-		}
-		entries, err = DecodeNamesResp(call.resp)
-		putCall(call)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		c.mu.Lock()
-		resp, err := c.roundTripLocked(PDUNamesReq, nil, PDUNamesResp)
-		if err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
-		entries, err = DecodeNamesResp(resp)
-		c.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+	call := getCall()
+	call.typ, call.req = PDUNamesReq, call.req[:0]
+	if err := c.roundTrip(call, PDUNamesResp, PDUNamesResp); err != nil {
+		return nil, err
+	}
+	entries, err := DecodeNamesResp(call.resp)
+	putCall(call)
+	if err != nil {
+		return nil, err
 	}
 	names := make(map[string]uint32, len(entries))
 	for _, e := range entries {
@@ -316,41 +310,34 @@ func (c *Client) Names() ([]NameEntry, error) {
 // FetchInto.
 func (c *Client) Fetch(pmids []uint32) (FetchResult, error) {
 	var res FetchResult
-	if err := c.FetchInto(pmids, &res); err != nil {
-		var pe *PartialError
-		if errors.As(err, &pe) {
-			return res, err
-		}
+	err := c.FetchInto(pmids, &res)
+	return partialOrNothing(res, err)
+}
+
+// partialOrNothing is the by-value contract of Fetch and FetchAll: a
+// result travels with a nil error or a *PartialError, never with any
+// other error.
+func partialOrNothing(res FetchResult, err error) (FetchResult, error) {
+	var pe *PartialError
+	if err != nil && !errors.As(err, &pe) {
 		return FetchResult{}, err
 	}
-	return res, nil
+	return res, err
 }
 
 // FetchInto is Fetch decoding into res, reusing res.Values' backing
 // array. With a warm result it performs the whole round trip without
 // allocating: the request is encoded into and the response received
-// into reused buffers (client scratch in lockstep mode, a pooled call
-// in pipelined mode).
+// into a pooled call's reused buffers.
 //
 // A PDUFetchPartialResp from a federated server decodes into a valid
 // res AND a non-nil *PartialError return: the values for the missing
 // nodes carry StatusNodeDown and the error names those nodes. Any
 // other non-nil error leaves res untrustworthy.
 func (c *Client) FetchInto(pmids []uint32, res *FetchResult) error {
-	if c.pl != nil {
-		enc := func(dst []byte) []byte { return AppendFetchReq(dst, pmids) }
-		call, err := c.pl.roundTrip(PDUFetchReq, enc, c.timeoutNow(), PDUFetchResp, PDUFetchPartialResp)
-		if err != nil {
-			return err
-		}
-		err = decodeFetchFamily(call.respTyp, call.resp, res)
-		putCall(call)
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reqBuf = AppendFetchReq(c.reqBuf[:0], pmids)
-	return c.fetchRoundTripLocked(PDUFetchReq, c.reqBuf, res)
+	call := getCall()
+	call.typ, call.req = PDUFetchReq, AppendFetchReq(call.req[:0], pmids)
+	return c.fetchRoundTrip(call, res)
 }
 
 // FetchAll retrieves every metric the server exports, in PMID order,
@@ -358,30 +345,35 @@ func (c *Client) FetchInto(pmids []uint32, res *FetchResult) error {
 // whole namespace. Partial results surface as in FetchInto.
 func (c *Client) FetchAll() (FetchResult, error) {
 	var res FetchResult
-	if err := c.FetchAllInto(&res); err != nil {
-		var pe *PartialError
-		if errors.As(err, &pe) {
-			return res, err
-		}
-		return FetchResult{}, err
-	}
-	return res, nil
+	err := c.FetchAllInto(&res)
+	return partialOrNothing(res, err)
 }
 
 // FetchAllInto is FetchAll decoding into res, reusing its backing array.
 func (c *Client) FetchAllInto(res *FetchResult) error {
-	if c.pl != nil {
-		call, err := c.pl.roundTrip(PDUFetchAllReq, nil, c.timeoutNow(), PDUFetchResp, PDUFetchPartialResp)
-		if err != nil {
-			return err
-		}
-		err = decodeFetchFamily(call.respTyp, call.resp, res)
-		putCall(call)
+	call := getCall()
+	call.typ, call.req = PDUFetchAllReq, call.req[:0]
+	return c.fetchRoundTrip(call, res)
+}
+
+// fetchRoundTrip performs one fetch-family round trip, decoding a full
+// or partial fetch response into res; a partial response returns the
+// reconstructed *PartialError.
+func (c *Client) fetchRoundTrip(call *pcall, res *FetchResult) error {
+	err := c.roundTrip(call, PDUFetchResp, PDUFetchPartialResp)
+	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fetchRoundTripLocked(PDUFetchAllReq, nil, res)
+	if call.respTyp == PDUFetchPartialResp {
+		var pe *PartialError
+		if pe, err = DecodePartialResp(call.resp, res); err == nil {
+			err = pe
+		}
+	} else {
+		err = DecodeFetchRespInto(call.resp, res)
+	}
+	putCall(call)
+	return err
 }
 
 // FetchBatch fetches multiple PMID sets in one round trip: the answer
@@ -400,26 +392,31 @@ func (c *Client) FetchBatch(sets [][]uint32) ([]FetchResult, error) {
 // FetchBatchInto is FetchBatch decoding into results, reusing its outer
 // array and each element's Values backing array.
 func (c *Client) FetchBatchInto(sets [][]uint32, results []FetchResult) ([]FetchResult, error) {
-	if c.pl != nil {
-		enc := func(dst []byte) []byte { return AppendFetchBatchReq(dst, sets) }
-		call, err := c.pl.roundTrip(PDUFetchBatchReq, enc, c.timeoutNow(), PDUFetchBatchResp, PDUFetchBatchResp)
-		if err != nil {
-			return nil, err
-		}
-		out, pe, err := DecodeFetchBatchRespInto(call.resp, results)
-		putCall(call)
-		if err != nil {
-			return nil, err
-		}
-		if len(out) != len(sets) {
-			return nil, fmt.Errorf("%w: batch answered %d sets, asked %d", ErrProtocol, len(out), len(sets))
-		}
-		if pe != nil {
-			return out, pe
-		}
-		return out, nil
+	if c.version < Version2 {
+		return c.fetchBatchPerSet(sets, results)
 	}
-	// Lockstep fallback: one round trip per set, partial errors merged.
+	call := getCall()
+	call.typ, call.req = PDUFetchBatchReq, AppendFetchBatchReq(call.req[:0], sets)
+	if err := c.roundTrip(call, PDUFetchBatchResp, PDUFetchBatchResp); err != nil {
+		return nil, err
+	}
+	out, pe, err := DecodeFetchBatchRespInto(call.resp, results)
+	putCall(call)
+	if err != nil {
+		return nil, err
+	}
+	if len(out) != len(sets) {
+		return nil, fmt.Errorf("%w: batch answered %d sets, asked %d", ErrProtocol, len(out), len(sets))
+	}
+	if pe != nil {
+		return out, pe
+	}
+	return out, nil
+}
+
+// fetchBatchPerSet is the Version1 form of a batch — the batch PDU does
+// not exist there: one fetch round trip per set, partial errors merged.
+func (c *Client) fetchBatchPerSet(sets [][]uint32, results []FetchResult) ([]FetchResult, error) {
 	if cap(results) < len(sets) {
 		grown := make([]FetchResult, len(sets))
 		copy(grown, results[:cap(results)])
@@ -466,29 +463,6 @@ func mergeMissing(a, b []string) []string {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// decodeFetchFamily decodes a full or partial fetch response into res;
-// a partial response returns the reconstructed *PartialError.
-func decodeFetchFamily(typ uint8, payload []byte, res *FetchResult) error {
-	if typ == PDUFetchPartialResp {
-		pe, derr := DecodePartialResp(payload, res)
-		if derr != nil {
-			return derr
-		}
-		return pe
-	}
-	return DecodeFetchRespInto(payload, res)
-}
-
-// fetchRoundTripLocked performs one fetch-family round trip, accepting
-// either a full or a partial fetch response. The caller must hold c.mu.
-func (c *Client) fetchRoundTripLocked(reqType uint8, payload []byte, res *FetchResult) error {
-	resp, typ, err := c.roundTripAnyLocked(reqType, payload, PDUFetchResp, PDUFetchPartialResp)
-	if err != nil {
-		return err
-	}
-	return decodeFetchFamily(typ, resp, res)
 }
 
 // Lookup resolves a metric name to its PMID, fetching the name table on

@@ -1,14 +1,12 @@
 package pcp
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"papimc/internal/simtime"
 )
@@ -59,13 +57,7 @@ type Daemon struct {
 	sampling atomic.Bool // CAS single-flight gate for resampling
 	regMu    sync.Mutex  // serializes Register's copy-on-write
 
-	ln        net.Listener
-	wg        sync.WaitGroup
-	closed    chan struct{}
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	srv *Server // the network side: in-order serving (depth 1)
 }
 
 // NewDaemon builds a daemon sampling the given metrics every interval.
@@ -86,12 +78,8 @@ func NewDaemon(clock *simtime.Clock, interval simtime.Duration, metrics []Metric
 		}
 		byName[m.Name] = uint32(i + 1)
 	}
-	d := &Daemon{
-		clock:    clock,
-		interval: interval,
-		closed:   make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
-	}
+	d := &Daemon{clock: clock, interval: interval}
+	d.srv = NewServer(1, func() Handler { return &daemonConn{d: d} })
 	d.table.Store(newTable(ms, byName))
 	return d, nil
 }
@@ -257,314 +245,41 @@ func (d *Daemon) FetchBatchInto(sets [][]uint32, results []FetchResult) []FetchR
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves clients in the
 // background until Close. It returns the bound address.
-func (d *Daemon) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("pcp: listen: %w", err)
-	}
-	return d.StartOn(ln), nil
-}
+func (d *Daemon) Start(addr string) (string, error) { return d.srv.Start(addr) }
 
 // StartOn serves clients on an existing listener until Close. It is the
 // injection point for wrapped listeners (fault injection, custom
 // transports). It returns the listener's address.
-//
-// Accepting is sharded per core: GOMAXPROCS goroutines block in Accept
-// on the one listener (the kernel load-balances wakeups), so a
-// connection burst is admitted in parallel instead of serializing on a
-// single accept loop.
-func (d *Daemon) StartOn(ln net.Listener) string {
-	d.ln = ln
-	n := runtime.GOMAXPROCS(0)
-	d.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go d.acceptLoop()
-	}
-	return ln.Addr().String()
-}
-
-// acceptBackoffMax caps the sleep between retries of a failing Accept.
-const acceptBackoffMax = time.Second
-
-func (d *Daemon) acceptLoop() {
-	defer d.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := d.ln.Accept()
-		if err != nil {
-			select {
-			case <-d.closed:
-				return
-			default:
-			}
-			// Transient accept errors (EMFILE, ECONNABORTED): back off
-			// with a capped doubling sleep instead of spinning hot.
-			if backoff == 0 {
-				backoff = time.Millisecond
-			} else if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			select {
-			case <-d.closed:
-				return
-			case <-time.After(backoff):
-			}
-			continue
-		}
-		backoff = 0
-		d.connMu.Lock()
-		d.conns[conn] = struct{}{}
-		d.connMu.Unlock()
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			defer func() {
-				conn.Close()
-				d.connMu.Lock()
-				delete(d.conns, conn)
-				d.connMu.Unlock()
-			}()
-			d.serveConn(conn)
-		}()
-	}
-}
-
-// serveScratch is the per-connection reusable state of a serving loop:
-// request payload, decoded PMIDs and sets, fetched values and encoded
-// response, so steady-state fetch serving does not allocate.
-type serveScratch struct {
-	respBuf []byte
-	pmids   []uint32
-	sets    [][]uint32
-	vals    []FetchValue
-	batch   []FetchResult
-}
-
-// handleReq serves one decoded request PDU, returning the response type
-// and payload (encoded into s.respBuf). It is shared by the lockstep
-// and tagged serving loops.
-func (d *Daemon) handleReq(typ uint8, payload []byte, s *serveScratch) (uint8, []byte) {
-	switch typ {
-	case PDUNamesReq:
-		return PDUNamesResp, AppendNamesResp(s.respBuf[:0], d.table.Load().names)
-	case PDUFetchReq:
-		pmids, err := DecodeFetchReqInto(payload, s.pmids[:0])
-		if err != nil {
-			return PDUError, AppendError(s.respBuf[:0], err.Error())
-		}
-		s.pmids = pmids
-		res := d.FetchInto(pmids, s.vals[:0])
-		s.vals = res.Values
-		return PDUFetchResp, AppendFetchResp(s.respBuf[:0], res)
-	case PDUFetchAllReq:
-		res := d.FetchAllInto(s.vals[:0])
-		s.vals = res.Values
-		return PDUFetchResp, AppendFetchResp(s.respBuf[:0], res)
-	case PDUFetchBatchReq:
-		sets, err := DecodeFetchBatchReqInto(payload, s.sets[:0])
-		if err != nil {
-			return PDUError, AppendError(s.respBuf[:0], err.Error())
-		}
-		s.sets = sets
-		s.batch = d.FetchBatchInto(sets, s.batch[:0])
-		return PDUFetchBatchResp, AppendFetchBatchResp(s.respBuf[:0], s.batch, nil, "")
-	default:
-		return PDUError, AppendError(s.respBuf[:0], fmt.Sprintf("unknown PDU type %d", typ))
-	}
-}
-
-// serveConn handles one client connection: handshake, then a lockstep
-// request/response loop. A PDUVersionReq negotiating Version2 or higher
-// hands the connection to the tagged loop (ServeTagged); Version1
-// clients never send one and stay in lockstep.
-func (d *Daemon) serveConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	if err := ServerHandshake(br, bw); err != nil {
-		return
-	}
-	var (
-		payloadBuf []byte
-		s          serveScratch
-	)
-	for {
-		typ, payload, err := ReadPDUInto(br, payloadBuf)
-		if err != nil {
-			return
-		}
-		payloadBuf = payload
-		var respType uint8
-		var resp []byte
-		var version uint32
-		if typ == PDUVersionReq {
-			respType, resp, version = NegotiateVersionV(payload, s.respBuf[:0])
-			s.respBuf = resp
-		} else {
-			respType, resp = d.handleReq(typ, payload, &s)
-		}
-		if err := WritePDU(bw, respType, resp); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		if version >= Version2 {
-			serveTagged(conn, br, version >= Version3, func(typ uint8, tenant uint32, payload []byte) (uint8, []byte) {
-				return d.handleReq(typ, payload, &s)
-			})
-			return
-		}
-	}
-}
-
-// NegotiateVersion answers a PDUVersionReq payload on the server side,
-// appending the response to dst: the reply carries min(client max,
-// server max), and tagged reports whether the connection must switch to
-// tagged framing once the response is flushed. Exported for the other
-// servers speaking the protocol (pmproxy, cluster). Servers that need
-// the exact version (to pick tagged vs wide framing) use
-// NegotiateVersionV instead.
-func NegotiateVersion(payload, dst []byte) (respType uint8, resp []byte, tagged bool) {
-	respType, resp, v := NegotiateVersionV(payload, dst)
-	return respType, resp, v >= Version2
-}
-
-// NegotiateVersionV is NegotiateVersion returning the negotiated
-// version itself: 0 on a malformed request (the response is then a
-// PDUError), Version1 and up otherwise. At Version2 the connection
-// switches to tagged frames after the response is flushed; at Version3
-// and above, to wide (tenant-carrying) frames.
-func NegotiateVersionV(payload, dst []byte) (respType uint8, resp []byte, version uint32) {
-	peerMax, err := DecodeVersion(payload)
-	if err != nil {
-		return PDUError, AppendError(dst, err.Error()), 0
-	}
-	v := MaxVersion
-	if peerMax < v {
-		v = peerMax
-	}
-	return PDUVersionResp, AppendVersion(dst, v), v
-}
-
-// ServeTagged runs the Version2 serving loop on a negotiated
-// connection: tagged frames in, tagged frames out, with writer-side
-// coalescing — responses accumulate in a frameBatch and are flushed
-// with one vectored write when no further request is already buffered,
-// so a pipelined burst of n requests costs one read wakeup and one
-// write syscall instead of n of each. Exported for the other servers
-// speaking the protocol (pmproxy, cluster).
-//
-// handle may encode responses into reused buffers it owns; a response
-// larger than the coalescing threshold is referenced zero-copy and
-// flushed before the next request is read, so that reuse stays safe.
-func ServeTagged(conn net.Conn, br *bufio.Reader, handle func(typ uint8, payload []byte) (respType uint8, resp []byte)) {
-	serveTagged(conn, br, false, func(typ uint8, _ uint32, payload []byte) (uint8, []byte) {
-		return handle(typ, payload)
-	})
-}
-
-// ServeTaggedWide is ServeTagged for a Version3 connection: wide frames
-// in and out, with each request's tenant passed to handle and echoed on
-// the response frame. Exported for the other servers speaking the
-// protocol (pmproxy, cluster).
-func ServeTaggedWide(conn net.Conn, br *bufio.Reader, handle func(typ uint8, tenant uint32, payload []byte) (respType uint8, resp []byte)) {
-	serveTagged(conn, br, true, handle)
-}
-
-// serveTagged is the shared Version2/Version3 serving loop; wide selects
-// the frame format (and whether tenants are read and echoed).
-func serveTagged(conn net.Conn, br *bufio.Reader, wide bool, handle func(typ uint8, tenant uint32, payload []byte) (respType uint8, resp []byte)) {
-	var (
-		payloadBuf []byte
-		batch      frameBatch
-	)
-	for {
-		if batch.empty() || br.Buffered() > 0 {
-			// More input already buffered (or nothing pending): read
-			// before flushing, so a burst coalesces into one write.
-		} else if err := batch.flush(conn); err != nil {
-			return
-		}
-		var (
-			typ     uint8
-			tag     uint32
-			tenant  uint32
-			payload []byte
-			err     error
-		)
-		if wide {
-			typ, tag, tenant, payload, err = ReadWidePDUInto(br, payloadBuf)
-		} else {
-			typ, tag, payload, err = ReadTaggedPDUInto(br, payloadBuf)
-		}
-		if err != nil {
-			return
-		}
-		payloadBuf = payload
-		respType, resp := handle(typ, tenant, payload)
-		var direct bool
-		if wide {
-			direct, err = batch.appendWide(respType, tag, tenant, resp)
-		} else {
-			direct, err = batch.appendFrame(respType, tag, resp)
-		}
-		if err != nil {
-			return
-		}
-		if direct || len(batch.small) >= serveFlushBytes {
-			// Flush now: either the batch references resp zero-copy (the
-			// next request would overwrite the scratch buffer it lives
-			// in), or enough responses accumulated that holding more
-			// would just grow the batch — writing applies backpressure
-			// to a peer that streams requests without reading answers.
-			if err := batch.flush(conn); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// serveFlushBytes caps how many coalesced response bytes the tagged
-// serving loop holds before forcing a flush.
-const serveFlushBytes = 64 << 10
+func (d *Daemon) StartOn(ln net.Listener) string { return d.srv.StartOn(ln) }
 
 // Close stops the listener, disconnects clients, and waits for
 // connection handlers to finish. It is idempotent.
-func (d *Daemon) Close() error {
-	var err error
-	d.closeOnce.Do(func() {
-		close(d.closed)
-		if d.ln != nil {
-			err = d.ln.Close()
-		}
-		d.connMu.Lock()
-		for conn := range d.conns {
-			conn.Close()
-		}
-		d.connMu.Unlock()
-		d.wg.Wait()
-	})
-	return err
+func (d *Daemon) Close() error { return d.srv.Close() }
+
+// daemonConn is the daemon's per-connection Handler: the fetched values
+// are appended to scratch it owns, so with the server's request scratch
+// steady-state fetch serving does not allocate.
+type daemonConn struct {
+	d     *Daemon
+	vals  []FetchValue
+	batch []FetchResult
 }
 
-// ServerHandshake performs the daemon side of connection setup: the
-// client sends Magic, the server echoes it. Exported so other servers
-// speaking the protocol (pmproxy) share the exact semantics. The magic
-// is compared in place inside the bufio.Reader's buffer (Peek/Discard),
-// so the handshake allocates nothing per connection.
-func ServerHandshake(br *bufio.Reader, bw *bufio.Writer) error {
-	magic, err := br.Peek(len(Magic))
-	if err != nil {
-		return err
-	}
-	if string(magic) != Magic {
-		return fmt.Errorf("%w: bad handshake %q", ErrProtocol, magic)
-	}
-	if _, err := br.Discard(len(Magic)); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(Magic); err != nil {
-		return err
-	}
-	return bw.Flush()
+func (c *daemonConn) Names() ([]NameEntry, error) { return c.d.table.Load().names, nil }
+
+func (c *daemonConn) Fetch(_ uint32, pmids []uint32) (FetchResult, error) {
+	res := c.d.FetchInto(pmids, c.vals[:0])
+	c.vals = res.Values
+	return res, nil
+}
+
+func (c *daemonConn) FetchAll(uint32) (FetchResult, error) {
+	res := c.d.FetchAllInto(c.vals[:0])
+	c.vals = res.Values
+	return res, nil
+}
+
+func (c *daemonConn) FetchBatch(_ uint32, sets [][]uint32) ([]FetchResult, error) {
+	c.batch = c.d.FetchBatchInto(sets, c.batch[:0])
+	return c.batch, nil
 }

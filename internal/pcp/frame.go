@@ -8,153 +8,73 @@ import (
 	"sync"
 )
 
-// Tagged framing (wire protocol Version2). A tagged frame is the plain
-// 5-byte frame plus a 4-byte request tag:
+// Tagged framing (wire protocol Version2 and up). Once a PDUVersionReq /
+// PDUVersionResp exchange negotiates Version2 or higher, both sides
+// switch from the plain 5-byte frame to one header layout:
 //
-//	u32 payload length | u8 type | u32 tag | payload
+//	u32 payload length | u8 type | u32 tag | [u32 tenant] | payload
 //
 // The tag is chosen by the requester and echoed verbatim in the
 // response, which is what lets a connection carry many outstanding
 // requests with out-of-order completion: the reader demultiplexes
-// responses by tag instead of assuming lockstep order. Both sides
-// switch to tagged frames immediately after a PDUVersionReq /
-// PDUVersionResp exchange negotiates Version2 or higher; Version1
-// peers never see a tagged frame.
+// responses by tag instead of assuming lockstep order. The tenant field
+// is present only on wide frames — the framing of Version3 and above —
+// and identifies the requesting principal for admission control and
+// per-tenant accounting at a proxy; servers echo it verbatim so
+// middleboxes can attribute both directions of a stream without
+// per-connection state. Any 32-bit tenant is structurally valid: policy
+// about unknown tenants belongs to the admission layer, not the
+// framing. Version1 peers never see a tagged frame, Version2 peers
+// never see a wide one.
 
-// TaggedHdrLen is the tagged frame header size.
-const TaggedHdrLen = 9
+// Frame header sizes: 9 bytes tagged, 13 wide (tagged plus the tenant).
+const (
+	TaggedHdrLen = 9
+	WideHdrLen   = TaggedHdrLen + 4
+)
 
-// hdr9Pool recycles tagged frame headers, like hdrPool for plain ones.
-var hdr9Pool = sync.Pool{
-	New: func() any { b := make([]byte, TaggedHdrLen); return &b },
+// frameHdrLen returns the header size of the connection's framing.
+func frameHdrLen(wide bool) int {
+	if wide {
+		return WideHdrLen
+	}
+	return TaggedHdrLen
 }
 
-// putTaggedHdr encodes a tagged frame header into hdr.
-func putTaggedHdr(hdr []byte, typ uint8, tag uint32, payloadLen int) {
+// frameHdrPool recycles frame headers, like hdrPool for plain ones; a
+// tagged header uses the first TaggedHdrLen bytes.
+var frameHdrPool = sync.Pool{
+	New: func() any { return new([WideHdrLen]byte) },
+}
+
+// putFrameHdr encodes a frame header into hdr, whose length
+// (frameHdrLen) says whether the tenant field is present.
+func putFrameHdr(hdr []byte, typ uint8, tag, tenant uint32, payloadLen int) {
 	binary.BigEndian.PutUint32(hdr[:4], uint32(payloadLen))
 	hdr[4] = typ
 	binary.BigEndian.PutUint32(hdr[5:9], tag)
+	if len(hdr) == WideHdrLen {
+		binary.BigEndian.PutUint32(hdr[9:13], tenant)
+	}
 }
 
-// WriteTaggedPDU frames and writes one tagged PDU. Like WritePDU it
-// does not allocate in the steady state.
-func WriteTaggedPDU(w io.Writer, typ uint8, tag uint32, payload []byte) error {
-	if len(payload) > MaxPDUBytes {
-		return fmt.Errorf("%w (writing %d bytes)", ErrPDUTooLarge, len(payload))
-	}
-	hp := hdr9Pool.Get().(*[]byte)
-	hdr := *hp
-	putTaggedHdr(hdr, typ, tag, len(payload))
-	_, err := w.Write(hdr)
-	hdr9Pool.Put(hp)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
-}
-
-// ReadTaggedHeader reads one tagged frame header and validates the
-// length prefix against MaxPDUBytes before anything is allocated, so a
-// hostile tag/length combination can fail with ErrProtocol but never
-// force an oversized allocation. The payload (n bytes) is left unread:
-// a demux reader that finds no waiter for the tag discards it with
-// br.Discard instead of reading it into memory.
-func ReadTaggedHeader(r io.Reader) (typ uint8, tag uint32, n uint32, err error) {
-	hp := hdr9Pool.Get().(*[]byte)
-	hdr := *hp
+// readFrameHdr reads one frame header (tenant is zero unless wide) and
+// validates the length prefix against MaxPDUBytes before anything is
+// allocated, so a hostile tag/length combination can fail with
+// ErrProtocol but never force an oversized allocation. The payload (n
+// bytes) is left unread: a demux reader that finds no waiter for the tag
+// discards it with br.Discard instead of reading it into memory.
+func readFrameHdr(r io.Reader, wide bool) (typ uint8, tag, tenant, n uint32, err error) {
+	hp := frameHdrPool.Get().(*[WideHdrLen]byte)
+	hdr := hp[:frameHdrLen(wide)]
 	_, err = io.ReadFull(r, hdr)
 	n = binary.BigEndian.Uint32(hdr[:4])
 	typ = hdr[4]
 	tag = binary.BigEndian.Uint32(hdr[5:9])
-	hdr9Pool.Put(hp)
-	if err != nil {
-		return 0, 0, 0, err
+	if wide {
+		tenant = binary.BigEndian.Uint32(hdr[9:13])
 	}
-	if n > MaxPDUBytes {
-		return 0, 0, 0, fmt.Errorf("%w (length prefix %d)", ErrPDUTooLarge, n)
-	}
-	return typ, tag, n, nil
-}
-
-// ReadTaggedPDUInto reads one whole tagged PDU, reading the payload
-// into buf and growing it if needed — the tagged analogue of
-// ReadPDUInto, with the same aliasing contract.
-func ReadTaggedPDUInto(r io.Reader, buf []byte) (typ uint8, tag uint32, payload []byte, err error) {
-	typ, tag, n, err := ReadTaggedHeader(r)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	payload = buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, err
-	}
-	return typ, tag, payload, nil
-}
-
-// Wide framing (wire protocol Version3). A wide frame extends the
-// tagged frame with a 4-byte tenant field:
-//
-//	u32 payload length | u8 type | u32 tag | u32 tenant | payload
-//
-// The tenant identifies the requesting principal for admission control
-// and per-tenant accounting at a proxy; servers echo it verbatim in
-// responses so middleboxes can attribute both directions of a stream
-// without per-connection state. Both sides switch to wide frames
-// immediately after negotiating Version3 or higher; Version1 and
-// Version2 peers never see one.
-
-// WideHdrLen is the wide (tenant-carrying) frame header size.
-const WideHdrLen = 13
-
-// hdr13Pool recycles wide frame headers, like hdr9Pool for tagged ones.
-var hdr13Pool = sync.Pool{
-	New: func() any { b := make([]byte, WideHdrLen); return &b },
-}
-
-// putWideHdr encodes a wide frame header into hdr.
-func putWideHdr(hdr []byte, typ uint8, tag, tenant uint32, payloadLen int) {
-	binary.BigEndian.PutUint32(hdr[:4], uint32(payloadLen))
-	hdr[4] = typ
-	binary.BigEndian.PutUint32(hdr[5:9], tag)
-	binary.BigEndian.PutUint32(hdr[9:13], tenant)
-}
-
-// WriteWidePDU frames and writes one wide PDU. Like WriteTaggedPDU it
-// does not allocate in the steady state.
-func WriteWidePDU(w io.Writer, typ uint8, tag, tenant uint32, payload []byte) error {
-	if len(payload) > MaxPDUBytes {
-		return fmt.Errorf("%w (writing %d bytes)", ErrPDUTooLarge, len(payload))
-	}
-	hp := hdr13Pool.Get().(*[]byte)
-	hdr := *hp
-	putWideHdr(hdr, typ, tag, tenant, len(payload))
-	_, err := w.Write(hdr)
-	hdr13Pool.Put(hp)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
-}
-
-// ReadWideHeader reads one wide frame header with the same hostile-input
-// contract as ReadTaggedHeader: the length prefix is validated against
-// MaxPDUBytes before anything is allocated, and the payload is left
-// unread. Any 32-bit tenant value is structurally valid — policy about
-// unknown tenants belongs to the admission layer, not the framing.
-func ReadWideHeader(r io.Reader) (typ uint8, tag, tenant uint32, n uint32, err error) {
-	hp := hdr13Pool.Get().(*[]byte)
-	hdr := *hp
-	_, err = io.ReadFull(r, hdr)
-	n = binary.BigEndian.Uint32(hdr[:4])
-	typ = hdr[4]
-	tag = binary.BigEndian.Uint32(hdr[5:9])
-	tenant = binary.BigEndian.Uint32(hdr[9:13])
-	hdr13Pool.Put(hp)
+	frameHdrPool.Put(hp)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -164,11 +84,11 @@ func ReadWideHeader(r io.Reader) (typ uint8, tag, tenant uint32, n uint32, err e
 	return typ, tag, tenant, n, nil
 }
 
-// ReadWidePDUInto reads one whole wide PDU, reading the payload into
-// buf and growing it if needed — the wide analogue of ReadTaggedPDUInto,
-// with the same aliasing contract.
-func ReadWidePDUInto(r io.Reader, buf []byte) (typ uint8, tag, tenant uint32, payload []byte, err error) {
-	typ, tag, tenant, n, err := ReadWideHeader(r)
+// readFrameInto reads one whole frame, reading the payload into buf and
+// growing it if needed — the tagged analogue of ReadPDUInto, with the
+// same aliasing contract.
+func readFrameInto(r io.Reader, wide bool, buf []byte) (typ uint8, tag, tenant uint32, payload []byte, err error) {
+	typ, tag, tenant, n, err := readFrameHdr(r, wide)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
@@ -182,52 +102,81 @@ func ReadWidePDUInto(r io.Reader, buf []byte) (typ uint8, tag, tenant uint32, pa
 	return typ, tag, tenant, payload, nil
 }
 
+// writeFrame frames and writes one PDU. Like WritePDU it does not
+// allocate in the steady state.
+func writeFrame(w io.Writer, wide bool, typ uint8, tag, tenant uint32, payload []byte) error {
+	if len(payload) > MaxPDUBytes {
+		return fmt.Errorf("%w (writing %d bytes)", ErrPDUTooLarge, len(payload))
+	}
+	hp := frameHdrPool.Get().(*[WideHdrLen]byte)
+	hdr := hp[:frameHdrLen(wide)]
+	putFrameHdr(hdr, typ, tag, tenant, len(payload))
+	_, err := w.Write(hdr)
+	frameHdrPool.Put(hp)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(payload)
+	return err
+}
+
+// WriteTaggedPDU frames and writes one tagged (Version2) PDU.
+func WriteTaggedPDU(w io.Writer, typ uint8, tag uint32, payload []byte) error {
+	return writeFrame(w, false, typ, tag, 0, payload)
+}
+
+// ReadTaggedPDUInto reads one whole tagged (Version2) PDU into buf.
+func ReadTaggedPDUInto(r io.Reader, buf []byte) (typ uint8, tag uint32, payload []byte, err error) {
+	typ, tag, _, payload, err = readFrameInto(r, false, buf)
+	return typ, tag, payload, err
+}
+
+// WriteWidePDU frames and writes one wide (Version3) PDU.
+func WriteWidePDU(w io.Writer, typ uint8, tag, tenant uint32, payload []byte) error {
+	return writeFrame(w, true, typ, tag, tenant, payload)
+}
+
+// ReadWidePDUInto reads one whole wide (Version3) PDU into buf.
+func ReadWidePDUInto(r io.Reader, buf []byte) (typ uint8, tag, tenant uint32, payload []byte, err error) {
+	return readFrameInto(r, true, buf)
+}
+
 // coalesceMax is the payload size up to which a frame is copied into
 // the batch's contiguous buffer. Larger payloads are referenced
 // zero-copy as their own write-vector element; the copy would cost more
 // than the extra iovec.
 const coalesceMax = 4096
 
-// frameBatch accumulates tagged frames and writes them with one
-// vectored write (writev on a TCP connection): small frames coalesce
-// into a contiguous buffer so a burst of pipelined requests or
-// responses costs one syscall, and large payloads are referenced
-// directly so the classic header+payload copy disappears.
+// frameBatch accumulates frames of one connection's framing and writes
+// them with one vectored write (writev on a TCP connection): small
+// frames coalesce into a contiguous buffer so a burst of pipelined
+// requests or responses costs one syscall, and large payloads are
+// referenced directly so the classic header+payload copy disappears.
 //
 // Aliasing: a frame appended with a large payload holds a reference to
-// that payload until the next flush. appendFrame reports this with
+// that payload until the next flush. append reports this with
 // direct=true so callers that reuse their encode buffer flush before
 // overwriting it.
 type frameBatch struct {
+	wide  bool        // frames carry the tenant field (Version3)
 	small []byte      // coalesced headers + small payloads
 	cut   int         // start of small's region not yet sealed into vec
 	vec   net.Buffers // pending write vector
+	out   net.Buffers // flush's consumable view of vec
 }
 
-// appendFrame adds one tagged frame to the batch. direct reports that
-// the payload was referenced zero-copy rather than copied: the caller
-// must not modify it before the next flush.
-func (b *frameBatch) appendFrame(typ uint8, tag uint32, payload []byte) (direct bool, err error) {
-	var hdr [TaggedHdrLen]byte
-	putTaggedHdr(hdr[:], typ, tag, len(payload))
-	return b.push(hdr[:], payload)
-}
-
-// appendWide adds one wide (tenant-carrying) frame to the batch, with
-// the same direct/aliasing contract as appendFrame.
-func (b *frameBatch) appendWide(typ uint8, tag, tenant uint32, payload []byte) (direct bool, err error) {
-	var hdr [WideHdrLen]byte
-	putWideHdr(hdr[:], typ, tag, tenant, len(payload))
-	return b.push(hdr[:], payload)
-}
-
-// push appends an already-encoded header plus payload, coalescing or
-// referencing the payload per coalesceMax.
-func (b *frameBatch) push(hdr, payload []byte) (direct bool, err error) {
+// append adds one frame to the batch, coalescing or referencing the
+// payload per coalesceMax. direct reports that the payload was
+// referenced zero-copy rather than copied: the caller must not modify
+// it before the next flush.
+func (b *frameBatch) append(typ uint8, tag, tenant uint32, payload []byte) (direct bool, err error) {
 	if len(payload) > MaxPDUBytes {
 		return false, fmt.Errorf("%w (writing %d bytes)", ErrPDUTooLarge, len(payload))
 	}
-	b.small = append(b.small, hdr...)
+	var hdr [WideHdrLen]byte
+	n := frameHdrLen(b.wide)
+	putFrameHdr(hdr[:n], typ, tag, tenant, len(payload))
+	b.small = append(b.small, hdr[:n]...)
 	if len(payload) > coalesceMax {
 		b.seal()
 		b.vec = append(b.vec, payload)
@@ -258,8 +207,11 @@ func (b *frameBatch) flush(w io.Writer) error {
 	if len(b.vec) == 0 {
 		return nil
 	}
-	vec := b.vec // WriteTo advances (and nils out) a copy, not b.vec itself
-	_, err := vec.WriteTo(w)
+	// WriteTo advances (and nils out) the slice it is called on, and its
+	// receiver escapes: consume a copy held in the batch, so b.vec keeps
+	// its backing array and flushing does not allocate.
+	b.out = b.vec
+	_, err := b.out.WriteTo(w)
 	b.vec = b.vec[:0]
 	b.small = b.small[:0]
 	b.cut = 0

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,10 +22,11 @@ var ErrClientClosed = errors.New("pcp: client closed")
 // response, if it ever arrives, is discarded by the demux reader.
 var ErrRequestTimeout = fmt.Errorf("pcp: request timed out: %w", os.ErrDeadlineExceeded)
 
-// pcall is one in-flight pipelined request: the encoded request payload,
-// the slot the response lands in, and the completion signal. Calls are
-// pooled; a call abandoned on timeout is left to the garbage collector
-// instead, because the writer or reader may still hold a reference.
+// pcall is one request/response exchange, on either transport: the
+// encoded request payload, the slot the response lands in, and (for the
+// pipeline) the completion signal. Calls are pooled; a call whose round
+// trip failed is left to the garbage collector instead, because after a
+// timeout the writer or reader may still hold a reference.
 type pcall struct {
 	typ     uint8
 	tag     uint32
@@ -77,22 +77,17 @@ func (c *pcall) wait(d time.Duration) error {
 	}
 }
 
-// pipeline is the Version2 transport of a Client: a writer goroutine
-// that drains a request queue into vectored, coalesced tagged frames,
-// and a demux reader that completes calls by tag — many requests
-// outstanding per connection, out-of-order completion, per-request
-// deadlines. Any transport error is sticky: it fails every pending and
-// future request and closes the connection.
+// pipeline is the Version2+ transport of a Client: a writer goroutine
+// that drains a request queue into vectored, coalesced frames (tagged,
+// or wide at Version3), and a demux reader that completes calls by tag
+// — many requests outstanding per connection, out-of-order completion,
+// per-request deadlines. Any transport error is sticky: it fails every
+// pending and future request and closes the connection.
 type pipeline struct {
 	conn net.Conn
 	wq   chan *pcall
 	quit chan struct{} // closed by fail; unblocks enqueue and the writer
-
-	// wide selects Version3 framing: every frame carries a tenant field
-	// (requests send the client's tenant, responses echo it). Set once at
-	// construction, before the loops start.
-	wide   bool
-	tenant atomic.Uint32 // tenant stamped on outgoing wide frames
+	wide bool          // Version3 framing; set once, before the loops start
 
 	mu      sync.Mutex
 	pending map[uint32]*pcall
@@ -154,49 +149,29 @@ func (p *pipeline) enqueue(call *pcall) error {
 	}
 }
 
-// abandon drops a timed-out call: the demux reader will discard its
-// late response. The call itself is never pooled again — the writer or
-// reader may still reference it.
-func (p *pipeline) abandon(tag uint32) {
-	p.mu.Lock()
-	delete(p.pending, tag)
-	p.mu.Unlock()
-}
-
 // writeLoop drains the request queue into a frameBatch: whatever is
 // queued when the writer wakes goes out in one vectored write, so a
 // burst of concurrent requests coalesces into one syscall.
 func (p *pipeline) writeLoop() {
 	defer close(p.writerDone)
-	var batch frameBatch
-	appendCall := func(c *pcall) error {
-		if p.wide {
-			_, err := batch.appendWide(c.typ, c.tag, c.tenant, c.req)
-			return err
-		}
-		_, err := batch.appendFrame(c.typ, c.tag, c.req)
-		return err
-	}
+	batch := frameBatch{wide: p.wide}
 	for {
 		select {
 		case call := <-p.wq:
-			if err := appendCall(call); err != nil {
-				p.fail(err)
-				return
-			}
+			_, err := batch.append(call.typ, call.tag, call.tenant, call.req)
 		drain:
-			for {
+			for err == nil {
 				select {
 				case next := <-p.wq:
-					if err := appendCall(next); err != nil {
-						p.fail(err)
-						return
-					}
+					_, err = batch.append(next.typ, next.tag, next.tenant, next.req)
 				default:
 					break drain
 				}
 			}
-			if err := batch.flush(p.conn); err != nil {
+			if err == nil {
+				err = batch.flush(p.conn)
+			}
+			if err != nil {
 				p.fail(err)
 				return
 			}
@@ -206,23 +181,13 @@ func (p *pipeline) writeLoop() {
 	}
 }
 
-// readLoop demultiplexes responses by tag. A tag with no pending call
-// belongs to an abandoned (timed-out) request; its payload is discarded
-// without allocating.
+// readLoop demultiplexes responses by tag (a wide frame's echoed tenant
+// is informational). A tag with no pending call belongs to an abandoned
+// (timed-out) request; its payload is discarded without allocating.
 func (p *pipeline) readLoop(br *bufio.Reader) {
 	defer close(p.readerDone)
 	for {
-		var (
-			typ uint8
-			tag uint32
-			n   uint32
-			err error
-		)
-		if p.wide {
-			typ, tag, _, n, err = ReadWideHeader(br) // echoed tenant is informational
-		} else {
-			typ, tag, n, err = ReadTaggedHeader(br)
-		}
+		typ, tag, _, n, err := readFrameHdr(br, p.wide)
 		if err != nil {
 			p.fail(err)
 			return
@@ -283,51 +248,17 @@ func (p *pipeline) close() error {
 }
 
 // roundTrip issues one pipelined request and waits for its response
-// (deadline d, 0 = none), surfacing server error PDUs as Go errors.
-// enc appends the request payload to the call's reused buffer (nil =
-// empty payload). On success the returned call holds the response
-// payload; the caller decodes it and then releases the call with
-// putCall.
-func (p *pipeline) roundTrip(reqType uint8, enc func(dst []byte) []byte, d time.Duration, want1, want2 uint8) (*pcall, error) {
-	call := getCall()
-	call.typ = reqType
-	call.tenant = p.tenant.Load()
-	call.req = call.req[:0]
-	if enc != nil {
-		call.req = enc(call.req)
-	}
+// under the per-request deadline d (0 = none). A timed-out call is
+// abandoned: the demux reader will discard its late response.
+func (p *pipeline) roundTrip(call *pcall, d time.Duration) error {
 	if err := p.enqueue(call); err != nil {
-		putCall(call)
-		return nil, err
+		return err
 	}
 	if err := call.wait(d); err != nil {
-		p.abandon(call.tag)
-		return nil, err
+		p.mu.Lock()
+		delete(p.pending, call.tag)
+		p.mu.Unlock()
+		return err
 	}
-	if call.err != nil {
-		err := call.err
-		putCall(call)
-		return nil, err
-	}
-	switch call.respTyp {
-	case want1, want2:
-		return call, nil
-	case PDUError:
-		msg, derr := DecodeError(call.resp)
-		putCall(call)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, fmt.Errorf("pcp: daemon error: %s", msg)
-	case PDUStatusError:
-		se, derr := DecodeStatusError(call.resp)
-		putCall(call)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, se
-	}
-	typ := call.respTyp
-	putCall(call)
-	return nil, fmt.Errorf("%w: expected PDU %d, got %d", ErrProtocol, want1, typ)
+	return call.err
 }

@@ -59,7 +59,7 @@ func startV1OnlyServer(t *testing.T, names []NameEntry, res FetchResult) string 
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				bw := bufio.NewWriter(conn)
-				if err := ServerHandshake(br, bw); err != nil {
+				if err := serverHandshake(br, bw); err != nil {
 					return
 				}
 				for {
@@ -173,6 +173,38 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resNew, resOld) {
 		t.Fatalf("fetch results differ across versions:\nv2: %+v\nv1: %+v", resNew, resOld)
+	}
+
+	// The whole-namespace and batch fetches go through the same seam: the
+	// lockstep client (whose batch is one round trip per set) and both
+	// pipelined framings return what the Version3 client does.
+	sets := [][]uint32{{1, 2}, {4}, {1, 2}}
+	allNew, err := cNew.FetchAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchNew, err := cNew.FetchBatch(sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(allNew.Values) != 4 || len(batchNew) != len(sets) {
+		t.Fatalf("FetchAll returned %d values, FetchBatch %d sets", len(allNew.Values), len(batchNew))
+	}
+	for _, c := range []*Client{cV2, cOld} {
+		all, err := c.FetchAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := c.FetchBatch(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(all, allNew) {
+			t.Fatalf("FetchAll at version %d differs:\ngot:  %+v\nwant: %+v", c.Version(), all, allNew)
+		}
+		if !reflect.DeepEqual(batch, batchNew) {
+			t.Fatalf("FetchBatch at version %d differs:\ngot:  %+v\nwant: %+v", c.Version(), batch, batchNew)
+		}
 	}
 
 	// New client, v1-only daemon: the version probe gets a PDUError and
@@ -322,14 +354,14 @@ func TestPipelinedTimeoutKeepsConnectionUsable(t *testing.T) {
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		bw := bufio.NewWriter(conn)
-		if err := ServerHandshake(br, bw); err != nil {
+		if err := serverHandshake(br, bw); err != nil {
 			return
 		}
 		typ, payload, err := ReadPDU(br)
 		if err != nil || typ != PDUVersionReq {
 			return
 		}
-		respType, resp, version := NegotiateVersionV(payload, nil)
+		respType, resp, version := negotiateVersion(payload, nil)
 		if version < Version3 {
 			return
 		}
@@ -507,6 +539,52 @@ func TestPipelineConcurrentStress(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	aux.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+}
+
+// TestOrderedServingLargeResponses pins the aliasing rule of the in-order
+// serving loop now that the response buffer is reused across requests: a
+// response above the coalescing threshold is referenced zero-copy by the
+// frame batch, so it must be flushed before the next request is encoded
+// into the same buffer. Concurrent goroutines pipeline distinct
+// 300-PMID fetches (4.8 KB answers) on one connection; an answer
+// overwritten before it was written would echo another request's PMIDs.
+func TestOrderedServingLargeResponses(t *testing.T) {
+	_, _, addr := startPipelineDaemon(t, 600)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	errCh := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pmids := make([]uint32, 300)
+			for i := range pmids {
+				pmids[i] = uint32(g*30 + i + 1)
+			}
+			var res FetchResult
+			for round := 0; round < 50; round++ {
+				if err := c.FetchInto(pmids, &res); err != nil {
+					errCh <- err
+					return
+				}
+				for i, v := range res.Values {
+					if v.PMID != pmids[i] || v.Status != StatusOK {
+						errCh <- fmt.Errorf("goroutine %d round %d: value %d = %+v, asked PMID %d", g, round, i, v, pmids[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)

@@ -126,10 +126,10 @@ func FuzzReadTaggedPDU(f *testing.F) {
 			t.Fatal(err)
 		}
 		hr := bytes.NewReader(buf.Bytes())
-		if _, _, n, err := ReadTaggedHeader(hr); err != nil {
-			t.Fatalf("ReadTaggedHeader on accepted frame: %v", err)
+		if _, _, _, n, err := readFrameHdr(hr, false); err != nil {
+			t.Fatalf("readFrameHdr on accepted frame: %v", err)
 		} else if hr.Len() != int(n) {
-			t.Fatalf("ReadTaggedHeader consumed payload bytes: %d left, want %d", hr.Len(), n)
+			t.Fatalf("readFrameHdr consumed payload bytes: %d left, want %d", hr.Len(), n)
 		}
 		// Version2 decoders must be total on arbitrary accepted payloads.
 		if v, err := DecodeVersion(payload); err == nil && v == 0 {
@@ -182,10 +182,10 @@ func FuzzReadTaggedPDU(f *testing.F) {
 				wtyp, wtyp2, wtag, wtag2, wtenant, wtenant2)
 		}
 		whr := bytes.NewReader(wbuf.Bytes())
-		if _, _, _, n, err := ReadWideHeader(whr); err != nil {
-			t.Fatalf("ReadWideHeader on accepted frame: %v", err)
+		if _, _, _, n, err := readFrameHdr(whr, true); err != nil {
+			t.Fatalf("wide readFrameHdr on accepted frame: %v", err)
 		} else if whr.Len() != int(n) {
-			t.Fatalf("ReadWideHeader consumed payload bytes: %d left, want %d", whr.Len(), n)
+			t.Fatalf("wide readFrameHdr consumed payload bytes: %d left, want %d", whr.Len(), n)
 		}
 	})
 }

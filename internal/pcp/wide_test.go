@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 )
@@ -54,7 +55,7 @@ func TestWideFrameRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: type=%d tag=%d tenant=%d payload=%q", typ, tag, tenant, got)
 	}
 	hr := bytes.NewReader(buf.Bytes())
-	if _, _, _, n, err := ReadWideHeader(hr); err != nil {
+	if _, _, _, n, err := readFrameHdr(hr, true); err != nil {
 		t.Fatal(err)
 	} else if hr.Len() != int(n) {
 		t.Fatalf("header read consumed payload: %d left, want %d", hr.Len(), n)
@@ -67,9 +68,9 @@ func TestWideFrameRoundTrip(t *testing.T) {
 	}
 
 	// A batch of wide frames coalesces and decodes frame by frame.
-	var batch frameBatch
+	batch := frameBatch{wide: true}
 	for i := uint32(1); i <= 3; i++ {
-		if _, err := batch.appendWide(PDUFetchResp, i, i*10, []byte{byte(i)}); err != nil {
+		if _, err := batch.append(PDUFetchResp, i, i*10, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,10 +93,21 @@ func TestWideFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// tenantEcho is a Handler answering every fetch with the tenant it saw,
+// except tenant 99, which it always sheds.
+type tenantEcho struct{ Handler }
+
+func (tenantEcho) Fetch(tenant uint32, _ []uint32) (FetchResult, error) {
+	if tenant == 99 {
+		return FetchResult{}, fmt.Errorf("tenant 99 always shed: %w", ErrOverload)
+	}
+	return FetchResult{Timestamp: 1, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: uint64(tenant)}}}, nil
+}
+
 // TestTenantTravelsInBand proves SetTenant reaches a Version3 server's
-// handler in-band: a hand-rolled ServeTaggedWide server answers every
-// fetch with the tenant it saw, and typed status errors travel back as
-// errors.Is(..., ErrOverload).
+// handler in-band: a hand-rolled server running the wide serving loop
+// answers every fetch with the tenant it saw, and typed status errors
+// travel back as errors.Is(..., ErrOverload).
 func TestTenantTravelsInBand(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -112,32 +124,21 @@ func TestTenantTravelsInBand(t *testing.T) {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				bw := bufio.NewWriter(conn)
-				if err := ServerHandshake(br, bw); err != nil {
+				if err := serverHandshake(br, bw); err != nil {
 					return
 				}
 				typ, payload, err := ReadPDU(br)
 				if err != nil || typ != PDUVersionReq {
 					return
 				}
-				respType, resp, version := NegotiateVersionV(payload, nil)
+				respType, resp, version := negotiateVersion(payload, nil)
 				if WritePDU(bw, respType, resp) != nil || bw.Flush() != nil {
 					return
 				}
 				if version < Version3 {
 					return
 				}
-				var scratch []byte
-				ServeTaggedWide(conn, br, func(typ uint8, tenant uint32, payload []byte) (uint8, []byte) {
-					if tenant == 99 {
-						scratch = AppendStatusError(scratch[:0], StatusOverload, "tenant 99 always shed")
-						return PDUStatusError, scratch
-					}
-					scratch = AppendFetchResp(scratch[:0], FetchResult{
-						Timestamp: 1,
-						Values:    []FetchValue{{PMID: 1, Status: StatusOK, Value: uint64(tenant)}},
-					})
-					return PDUFetchResp, scratch
-				})
+				serveOrdered(conn, br, tenantEcho{}, true, new(reqScratch))
 			}(conn)
 		}
 	}()

@@ -29,11 +29,9 @@
 package pmproxy
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -197,12 +195,7 @@ type nameTable struct {
 type Proxy struct {
 	cfg Config
 
-	ln        net.Listener
-	wg        sync.WaitGroup
-	closed    chan struct{}
-	closeOnce sync.Once
-	connMu    sync.Mutex
-	conns     map[net.Conn]struct{}
+	srv *pcp.Server // the client-facing side: in-order serving (depth 1)
 
 	// Upstream connection pool: sem bounds concurrent upstream round
 	// trips; idle connections are kept on the free list for reuse.
@@ -256,13 +249,14 @@ func New(cfg Config) *Proxy {
 		cfg.BackoffMax = time.Second
 	}
 	p := &Proxy{
-		cfg:    cfg,
-		closed: make(chan struct{}),
-		conns:  make(map[net.Conn]struct{}),
-		sem:    make(chan struct{}, cfg.PoolSize),
-		sleep:  time.Sleep,
-		boRng:  xrand.New(cfg.Seed),
+		cfg:   cfg,
+		sem:   make(chan struct{}, cfg.PoolSize),
+		sleep: time.Sleep,
+		boRng: xrand.New(cfg.Seed),
 	}
+	p.srv = pcp.NewServer(1, func() pcp.Handler {
+		return &proxyConn{p: p, local: make(map[string]*entry)}
+	})
 	for i := range p.shards {
 		p.shards[i].m = make(map[string]*entry)
 	}
@@ -885,211 +879,51 @@ func (p *Proxy) Names() ([]pcp.NameEntry, error) {
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves clients in the
 // background until Close. It returns the bound address.
-func (p *Proxy) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("pmproxy: listen: %w", err)
-	}
-	return p.StartOn(ln), nil
-}
+func (p *Proxy) Start(addr string) (string, error) { return p.srv.Start(addr) }
 
 // StartOn serves clients on an existing listener until Close. It is the
 // injection point for wrapped listeners (fault injection, custom
 // transports). It returns the listener's address.
-//
-// Accepting is sharded per core, like the daemon's: GOMAXPROCS
-// goroutines block in Accept on the one listener so a connection burst
-// is admitted in parallel.
-func (p *Proxy) StartOn(ln net.Listener) string {
-	p.ln = ln
-	n := runtime.GOMAXPROCS(0)
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go p.acceptLoop()
-	}
-	return ln.Addr().String()
+func (p *Proxy) StartOn(ln net.Listener) string { return p.srv.StartOn(ln) }
+
+// proxyConn is the proxy's per-connection pcp.Handler: it carries the
+// connection's entry memo (the cache-shard affinity map). Results alias
+// cache entries; the server encodes them before the next request.
+type proxyConn struct {
+	p     *Proxy
+	local map[string]*entry
 }
 
-// acceptBackoffMax caps the sleep between retries of a failing Accept.
-const acceptBackoffMax = time.Second
+func (c *proxyConn) Names() ([]pcp.NameEntry, error) { return c.p.Names() }
 
-func (p *Proxy) acceptLoop() {
-	defer p.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			select {
-			case <-p.closed:
-				return
-			default:
-			}
-			// Transient accept errors: back off with a capped doubling
-			// sleep instead of spinning hot.
-			if backoff == 0 {
-				backoff = time.Millisecond
-			} else if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			select {
-			case <-p.closed:
-				return
-			case <-time.After(backoff):
-			}
-			continue
-		}
-		backoff = 0
-		p.connMu.Lock()
-		p.conns[conn] = struct{}{}
-		p.connMu.Unlock()
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer func() {
-				conn.Close()
-				p.connMu.Lock()
-				delete(p.conns, conn)
-				p.connMu.Unlock()
-			}()
-			p.serveConn(conn)
-		}()
-	}
+func (c *proxyConn) Fetch(tenant uint32, pmids []uint32) (pcp.FetchResult, error) {
+	return c.p.fetch(tenant, pmids, c.local)
 }
 
-// proxyScratch is the per-connection reusable serving state: encode
-// buffer, decoded PMID scratch, and the connection's entry memo (the
-// cache-shard affinity map).
-type proxyScratch struct {
-	respBuf []byte
-	pmids   []uint32
-	sets    [][]uint32
-	local   map[string]*entry
+// FetchAll is not served by the proxy: the request is answered like any
+// PDU type it does not know.
+func (c *proxyConn) FetchAll(uint32) (pcp.FetchResult, error) {
+	return pcp.FetchResult{}, fmt.Errorf("unknown PDU type %d", pcp.PDUFetchAllReq)
 }
 
-// errPDU encodes a serving error: a typed PDUStatusError for peers
-// that negotiated Version3 (typed=true) when the error is a recognised
-// overload, a plain PDUError otherwise — so Version1/Version2 clients
-// see exactly the messages they always did.
-func errPDU(s *proxyScratch, err error, typed bool) (uint8, []byte) {
-	if typed && errors.Is(err, pcp.ErrOverload) {
-		return pcp.PDUStatusError, pcp.AppendStatusError(s.respBuf[:0], pcp.StatusOverload, err.Error())
-	}
-	return pcp.PDUError, pcp.AppendError(s.respBuf[:0], err.Error())
+func (c *proxyConn) FetchBatch(tenant uint32, sets [][]uint32) ([]pcp.FetchResult, error) {
+	return c.p.fetchBatch(tenant, sets, c.local)
 }
 
-// handleReq serves one decoded request PDU, shared by the lockstep,
-// tagged and wide loops. tenant is the requester's in-band identity
-// (DefaultTenant below Version3); typed selects PDUStatusError
-// encoding for overload rejections.
-func (p *Proxy) handleReq(typ uint8, tenant uint32, payload []byte, s *proxyScratch, typed bool) (uint8, []byte) {
-	switch typ {
-	case pcp.PDUNamesReq:
-		entries, err := p.Names()
-		if err != nil {
-			return errPDU(s, err, typed)
-		}
-		return pcp.PDUNamesResp, pcp.AppendNamesResp(s.respBuf[:0], entries)
-	case pcp.PDUFetchReq:
-		pmids, err := pcp.DecodeFetchReqInto(payload, s.pmids[:0])
-		if err != nil {
-			return pcp.PDUError, pcp.AppendError(s.respBuf[:0], err.Error())
-		}
-		s.pmids = pmids
-		res, err := p.fetch(tenant, pmids, s.local)
-		if err != nil {
-			return errPDU(s, err, typed)
-		}
-		return pcp.PDUFetchResp, pcp.AppendFetchResp(s.respBuf[:0], res)
-	case pcp.PDUFetchBatchReq:
-		sets, err := pcp.DecodeFetchBatchReqInto(payload, s.sets[:0])
-		if err != nil {
-			return pcp.PDUError, pcp.AppendError(s.respBuf[:0], err.Error())
-		}
-		s.sets = sets
-		results, err := p.fetchBatch(tenant, sets, s.local)
-		if err != nil {
-			return errPDU(s, err, typed)
-		}
-		return pcp.PDUFetchBatchResp, pcp.AppendFetchBatchResp(s.respBuf[:0], results, nil, "")
-	default:
-		return pcp.PDUError, pcp.AppendError(s.respBuf[:0], fmt.Sprintf("unknown PDU type %d", typ))
-	}
-}
-
-// serveConn speaks the daemon side of the PDU protocol to one client:
-// lockstep until a PDUVersionReq negotiates Version2 (tagged frames) or
-// Version3 (wide frames carrying the tenant in-band).
-func (p *Proxy) serveConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	if err := pcp.ServerHandshake(br, bw); err != nil {
-		return
-	}
-	// Per-connection scratch reused across requests so steady-state
-	// coalesced serving does not allocate.
-	var payloadBuf []byte
-	s := proxyScratch{local: make(map[string]*entry)}
-	for {
-		typ, payload, err := pcp.ReadPDUInto(br, payloadBuf)
-		if err != nil {
-			return
-		}
-		payloadBuf = payload
-		var respType uint8
-		var resp []byte
-		var version uint32
-		if typ == pcp.PDUVersionReq {
-			respType, resp, version = pcp.NegotiateVersionV(payload, s.respBuf[:0])
-			s.respBuf = resp
-		} else {
-			respType, resp = p.handleReq(typ, DefaultTenant, payload, &s, false)
-		}
-		if err := pcp.WritePDU(bw, respType, resp); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		switch {
-		case version >= pcp.Version3:
-			pcp.ServeTaggedWide(conn, br, func(typ uint8, tenant uint32, payload []byte) (uint8, []byte) {
-				return p.handleReq(typ, tenant, payload, &s, true)
-			})
-			return
-		case version >= pcp.Version2:
-			pcp.ServeTagged(conn, br, func(typ uint8, payload []byte) (uint8, []byte) {
-				return p.handleReq(typ, DefaultTenant, payload, &s, false)
-			})
-			return
-		}
-	}
-}
-
-// Close stops the listener, disconnects clients, drops the pooled
-// upstream connections, and waits for handlers to finish. It is
+// Close stops the listener, disconnects clients, waits for handlers to
+// finish, and drops the pooled upstream connections (last, so a handler
+// finishing during shutdown cannot park one behind it). It is
 // idempotent.
 func (p *Proxy) Close() error {
-	var err error
-	p.closeOnce.Do(func() {
-		close(p.closed)
-		if p.queue != nil {
-			p.queue.shutdown()
-		}
-		if p.ln != nil {
-			err = p.ln.Close()
-		}
-		p.connMu.Lock()
-		for conn := range p.conns {
-			conn.Close()
-		}
-		p.connMu.Unlock()
-		p.freeMu.Lock()
-		for _, c := range p.free {
-			c.Close()
-		}
-		p.free = nil
-		p.freeMu.Unlock()
-		p.wg.Wait()
-	})
+	if p.queue != nil {
+		p.queue.shutdown()
+	}
+	err := p.srv.Close()
+	p.freeMu.Lock()
+	for _, c := range p.free {
+		c.Close()
+	}
+	p.free = nil
+	p.freeMu.Unlock()
 	return err
 }
