@@ -382,7 +382,7 @@ func BenchmarkPDUNamesEncodeDecode(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := pcp.EncodeNamesResp(entries)
+		buf := pcp.AppendNamesResp(nil, entries)
 		if _, err := pcp.DecodeNamesResp(buf); err != nil {
 			b.Fatal(err)
 		}

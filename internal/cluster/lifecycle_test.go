@@ -125,7 +125,8 @@ func listenLoopback(t *testing.T) net.Listener {
 
 // TestServerLifecycle runs the one serving core's lifecycle contract
 // against every tier built on it: a failing Accept backs off instead of
-// spinning and serving resumes once it heals; Close is idempotent, drops
+// spinning and serving resumes once it heals; a started server idles on
+// one goroutine at any GOMAXPROCS; Close is idempotent, drops
 // idle connections of every wire version, and waits for a handler still
 // in flight (on the cluster tier, a request goroutine of the depth-32
 // loop); and the process ends with the goroutines it started with.
@@ -139,13 +140,13 @@ func TestServerLifecycle(t *testing.T) {
 			addr := tier.startOn(ln)
 			defer tier.close()
 
-			// Each accept goroutine sleeps 1, 2, 4, ... ms (capped at 1 s)
-			// between failures: 50 ms fits six calls per goroutine, and
-			// sixteen would take seconds of oversleep. A loop without
-			// back-off makes millions.
+			// The accept goroutine sleeps 1, 2, 4, ... ms (capped at 1 s)
+			// between failures: 50 ms fits six calls, and sixteen would
+			// take seconds of oversleep. A loop without back-off makes
+			// millions.
 			time.Sleep(50 * time.Millisecond)
-			if calls, limit := ln.calls.Load(), int64(16*runtime.GOMAXPROCS(0)); calls > limit {
-				t.Fatalf("%d Accept calls in 50ms of failures, want at most %d (hot spin?)", calls, limit)
+			if calls := ln.calls.Load(); calls > 16 {
+				t.Fatalf("%d Accept calls in 50ms of failures, want at most 16 (hot spin?)", calls)
 			}
 			ln.failing.Store(false)
 			c, err := pcp.Dial(addr)
@@ -155,6 +156,22 @@ func TestServerLifecycle(t *testing.T) {
 			defer c.Close()
 			if entries, err := c.Names(); err != nil || len(entries) != 1 {
 				t.Fatalf("Names after Accept healed: %v, %v", entries, err)
+			}
+		})
+
+		t.Run(name+"/one-accept-goroutine", func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, procs := range []int{1, 8} {
+				runtime.GOMAXPROCS(procs)
+				tier := newLifecycleTier(t, name)
+				ln := listenLoopback(t)
+				before := runtime.NumGoroutine()
+				tier.startOn(ln)
+				started := runtime.NumGoroutine() - before
+				tier.close()
+				if started != 1 {
+					t.Errorf("GOMAXPROCS=%d: an idle started server runs %d goroutines, want 1 whatever the core count", procs, started)
+				}
 			}
 		})
 

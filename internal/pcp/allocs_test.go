@@ -77,7 +77,7 @@ func TestServeFetchDoesNotAllocate(t *testing.T) {
 		if respType != PDUFetchResp {
 			t.Fatalf("response type %d, want %d", respType, PDUFetchResp)
 		}
-		if _, err := batch.append(respType, 1, 7, sc.resp); err != nil {
+		if err := batch.append(respType, 1, 7, sc.resp); err != nil {
 			t.Fatal(err)
 		}
 		if err := batch.flush(io.Discard); err != nil {

@@ -18,7 +18,7 @@ import (
 // (roundTrip) with two transports behind it. Against a Version2 or
 // Version3 peer (negotiated at connection setup) the transport is the
 // pipeline: many requests stay outstanding on the one connection, a
-// writer goroutine coalesces them into vectored tagged (or wide) frames,
+// writer goroutine coalesces them into tagged (or wide) frames,
 // and a demux reader completes them out of order, each under its own
 // per-request deadline. Against a Version1 peer — or when pinned with
 // DialMax(addr, Version1) — the transport is lockstep: requests are

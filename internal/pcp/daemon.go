@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"papimc/internal/simtime"
 )
@@ -45,9 +46,8 @@ type snapshot struct {
 // immutable snapshot published through an atomic pointer, so concurrent
 // fetches scale with cores instead of serializing on a daemon mutex.
 // When the snapshot is older than the sampling interval (or the
-// namespace grew), exactly one fetching goroutine wins a CAS and
-// resamples — the single-flight resample — while the rest keep serving
-// the previous snapshot.
+// namespace grew), exactly one fetching goroutine resamples — the
+// single-flight resample — while the rest wait for what it publishes.
 type Daemon struct {
 	clock    *simtime.Clock
 	interval simtime.Duration
@@ -124,19 +124,41 @@ func (d *Daemon) Register(m Metric) error {
 	return nil
 }
 
+// How a fetch waits for a resample in flight. A resample takes
+// microseconds, which resampleYields yields cover at a fraction of what
+// parking the goroutine costs (waiting on a mutex took a quarter off
+// the benchmark's papi_read ops_per_s). A slow or hung metric source
+// must not turn every waiting fetch into a busy loop (yielding without
+// bound starved the race-mode cluster chaos test on two cores), so
+// after that the fetch sleeps resampleNap between looks.
+const (
+	resampleYields = 256
+	resampleNap    = 50 * time.Microsecond
+)
+
 // current returns a snapshot that is fresh (younger than the sampling
 // interval) and consistent with the current metric table, resampling if
-// needed. Only one goroutine resamples at a time; losers of that race
-// serve the previous snapshot, which is exactly the interval-staleness
-// contract the daemon already has.
+// needed. Only one goroutine resamples at a time; a fetch that finds a
+// resample in flight waits for it rather than serve the snapshot it
+// replaces, which would be older than the interval the daemon promises
+// — and two overlapping fetches of one daemon (a hedged edge) would
+// then answer with different instants.
 func (d *Daemon) current() *snapshot {
-	now := d.clock.Now()
-	tab := d.table.Load()
-	s := d.snap.Load()
-	if s != nil && s.table == tab && now.Sub(s.at) < d.interval {
-		return s
-	}
-	if d.sampling.CompareAndSwap(false, true) {
+	for waits := 0; ; waits++ {
+		now := d.clock.Now()
+		tab := d.table.Load()
+		s := d.snap.Load()
+		if s != nil && s.table == tab && now.Sub(s.at) < d.interval {
+			return s
+		}
+		if !d.sampling.CompareAndSwap(false, true) {
+			if waits < resampleYields {
+				runtime.Gosched()
+			} else {
+				time.Sleep(resampleNap)
+			}
+			continue
+		}
 		// Re-check under the gate: another goroutine may have published
 		// a fresh snapshot between our load and the CAS.
 		tab = d.table.Load()
@@ -148,14 +170,6 @@ func (d *Daemon) current() *snapshot {
 		}
 		d.sampling.Store(false)
 		return s
-	}
-	// Lost the single-flight race. Serve whatever is published; before
-	// the very first sample exists, wait for the winner.
-	for {
-		if s = d.snap.Load(); s != nil {
-			return s
-		}
-		runtime.Gosched()
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 )
 
@@ -141,79 +140,46 @@ func ReadWidePDUInto(r io.Reader, buf []byte) (typ uint8, tag, tenant uint32, pa
 	return readFrameInto(r, true, buf)
 }
 
-// coalesceMax is the payload size up to which a frame is copied into
-// the batch's contiguous buffer. Larger payloads are referenced
-// zero-copy as their own write-vector element; the copy would cost more
-// than the extra iovec.
-const coalesceMax = 4096
-
-// frameBatch accumulates frames of one connection's framing and writes
-// them with one vectored write (writev on a TCP connection): small
-// frames coalesce into a contiguous buffer so a burst of pipelined
-// requests or responses costs one syscall, and large payloads are
-// referenced directly so the classic header+payload copy disappears.
-//
-// Aliasing: a frame appended with a large payload holds a reference to
-// that payload until the next flush. append reports this with
-// direct=true so callers that reuse their encode buffer flush before
-// overwriting it.
+// frameBatch accumulates frames of one connection's framing in one
+// contiguous buffer and writes them with a single Write, so a burst of
+// pipelined requests or responses costs one syscall. Every payload is
+// copied in: the batch never references caller memory, so a caller may
+// reuse its encode buffer as soon as append returns.
 type frameBatch struct {
-	wide  bool        // frames carry the tenant field (Version3)
-	small []byte      // coalesced headers + small payloads
-	cut   int         // start of small's region not yet sealed into vec
-	vec   net.Buffers // pending write vector
-	out   net.Buffers // flush's consumable view of vec
+	wide bool   // frames carry the tenant field (Version3)
+	buf  []byte // pending frames, header + payload each
 }
 
-// append adds one frame to the batch, coalescing or referencing the
-// payload per coalesceMax. direct reports that the payload was
-// referenced zero-copy rather than copied: the caller must not modify
-// it before the next flush.
-func (b *frameBatch) append(typ uint8, tag, tenant uint32, payload []byte) (direct bool, err error) {
+// append copies one frame into the batch.
+func (b *frameBatch) append(typ uint8, tag, tenant uint32, payload []byte) error {
 	if len(payload) > MaxPDUBytes {
-		return false, fmt.Errorf("%w (writing %d bytes)", ErrPDUTooLarge, len(payload))
+		return fmt.Errorf("%w (writing %d bytes)", ErrPDUTooLarge, len(payload))
 	}
 	var hdr [WideHdrLen]byte
 	n := frameHdrLen(b.wide)
 	putFrameHdr(hdr[:n], typ, tag, tenant, len(payload))
-	b.small = append(b.small, hdr[:n]...)
-	if len(payload) > coalesceMax {
-		b.seal()
-		b.vec = append(b.vec, payload)
-		return true, nil
-	}
-	b.small = append(b.small, payload...)
-	return false, nil
-}
-
-// seal moves the unsealed tail of small into the write vector. Sealed
-// slices stay valid across later appends: growth either writes beyond
-// the sealed length or reallocates, leaving the referenced array
-// untouched.
-func (b *frameBatch) seal() {
-	if len(b.small) > b.cut {
-		b.vec = append(b.vec, b.small[b.cut:len(b.small):len(b.small)])
-		b.cut = len(b.small)
-	}
+	b.buf = append(b.buf, hdr[:n]...)
+	b.buf = append(b.buf, payload...)
+	return nil
 }
 
 // empty reports whether the batch holds no pending frames.
-func (b *frameBatch) empty() bool { return len(b.vec) == 0 && len(b.small) == b.cut }
+func (b *frameBatch) empty() bool { return len(b.buf) == 0 }
 
-// flush writes every pending frame with a single vectored write and
-// resets the batch for reuse (retaining capacity).
+// flush writes every pending frame with one Write and resets the batch.
+// The buffer is kept for reuse unless one oversized frame grew it far
+// past what coalescing ever holds (serveFlushBytes plus a frame): that
+// memory goes back to the collector instead of staying with the
+// connection.
 func (b *frameBatch) flush(w io.Writer) error {
-	b.seal()
-	if len(b.vec) == 0 {
+	if len(b.buf) == 0 {
 		return nil
 	}
-	// WriteTo advances (and nils out) the slice it is called on, and its
-	// receiver escapes: consume a copy held in the batch, so b.vec keeps
-	// its backing array and flushing does not allocate.
-	b.out = b.vec
-	_, err := b.out.WriteTo(w)
-	b.vec = b.vec[:0]
-	b.small = b.small[:0]
-	b.cut = 0
+	_, err := w.Write(b.buf)
+	if cap(b.buf) > 2*serveFlushBytes {
+		b.buf = nil
+	} else {
+		b.buf = b.buf[:0]
+	}
 	return err
 }

@@ -24,12 +24,12 @@ func frame(length uint32, typ uint8, payload []byte) []byte {
 func FuzzReadPDU(f *testing.F) {
 	// Well-formed frames of each PDU type.
 	f.Add(frame(0, PDUNamesReq, nil))
-	f.Add(frame(uint32(len(EncodeNamesResp([]NameEntry{{PMID: 1, Name: "kernel.load"}}))), PDUNamesResp,
-		EncodeNamesResp([]NameEntry{{PMID: 1, Name: "kernel.load"}})))
-	f.Add(frame(uint32(len(EncodeFetchReq([]uint32{1, 2, 3}))), PDUFetchReq, EncodeFetchReq([]uint32{1, 2, 3})))
-	f.Add(frame(uint32(len(EncodeFetchResp(FetchResult{Timestamp: 42, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 1 << 60}}}))), PDUFetchResp,
-		EncodeFetchResp(FetchResult{Timestamp: 42, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 1 << 60}}})))
-	f.Add(frame(uint32(len(EncodeError("boom"))), PDUError, EncodeError("boom")))
+	f.Add(frame(uint32(len(AppendNamesResp(nil, []NameEntry{{PMID: 1, Name: "kernel.load"}}))), PDUNamesResp,
+		AppendNamesResp(nil, []NameEntry{{PMID: 1, Name: "kernel.load"}})))
+	f.Add(frame(uint32(len(AppendFetchReq(nil, []uint32{1, 2, 3}))), PDUFetchReq, AppendFetchReq(nil, []uint32{1, 2, 3})))
+	f.Add(frame(uint32(len(AppendFetchResp(nil, FetchResult{Timestamp: 42, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 1 << 60}}}))), PDUFetchResp,
+		AppendFetchResp(nil, FetchResult{Timestamp: 42, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 1 << 60}}})))
+	f.Add(frame(uint32(len(AppendError(nil, "boom"))), PDUError, AppendError(nil, "boom")))
 	// Hostile frames: lying length prefixes, truncation, garbage.
 	f.Add(frame(0xFFFFFFFF, PDUFetchResp, nil))       // oversize claim
 	f.Add(frame(MaxPDUBytes+1, PDUNamesResp, nil))    // just over the cap
@@ -40,7 +40,7 @@ func FuzzReadPDU(f *testing.F) {
 	f.Add(frame(4, PDUNamesResp, []byte{0xFF, 0xFF, 0xFF, 0xFF})) // implausible count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := ReadPDU(bytes.NewReader(data))
+		typ, payload, err := ReadPDUInto(bytes.NewReader(data), nil)
 		if err != nil {
 			if errors.Is(err, ErrPDUTooLarge) && !errors.Is(err, ErrProtocol) {
 				t.Fatal("ErrPDUTooLarge must wrap ErrProtocol")
@@ -55,7 +55,7 @@ func FuzzReadPDU(f *testing.F) {
 		if err := WritePDU(&buf, typ, payload); err != nil {
 			t.Fatalf("WritePDU of accepted frame: %v", err)
 		}
-		typ2, payload2, err := ReadPDU(&buf)
+		typ2, payload2, err := ReadPDUInto(&buf, nil)
 		if err != nil {
 			t.Fatalf("re-read of written frame: %v", err)
 		}
@@ -68,8 +68,8 @@ func FuzzReadPDU(f *testing.F) {
 				t.Fatalf("DecodeNamesResp produced implausible %d entries", len(entries))
 			}
 		}
-		_, _ = DecodeFetchReq(payload)
-		_, _ = DecodeFetchResp(payload)
+		_, _ = DecodeFetchReqInto(payload, nil)
+		_ = DecodeFetchRespInto(payload, new(FetchResult))
 		_, _ = DecodeError(payload)
 		_, _ = DecodeVersion(payload)
 		_, _ = DecodeFetchBatchReqInto(payload, nil)
@@ -82,7 +82,7 @@ func FuzzReadPDU(f *testing.F) {
 func TestReadPDUOversizeNoAlloc(t *testing.T) {
 	hdr := frame(0xFFFFFFF0, PDUFetchResp, nil)
 	r := &countingReader{r: bytes.NewReader(hdr)}
-	_, _, err := ReadPDU(r)
+	_, _, err := ReadPDUInto(r, nil)
 	if !errors.Is(err, ErrPDUTooLarge) {
 		t.Fatalf("err = %v, want ErrPDUTooLarge", err)
 	}

@@ -50,11 +50,6 @@ func AppendPartialResp(dst []byte, res FetchResult, missing []string, cause stri
 	return e.buf
 }
 
-// EncodePartialResp encodes a partial fetch response into a fresh buffer.
-func EncodePartialResp(res FetchResult, missing []string, cause string) []byte {
-	return AppendPartialResp(nil, res, missing, cause)
-}
-
 // DecodePartialResp decodes a partial fetch response into res (reusing
 // res.Values' backing array) and returns the reconstructed
 // *PartialError. res is left zeroed on a decode error.

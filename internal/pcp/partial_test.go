@@ -18,7 +18,7 @@ func TestPartialRespRoundTrip(t *testing.T) {
 		},
 	}
 	missing := []string{"node003", "node017"}
-	b := EncodePartialResp(res, missing, "node003: connection refused")
+	b := AppendPartialResp(nil, res, missing, "node003: connection refused")
 
 	var got FetchResult
 	pe, err := DecodePartialResp(b, &got)
@@ -42,7 +42,7 @@ func TestPartialRespRoundTrip(t *testing.T) {
 
 func TestPartialRespEmptyMissing(t *testing.T) {
 	res := FetchResult{Timestamp: 1, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 9}}}
-	b := EncodePartialResp(res, nil, "")
+	b := AppendPartialResp(nil, res, nil, "")
 	var got FetchResult
 	pe, err := DecodePartialResp(b, &got)
 	if err != nil {
@@ -54,7 +54,7 @@ func TestPartialRespEmptyMissing(t *testing.T) {
 }
 
 func TestPartialRespTruncated(t *testing.T) {
-	b := EncodePartialResp(FetchResult{Timestamp: 5, Values: []FetchValue{{PMID: 1}}}, []string{"n0"}, "x")
+	b := AppendPartialResp(nil, FetchResult{Timestamp: 5, Values: []FetchValue{{PMID: 1}}}, []string{"n0"}, "x")
 	for cut := 0; cut < len(b); cut++ {
 		var got FetchResult
 		if _, err := DecodePartialResp(b[:cut], &got); err == nil {

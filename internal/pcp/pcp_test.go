@@ -15,7 +15,7 @@ import (
 
 func TestNamesRespRoundTrip(t *testing.T) {
 	in := []NameEntry{{1, "a.b.c"}, {2, ""}, {7, "perfevent.hwcounters.x.value"}}
-	out, err := DecodeNamesResp(EncodeNamesResp(in))
+	out, err := DecodeNamesResp(AppendNamesResp(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestFetchRespRoundTrip(t *testing.T) {
 			{PMID: 9, Status: StatusNoSuchPMID, Value: 0},
 		},
 	}
-	out, err := DecodeFetchResp(EncodeFetchResp(in))
-	if err != nil {
+	var out FetchResult
+	if err := DecodeFetchRespInto(AppendFetchResp(nil, in), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Timestamp != in.Timestamp || len(out.Values) != 2 ||
@@ -48,17 +48,18 @@ func TestFetchRespRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	full := EncodeFetchResp(FetchResult{Timestamp: 1, Values: []FetchValue{{PMID: 1}}})
+	full := AppendFetchResp(nil, FetchResult{Timestamp: 1, Values: []FetchValue{{PMID: 1}}})
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := DecodeFetchResp(full[:cut]); !errors.Is(err, ErrProtocol) {
+		var out FetchResult
+		if err := DecodeFetchRespInto(full[:cut], &out); !errors.Is(err, ErrProtocol) {
 			t.Errorf("truncation at %d not detected: %v", cut, err)
 		}
 	}
 }
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	b := append(EncodeFetchReq([]uint32{1, 2}), 0xFF)
-	if _, err := DecodeFetchReq(b); !errors.Is(err, ErrProtocol) {
+	b := append(AppendFetchReq(nil, []uint32{1, 2}), 0xFF)
+	if _, err := DecodeFetchReqInto(b, nil); !errors.Is(err, ErrProtocol) {
 		t.Errorf("trailing garbage not detected: %v", err)
 	}
 }
@@ -76,7 +77,8 @@ func TestPDURoundTripProperty(t *testing.T) {
 			}
 			res.Values = append(res.Values, v)
 		}
-		out, err := DecodeFetchResp(EncodeFetchResp(res))
+		var out FetchResult
+		err := DecodeFetchRespInto(AppendFetchResp(nil, res), &out)
 		if err != nil || out.Timestamp != ts || len(out.Values) != len(res.Values) {
 			return false
 		}
@@ -98,7 +100,7 @@ func TestNamesRoundTripProperty(t *testing.T) {
 		for i, n := range names {
 			in[i] = NameEntry{PMID: uint32(i), Name: n}
 		}
-		out, err := DecodeNamesResp(EncodeNamesResp(in))
+		out, err := DecodeNamesResp(AppendNamesResp(nil, in))
 		if err != nil || len(out) != len(in) {
 			return false
 		}
@@ -163,7 +165,7 @@ func TestBadHandshakeRejected(t *testing.T) {
 // fail with the typed error before any allocation is attempted.
 func TestReadPDURejectsHostileLength(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF, PDUFetchReq} // claims a 4 GiB payload
-	_, _, err := ReadPDU(bytes.NewReader(hdr))
+	_, _, err := ReadPDUInto(bytes.NewReader(hdr), nil)
 	if !errors.Is(err, ErrPDUTooLarge) {
 		t.Errorf("err = %v, want ErrPDUTooLarge", err)
 	}
@@ -173,12 +175,12 @@ func TestReadPDURejectsHostileLength(t *testing.T) {
 	// One past the limit is rejected; the limit itself is not.
 	hdr = make([]byte, 5)
 	binary.BigEndian.PutUint32(hdr, MaxPDUBytes+1)
-	if _, _, err := ReadPDU(bytes.NewReader(hdr)); !errors.Is(err, ErrPDUTooLarge) {
+	if _, _, err := ReadPDUInto(bytes.NewReader(hdr), nil); !errors.Is(err, ErrPDUTooLarge) {
 		t.Errorf("limit+1 err = %v", err)
 	}
 	binary.BigEndian.PutUint32(hdr, 3)
 	body := append(append([]byte(nil), hdr...), 1, 2, 3)
-	if typ, payload, err := ReadPDU(bytes.NewReader(body)); err != nil || typ != 0 || len(payload) != 3 {
+	if typ, payload, err := ReadPDUInto(bytes.NewReader(body), nil); err != nil || typ != 0 || len(payload) != 3 {
 		t.Errorf("valid frame rejected: %v", err)
 	}
 }

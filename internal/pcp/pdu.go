@@ -121,7 +121,7 @@ func (e *StatusError) Unwrap() error {
 
 // MaxPDUBytes bounds a PDU payload; anything larger is a protocol error.
 // The limit exists so a hostile or corrupt length prefix cannot force an
-// unbounded allocation in ReadPDU.
+// unbounded allocation in ReadPDUInto.
 const MaxPDUBytes = 1 << 20
 
 // ErrProtocol indicates a malformed or unexpected PDU.
@@ -178,18 +178,14 @@ func WritePDU(w io.Writer, typ uint8, payload []byte) error {
 	return err
 }
 
-// ReadPDU reads one framed PDU. The length prefix is validated against
-// MaxPDUBytes before any allocation, so a hostile peer cannot trigger an
-// arbitrarily large make(); oversize frames fail with ErrPDUTooLarge.
-func ReadPDU(r io.Reader) (typ uint8, payload []byte, err error) {
-	return ReadPDUInto(r, nil)
-}
-
-// ReadPDUInto is ReadPDU reading the payload into buf, growing it if
-// needed. The returned payload aliases buf's backing array (when large
-// enough), so it is only valid until the next ReadPDUInto with the same
-// buffer; serving loops pass the previous payload back in to run
-// allocation-free in the steady state.
+// ReadPDUInto reads one framed PDU, the payload into buf, growing it if
+// needed. The length prefix is validated against MaxPDUBytes before any
+// allocation, so a hostile peer cannot trigger an arbitrarily large
+// make(); oversize frames fail with ErrPDUTooLarge. The returned payload
+// aliases buf's backing array (when large enough), so it is only valid
+// until the next ReadPDUInto with the same buffer; serving loops pass
+// the previous payload back in to run allocation-free in the steady
+// state.
 func ReadPDUInto(r io.Reader, buf []byte) (typ uint8, payload []byte, err error) {
 	hp := hdrPool.Get().(*[]byte)
 	hdr := *hp
@@ -291,13 +287,9 @@ func (d *decoder) done() error {
 	return nil
 }
 
-// The codec comes in two spellings per PDU: Encode* allocates a fresh
-// buffer, Append* extends a caller-provided one (append-style, like
-// strconv.AppendInt), letting serving loops reuse a scratch buffer and
-// encode without allocating.
-
-// EncodeNamesResp encodes the metric table.
-func EncodeNamesResp(entries []NameEntry) []byte { return AppendNamesResp(nil, entries) }
+// Encoders are append-style (like strconv.AppendInt): Append* extends a
+// caller-provided buffer, so serving loops reuse a scratch buffer and
+// encode without allocating; pass nil for a fresh one.
 
 // AppendNamesResp appends the encoded metric table to dst.
 func AppendNamesResp(dst []byte, entries []NameEntry) []byte {
@@ -328,8 +320,6 @@ func DecodeNamesResp(b []byte) ([]NameEntry, error) {
 	return out, nil
 }
 
-func EncodeFetchReq(pmids []uint32) []byte { return AppendFetchReq(nil, pmids) }
-
 // AppendFetchReq appends the encoded fetch request to dst.
 func AppendFetchReq(dst []byte, pmids []uint32) []byte {
 	e := encoder{buf: dst}
@@ -339,8 +329,6 @@ func AppendFetchReq(dst []byte, pmids []uint32) []byte {
 	}
 	return e.buf
 }
-
-func DecodeFetchReq(b []byte) ([]uint32, error) { return DecodeFetchReqInto(b, nil) }
 
 // DecodeFetchReqInto decodes a fetch request, appending the PMIDs to dst
 // (pass dst[:0] to reuse its backing array).
@@ -359,8 +347,6 @@ func DecodeFetchReqInto(b []byte, dst []uint32) ([]uint32, error) {
 	return dst, nil
 }
 
-func EncodeFetchResp(res FetchResult) []byte { return AppendFetchResp(nil, res) }
-
 // AppendFetchResp appends the encoded fetch response to dst.
 func AppendFetchResp(dst []byte, res FetchResult) []byte {
 	e := encoder{buf: dst}
@@ -372,14 +358,6 @@ func AppendFetchResp(dst []byte, res FetchResult) []byte {
 		e.u64(v.Value)
 	}
 	return e.buf
-}
-
-func DecodeFetchResp(b []byte) (FetchResult, error) {
-	var res FetchResult
-	if err := DecodeFetchRespInto(b, &res); err != nil {
-		return FetchResult{}, err
-	}
-	return res, nil
 }
 
 // DecodeFetchRespInto decodes a fetch response into res, reusing
@@ -422,8 +400,6 @@ func (d *decoder) fetchBody(res *FetchResult) {
 	res.Values = vals
 }
 
-func EncodeError(msg string) []byte { return AppendError(nil, msg) }
-
 // AppendError appends an encoded error PDU payload to dst.
 func AppendError(dst []byte, msg string) []byte {
 	e := encoder{buf: dst}
@@ -449,11 +425,6 @@ func AppendStatusError(dst []byte, status int32, msg string) []byte {
 	return e.buf
 }
 
-// EncodeStatusError encodes a PDUStatusError payload into a fresh buffer.
-func EncodeStatusError(status int32, msg string) []byte {
-	return AppendStatusError(nil, status, msg)
-}
-
 // DecodeStatusError decodes a PDUStatusError payload into a *StatusError.
 func DecodeStatusError(b []byte) (*StatusError, error) {
 	d := decoder{buf: b}
@@ -472,9 +443,6 @@ func AppendVersion(dst []byte, version uint32) []byte {
 	e.u32(version)
 	return e.buf
 }
-
-// EncodeVersion encodes a version PDU payload into a fresh buffer.
-func EncodeVersion(version uint32) []byte { return AppendVersion(nil, version) }
 
 // DecodeVersion decodes a version PDU payload. A version of zero is a
 // protocol error: there is no version 0 and accepting one would make a
@@ -508,9 +476,6 @@ func AppendFetchBatchReq(dst []byte, sets [][]uint32) []byte {
 	}
 	return e.buf
 }
-
-// EncodeFetchBatchReq encodes a batch fetch request into a fresh buffer.
-func EncodeFetchBatchReq(sets [][]uint32) []byte { return AppendFetchBatchReq(nil, sets) }
 
 // DecodeFetchBatchReqInto decodes a batch fetch request, reusing dst's
 // outer and inner backing arrays (pass dst[:0] with populated capacity
@@ -561,12 +526,6 @@ func AppendFetchBatchResp(dst []byte, sets []FetchResult, missing []string, caus
 		e.buf = AppendFetchResp(e.buf, res)
 	}
 	return e.buf
-}
-
-// EncodeFetchBatchResp encodes a batch fetch response into a fresh
-// buffer.
-func EncodeFetchBatchResp(sets []FetchResult, missing []string, cause string) []byte {
-	return AppendFetchBatchResp(nil, sets, missing, cause)
 }
 
 // DecodeFetchBatchRespInto decodes a batch fetch response, reusing

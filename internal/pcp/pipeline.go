@@ -78,7 +78,7 @@ func (c *pcall) wait(d time.Duration) error {
 }
 
 // pipeline is the Version2+ transport of a Client: a writer goroutine
-// that drains a request queue into vectored, coalesced frames (tagged,
+// that drains a request queue into coalesced frames (tagged,
 // or wide at Version3), and a demux reader that completes calls by tag
 // — many requests outstanding per connection, out-of-order completion,
 // per-request deadlines. Any transport error is sticky: it fails every
@@ -150,7 +150,7 @@ func (p *pipeline) enqueue(call *pcall) error {
 }
 
 // writeLoop drains the request queue into a frameBatch: whatever is
-// queued when the writer wakes goes out in one vectored write, so a
+// queued when the writer wakes goes out in one write, so a
 // burst of concurrent requests coalesces into one syscall.
 func (p *pipeline) writeLoop() {
 	defer close(p.writerDone)
@@ -158,12 +158,12 @@ func (p *pipeline) writeLoop() {
 	for {
 		select {
 		case call := <-p.wq:
-			_, err := batch.append(call.typ, call.tag, call.tenant, call.req)
+			err := batch.append(call.typ, call.tag, call.tenant, call.req)
 		drain:
 			for err == nil {
 				select {
 				case next := <-p.wq:
-					_, err = batch.append(next.typ, next.tag, next.tenant, next.req)
+					err = batch.append(next.typ, next.tag, next.tenant, next.req)
 				default:
 					break drain
 				}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"reflect"
@@ -63,7 +64,7 @@ func startV1OnlyServer(t *testing.T, names []NameEntry, res FetchResult) string 
 					return
 				}
 				for {
-					typ, payload, err := ReadPDU(br)
+					typ, payload, err := ReadPDUInto(br, nil)
 					if err != nil {
 						return
 					}
@@ -71,11 +72,11 @@ func startV1OnlyServer(t *testing.T, names []NameEntry, res FetchResult) string 
 					var resp []byte
 					switch typ {
 					case PDUNamesReq:
-						respType, resp = PDUNamesResp, EncodeNamesResp(names)
+						respType, resp = PDUNamesResp, AppendNamesResp(nil, names)
 					case PDUFetchReq:
-						pmids, err := DecodeFetchReq(payload)
+						pmids, err := DecodeFetchReqInto(payload, nil)
 						if err != nil {
-							respType, resp = PDUError, EncodeError(err.Error())
+							respType, resp = PDUError, AppendError(nil, err.Error())
 							break
 						}
 						out := res
@@ -83,9 +84,9 @@ func startV1OnlyServer(t *testing.T, names []NameEntry, res FetchResult) string 
 						for i, id := range pmids {
 							out.Values[i] = FetchValue{PMID: id, Status: StatusOK, Value: uint64(res.Timestamp)}
 						}
-						respType, resp = PDUFetchResp, EncodeFetchResp(out)
+						respType, resp = PDUFetchResp, AppendFetchResp(nil, out)
 					default:
-						respType, resp = PDUError, EncodeError(fmt.Sprintf("unknown PDU type %d", typ))
+						respType, resp = PDUError, AppendError(nil, fmt.Sprintf("unknown PDU type %d", typ))
 					}
 					if err := WritePDU(bw, respType, resp); err != nil {
 						return
@@ -357,7 +358,7 @@ func TestPipelinedTimeoutKeepsConnectionUsable(t *testing.T) {
 		if err := serverHandshake(br, bw); err != nil {
 			return
 		}
-		typ, payload, err := ReadPDU(br)
+		typ, payload, err := ReadPDUInto(br, nil)
 		if err != nil || typ != PDUVersionReq {
 			return
 		}
@@ -371,7 +372,7 @@ func TestPipelinedTimeoutKeepsConnectionUsable(t *testing.T) {
 		var parkedTag, parkedTenant uint32
 		parked := false
 		answer := func(tag, tenant uint32) bool {
-			body := EncodeFetchResp(FetchResult{Timestamp: 9, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 9}}})
+			body := AppendFetchResp(nil, FetchResult{Timestamp: 9, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 9}}})
 			return WriteWidePDU(bw, PDUFetchResp, tag, tenant, body) == nil && bw.Flush() == nil
 		}
 		for {
@@ -545,48 +546,220 @@ func TestPipelineConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestOrderedServingLargeResponses pins the aliasing rule of the in-order
-// serving loop now that the response buffer is reused across requests: a
-// response above the coalescing threshold is referenced zero-copy by the
-// frame batch, so it must be flushed before the next request is encoded
-// into the same buffer. Concurrent goroutines pipeline distinct
-// 300-PMID fetches (4.8 KB answers) on one connection; an answer
-// overwritten before it was written would echo another request's PMIDs.
-func TestOrderedServingLargeResponses(t *testing.T) {
-	_, _, addr := startPipelineDaemon(t, 600)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+// paddedHandler answers a one-set batch {size, id} with a response
+// payload of exactly size bytes: eight values carrying id (none when
+// they would not fit), topped up by the partial-answer cause. The
+// smallest batch answer is batchRespMin bytes, so smaller sizes get that.
+// Below depth 2 it serves the values from one scratch slice and
+// overwrites all of it on entry, as a handler that reuses its result
+// buffer does; above, each call owns its result and ids finish out of
+// order.
+type paddedHandler struct {
+	Handler
+	concurrent bool
+	vals       []FetchValue
+}
+
+const (
+	batchRespMin  = 28 // one empty missing-node name, empty cause, one empty set
+	paddedValues  = 8
+	paddedMinSize = batchRespMin + 16*paddedValues
+)
+
+// padByte is byte i of the filler of the payload asked for as {size, id}.
+func padByte(size int, id uint32, i int) byte { return byte(uint32(size) + id*131 + uint32(i)*7) }
+
+func (h *paddedHandler) Fetch(_ uint32, pmids []uint32) (FetchResult, error) {
+	h.vals = h.vals[:0]
+	for _, id := range pmids {
+		h.vals = append(h.vals, FetchValue{PMID: id, Status: StatusOK, Value: uint64(id)})
 	}
-	defer c.Close()
-	var wg sync.WaitGroup
-	errCh := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pmids := make([]uint32, 300)
-			for i := range pmids {
-				pmids[i] = uint32(g*30 + i + 1)
+	return FetchResult{Timestamp: 1, Values: h.vals}, nil
+}
+
+func (h *paddedHandler) FetchBatch(_ uint32, sets [][]uint32) ([]FetchResult, error) {
+	size, id := int(sets[0][0]), sets[0][1]
+	vals := h.vals[:cap(h.vals)]
+	if h.concurrent {
+		time.Sleep(time.Duration(id%4) * 200 * time.Microsecond)
+		vals = nil
+	}
+	for i := range vals {
+		vals[i] = FetchValue{PMID: 0xDEAD, Status: StatusValueError, Value: 0xDEAD}
+	}
+	vals = vals[:0]
+	pad := size - batchRespMin
+	if size >= paddedMinSize {
+		pad -= 16 * paddedValues
+		for j := 0; j < paddedValues; j++ {
+			vals = append(vals, FetchValue{PMID: id, Status: StatusOK, Value: uint64(id)<<32 | uint64(j)})
+		}
+	}
+	if !h.concurrent {
+		h.vals = vals
+	}
+	cause := make([]byte, max(pad, 0))
+	for i := range cause {
+		cause[i] = padByte(size, id, i)
+	}
+	return []FetchResult{{Timestamp: int64(id), Values: vals}}, &PartialError{Missing: []string{""}, Cause: string(cause)}
+}
+
+// TestOrderedServingLargeResponses drives every user of frameBatch —
+// the in-order serving loop, the depth-32 loop and the pipelined
+// client's writer — with payloads on both sides of every size the frame
+// path treats specially (nothing, the flush bound, the largest PDU;
+// 4096 was the old zero-copy threshold), from eight goroutines sharing
+// one connection so that frames queue behind one another, and checks
+// every payload byte for byte. A batch copies what it is given: the
+// in-order handler overwrites its result buffer on its next call while
+// earlier answers may still be queued, and an answer damaged by that
+// would carry poison or another request's id.
+func TestOrderedServingLargeResponses(t *testing.T) {
+	sizes := []int{0, 4095, 4096, 4097, serveFlushBytes + 1, MaxPDUBytes}
+	const callers = 8
+	const rounds = 18 // each caller sends every size three times
+
+	for _, depth := range []int{1, 32} {
+		t.Run(fmt.Sprintf("serve-depth-%d", depth), func(t *testing.T) {
+			srv := NewServer(depth, func() Handler { return &paddedHandler{concurrent: depth > 1} })
+			addr, err := srv.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-			var res FetchResult
-			for round := 0; round < 50; round++ {
-				if err := c.FetchInto(pmids, &res); err != nil {
-					errCh <- err
-					return
-				}
-				for i, v := range res.Values {
-					if v.PMID != pmids[i] || v.Status != StatusOK {
-						errCh <- fmt.Errorf("goroutine %d round %d: value %d = %+v, asked PMID %d", g, round, i, v, pmids[i])
-						return
+			defer srv.Close()
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for round := 0; round < rounds; round++ {
+						size, id := sizes[(round+g)%len(sizes)], uint32(g<<16|round)
+						var pe *PartialError
+						results, err := c.FetchBatchInto([][]uint32{{uint32(size), id}}, nil)
+						if !errors.As(err, &pe) {
+							t.Errorf("caller %d round %d: %v, want the padded partial answer", g, round, err)
+							return
+						}
+						vals := results[0].Values
+						if got, want := batchRespMin+len(pe.Cause)+16*len(vals), max(size, batchRespMin); got != want {
+							t.Errorf("caller %d round %d: payload of %d bytes, want %d", g, round, got, want)
+							return
+						}
+						for j, v := range vals {
+							if want := (FetchValue{PMID: id, Status: StatusOK, Value: uint64(id)<<32 | uint64(j)}); v != want {
+								t.Errorf("caller %d round %d size %d: value %d = %+v, want %+v", g, round, size, j, v, want)
+								return
+							}
+						}
+						for i := 0; i < len(pe.Cause); i++ {
+							if pe.Cause[i] != padByte(size, id, i) {
+								t.Errorf("caller %d round %d size %d: filler byte %d differs", g, round, size, i)
+								return
+							}
+						}
 					}
+				}()
+			}
+			wg.Wait()
+
+			// The largest frames grew the loop's batch buffer past what it
+			// keeps; small frames afterwards must settle back to a serving
+			// cycle that allocates nothing, on either end.
+			if depth > 1 || raceEnabled {
+				return // per-request goroutines, and the race detector, allocate
+			}
+			pmids := []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+			var res FetchResult
+			fetch := func() {
+				if err := c.FetchInto(pmids, &res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 10; i++ {
+				fetch()
+			}
+			if got := testing.AllocsPerRun(200, fetch); got != 0 {
+				t.Errorf("small-frame round trip after large ones allocates %.1f objects, want 0", got)
+			}
+		})
+	}
+
+	t.Run("client-writer", func(t *testing.T) {
+		// The writer's frames go to a peer that sends every frame back.
+		near, far := net.Pipe()
+		echoed := make(chan error, 1)
+		go func() {
+			br := bufio.NewReader(far)
+			var buf []byte
+			for {
+				typ, tag, tenant, payload, err := readFrameInto(br, true, buf)
+				if err == nil {
+					buf = payload
+					err = writeFrame(far, true, typ, tag, tenant, payload)
+				}
+				if err != nil {
+					echoed <- err
+					return
 				}
 			}
 		}()
+		p := newPipeline(near, bufio.NewReader(near), true)
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < rounds; round++ {
+					size, id := sizes[(round+g)%len(sizes)], uint32(g<<16|round)
+					call := getCall()
+					call.typ, call.req = PDUFetchReq, call.req[:0]
+					for i := 0; i < size; i++ {
+						call.req = append(call.req, padByte(size, id, i))
+					}
+					if err := p.roundTrip(call, 0); err != nil {
+						t.Errorf("caller %d round %d: %v", g, round, err)
+						return
+					}
+					if len(call.resp) != size {
+						t.Errorf("caller %d round %d: %d bytes came back, sent %d", g, round, len(call.resp), size)
+						return
+					}
+					for i, b := range call.resp {
+						if b != padByte(size, id, i) {
+							t.Errorf("caller %d round %d size %d: byte %d differs", g, round, size, i)
+							return
+						}
+					}
+					putCall(call)
+				}
+			}()
+		}
+		wg.Wait()
+		p.close()
+		far.Close()
+		if err := <-echoed; err == nil {
+			t.Error("echo peer ended without an error after close")
+		}
+	})
+
+	// One oversized frame must not pin its buffer to the connection.
+	var b frameBatch
+	if err := b.append(PDUFetchResp, 1, 0, make([]byte, MaxPDUBytes)); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
+	if err := b.flush(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if cap(b.buf) > 2*serveFlushBytes {
+		t.Errorf("batch keeps %d bytes after flushing one large frame, want at most %d", cap(b.buf), 2*serveFlushBytes)
+	}
+	if err := b.append(PDUFetchResp, 1, 0, make([]byte, MaxPDUBytes+1)); !errors.Is(err, ErrPDUTooLarge) {
+		t.Errorf("append of an oversized payload: %v, want ErrPDUTooLarge", err)
 	}
 }

@@ -5,17 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 )
 
 // Handler is one tier's request logic behind a Server: the daemon, the
 // proxy and the cluster federator each implement it and nothing else of
-// the serving plumbing. The server makes one Handler per connection
+// the serving plumbing. The server asks for a Handler per connection
 // (Server's newHandler), so a handler may keep per-connection state —
-// the daemon its value scratch, the proxy its cache-affinity memo — and
-// on an ordered connection (depth 1) is never called concurrently.
+// the daemon its value scratch — and on an ordered connection (depth 1)
+// is never called concurrently.
 // Results may alias that state or shared caches: the server encodes each
 // answer before it calls the connection's handler again. At a depth
 // above 1 the handler is called from concurrent goroutines and must
@@ -33,7 +32,7 @@ type Handler interface {
 }
 
 // Server is the serving core shared by every tier that speaks the
-// protocol's server side: the listener and its sharded accept loop, the
+// protocol's server side: the listener and its accept loop, the
 // connection registry, the handshake, version negotiation, the lockstep
 // and tagged serving loops, request decoding, response and error
 // encoding, and shutdown. A tier supplies a Handler per connection and
@@ -82,18 +81,10 @@ func (s *Server) Start(addr string) (string, error) {
 // StartOn serves clients on an existing listener until Close. It is the
 // injection point for wrapped listeners (fault injection, custom
 // transports). It returns the listener's address.
-//
-// Accepting is sharded per core: GOMAXPROCS goroutines block in Accept
-// on the one listener (the kernel load-balances wakeups), so a
-// connection burst is admitted in parallel instead of serializing on a
-// single accept loop.
 func (s *Server) StartOn(ln net.Listener) string {
 	s.ln = ln
-	n := runtime.GOMAXPROCS(0)
-	s.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go s.acceptLoop()
-	}
+	s.wg.Add(1)
+	go s.acceptLoop()
 	return ln.Addr().String()
 }
 
@@ -139,7 +130,7 @@ func (s *Server) acceptLoop() {
 }
 
 // Close stops the listener, disconnects clients, and waits for the
-// accept loops and every connection handler to finish. It is idempotent.
+// accept loop and every connection handler to finish. It is idempotent.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -338,7 +329,7 @@ const serveFlushBytes = 64 << 10
 // out in request order (wide selects Version3 framing, with each
 // request's tenant passed to the handler and echoed on the response),
 // with writer-side coalescing — responses accumulate in a frameBatch and
-// are flushed with one vectored write when no further request is already
+// are flushed with one write when no further request is already
 // buffered, so a pipelined burst of n requests costs one read wakeup and
 // one write syscall instead of n of each.
 func serveOrdered(conn net.Conn, br *bufio.Reader, h Handler, wide bool, sc *reqScratch) {
@@ -356,16 +347,13 @@ func serveOrdered(conn net.Conn, br *bufio.Reader, h Handler, wide bool, sc *req
 		}
 		sc.payload = payload
 		respType := sc.dispatch(h, typ, tenant, wide)
-		direct, err := batch.append(respType, tag, tenant, sc.resp)
-		if err != nil {
+		if err := batch.append(respType, tag, tenant, sc.resp); err != nil {
 			return
 		}
-		if direct || len(batch.small) >= serveFlushBytes {
-			// Flush now: either the batch references sc.resp zero-copy
-			// (the next request would overwrite it), or enough responses
-			// accumulated that holding more would just grow the batch —
-			// writing applies backpressure to a peer that streams
-			// requests without reading answers.
+		if len(batch.buf) >= serveFlushBytes {
+			// Enough responses accumulated that holding more would just
+			// grow the batch — writing applies backpressure to a peer that
+			// streams requests without reading answers.
 			if err := batch.flush(conn); err != nil {
 				return
 			}
@@ -381,8 +369,8 @@ func serveOrdered(conn net.Conn, br *bufio.Reader, h Handler, wide bool, sc *req
 // handler CPU. At most depth requests are in flight — each holds one of
 // depth scratch slots, and with none free the reader blocks, which is
 // exactly TCP backpressure. Responses go out through the same frame
-// encoder as the ordered loop's, serialised by a write mutex, one
-// vectored write each. It returns once every handler has finished.
+// encoder as the ordered loop's, serialised by a write mutex, one write
+// each. It returns once every handler has finished.
 func serveConcurrent(conn net.Conn, br *bufio.Reader, h Handler, wide bool, depth int) {
 	var (
 		wmu sync.Mutex
@@ -406,7 +394,7 @@ func serveConcurrent(conn net.Conn, br *bufio.Reader, h Handler, wide bool, dept
 			defer wg.Done()
 			respType := sc.dispatch(h, typ, tenant, wide)
 			wmu.Lock()
-			_, err := batch.append(respType, tag, tenant, sc.resp)
+			err := batch.append(respType, tag, tenant, sc.resp)
 			if err == nil {
 				err = batch.flush(conn)
 			}

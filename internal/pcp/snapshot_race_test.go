@@ -3,7 +3,9 @@ package pcp
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"papimc/internal/simtime"
 )
@@ -128,6 +130,45 @@ func TestSnapshotConsistencyUnderRegister(t *testing.T) {
 		if v.Status != StatusOK || v.Value != uint64(res.Timestamp) {
 			t.Errorf("final fetch: pmid %d status %d value %d (timestamp %d)", v.PMID, v.Status, v.Value, res.Timestamp)
 		}
+	}
+}
+
+// TestFetchDuringResampleIsFresh pins the freshness contract when fetches
+// of one daemon overlap, as the two attempts of a hedged edge do: a fetch
+// that finds the clock past the interval while another goroutine is
+// already resampling must be answered from that resample, not from the
+// snapshot it replaces. The gated metric holds the first fetch inside
+// resample; the second is issued meanwhile, and the gate opens on a
+// timer because a correct second fetch cannot return before it does.
+func TestFetchDuringResampleIsFresh(t *testing.T) {
+	clock := simtime.NewClock()
+	var armed atomic.Bool
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	d, err := NewDaemon(clock, simtime.Millisecond, []Metric{{Name: "gated", Read: func(t simtime.Time) (uint64, error) {
+		if armed.CompareAndSwap(true, false) {
+			entered <- struct{}{}
+			<-release
+		}
+		return uint64(t), nil
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := d.Fetch([]uint32{1}).Timestamp // publishes the first snapshot
+	clock.Advance(simtime.Millisecond + 1)
+	armed.Store(true)
+	first := make(chan FetchResult, 1)
+	go func() { first <- d.Fetch([]uint32{1}) }()
+	<-entered // the first fetch is inside resample
+
+	time.AfterFunc(20*time.Millisecond, func() { close(release) })
+	second := d.Fetch([]uint32{1})
+	if second.Timestamp == old {
+		t.Errorf("fetch during a resample returned the replaced snapshot (ts=%d) a full interval after it was taken", old)
+	}
+	if got := <-first; got.Timestamp != second.Timestamp {
+		t.Errorf("overlapping fetches answered from different instants: %d and %d", got.Timestamp, second.Timestamp)
 	}
 }
 

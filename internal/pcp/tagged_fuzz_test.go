@@ -41,15 +41,15 @@ func recordedPipelinedSession(t interface{ Fatal(args ...any) }) []byte {
 		}
 	}
 	write(PDUNamesReq, 1, nil)
-	write(PDUFetchReq, 2, EncodeFetchReq([]uint32{1, 2, 3}))
-	write(PDUFetchBatchReq, 3, EncodeFetchBatchReq([][]uint32{{1, 2}, {3}}))
+	write(PDUFetchReq, 2, AppendFetchReq(nil, []uint32{1, 2, 3}))
+	write(PDUFetchBatchReq, 3, AppendFetchBatchReq(nil, [][]uint32{{1, 2}, {3}}))
 	// Responses complete out of order: 3, 1, 2.
-	write(PDUFetchBatchResp, 3, EncodeFetchBatchResp([]FetchResult{
+	write(PDUFetchBatchResp, 3, AppendFetchBatchResp(nil, []FetchResult{
 		{Timestamp: 5, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 5}, {PMID: 2, Status: StatusOK, Value: 5}}},
 		{Timestamp: 5, Values: []FetchValue{{PMID: 3, Status: StatusNoSuchPMID}}},
 	}, []string{"node7"}, "edge down"))
-	write(PDUNamesResp, 1, EncodeNamesResp([]NameEntry{{PMID: 1, Name: "mem.read_bw"}}))
-	write(PDUFetchResp, 2, EncodeFetchResp(FetchResult{Timestamp: 5, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 5}}}))
+	write(PDUNamesResp, 1, AppendNamesResp(nil, []NameEntry{{PMID: 1, Name: "mem.read_bw"}}))
+	write(PDUFetchResp, 2, AppendFetchResp(nil, FetchResult{Timestamp: 5, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 5}}}))
 	return buf.Bytes()
 }
 
@@ -62,16 +62,16 @@ func recordedPipelinedSession(t interface{ Fatal(args ...any) }) []byte {
 // arbitrary accepted payloads.
 func FuzzReadTaggedPDU(f *testing.F) {
 	// Well-formed frames of each Version2 PDU type.
-	f.Add(tframe(4, PDUVersionReq, 0, EncodeVersion(Version2)))
-	f.Add(tframe(4, PDUVersionResp, 0, EncodeVersion(Version1)))
-	f.Add(tframe(uint32(len(EncodeFetchReq([]uint32{1, 2}))), PDUFetchReq, 7, EncodeFetchReq([]uint32{1, 2})))
-	br := EncodeFetchBatchReq([][]uint32{{1, 2, 3}, {4}, {}})
+	f.Add(tframe(4, PDUVersionReq, 0, AppendVersion(nil, Version2)))
+	f.Add(tframe(4, PDUVersionResp, 0, AppendVersion(nil, Version1)))
+	f.Add(tframe(uint32(len(AppendFetchReq(nil, []uint32{1, 2}))), PDUFetchReq, 7, AppendFetchReq(nil, []uint32{1, 2})))
+	br := AppendFetchBatchReq(nil, [][]uint32{{1, 2, 3}, {4}, {}})
 	f.Add(tframe(uint32(len(br)), PDUFetchBatchReq, 9, br))
-	bresp := EncodeFetchBatchResp([]FetchResult{
+	bresp := AppendFetchBatchResp(nil, []FetchResult{
 		{Timestamp: 1, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 1}}},
 	}, nil, "")
 	f.Add(tframe(uint32(len(bresp)), PDUFetchBatchResp, 9, bresp))
-	f.Add(tframe(uint32(len(EncodeError("boom"))), PDUError, 0xDEADBEEF, EncodeError("boom")))
+	f.Add(tframe(uint32(len(AppendError(nil, "boom"))), PDUError, 0xDEADBEEF, AppendError(nil, "boom")))
 	// A recorded pipelined session: interleaved tags, out-of-order
 	// completion, a partial batch. The fuzzer reads the first frame and
 	// mutates from there into mid-stream corruption.
@@ -88,10 +88,10 @@ func FuzzReadTaggedPDU(f *testing.F) {
 	// tenant word must never confuse either reader, and any 32-bit tenant
 	// value must be structurally accepted (policy is the admission
 	// layer's job, not the framing's).
-	se := EncodeStatusError(StatusOverload, "shed: tenant over quota")
+	se := AppendStatusError(nil, StatusOverload, "shed: tenant over quota")
 	f.Add(wframe(uint32(len(se)), PDUStatusError, 11, 3, se))
-	f.Add(wframe(uint32(len(EncodeFetchReq([]uint32{1}))), PDUFetchReq, 1, 0xFFFFFFFF, EncodeFetchReq([]uint32{1})))
-	f.Add(wframe(4, PDUVersionReq, 0, 0xDEADBEEF, EncodeVersion(Version3)))
+	f.Add(wframe(uint32(len(AppendFetchReq(nil, []uint32{1}))), PDUFetchReq, 1, 0xFFFFFFFF, AppendFetchReq(nil, []uint32{1})))
+	f.Add(wframe(4, PDUVersionReq, 0, 0xDEADBEEF, AppendVersion(nil, Version3)))
 	f.Add(wframe(0xFFFFFFFF, PDUFetchResp, 2, 0x41414141, nil)) // oversize claim, hostile tenant
 	f.Add(wframe(100, PDUFetchReq, 3, 0, []byte{1, 2}))         // claims more than present
 

@@ -12,7 +12,7 @@ import (
 // TestStatusErrorCodec pins the typed-rejection payload: round trip,
 // overload classification via errors.Is, and decoder totality.
 func TestStatusErrorCodec(t *testing.T) {
-	b := EncodeStatusError(StatusOverload, "shed: over quota")
+	b := AppendStatusError(nil, StatusOverload, "shed: over quota")
 	se, err := DecodeStatusError(b)
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func TestStatusErrorCodec(t *testing.T) {
 	if !errors.Is(se, ErrOverload) {
 		t.Fatal("StatusOverload must unwrap to ErrOverload")
 	}
-	other, err := DecodeStatusError(EncodeStatusError(StatusNodeDown, "down"))
+	other, err := DecodeStatusError(AppendStatusError(nil, StatusNodeDown, "down"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestWideFrameRoundTrip(t *testing.T) {
 	// A batch of wide frames coalesces and decodes frame by frame.
 	batch := frameBatch{wide: true}
 	for i := uint32(1); i <= 3; i++ {
-		if _, err := batch.append(PDUFetchResp, i, i*10, []byte{byte(i)}); err != nil {
+		if err := batch.append(PDUFetchResp, i, i*10, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestTenantTravelsInBand(t *testing.T) {
 				if err := serverHandshake(br, bw); err != nil {
 					return
 				}
-				typ, payload, err := ReadPDU(br)
+				typ, payload, err := ReadPDUInto(br, nil)
 				if err != nil || typ != PDUVersionReq {
 					return
 				}

@@ -127,43 +127,3 @@ func TestProxyBatchStaleFallback(t *testing.T) {
 		t.Error("batch containing an uncached set succeeded with upstream down")
 	}
 }
-
-// TestLookupAffineMemo pins the connection-affinity memo's contract:
-// repeated lookups of the same key through one connection's local map
-// return the identical entry without re-probing the shard, and the memo
-// is bounded at maxShardEntries.
-func TestLookupAffineMemo(t *testing.T) {
-	_, _, _, p, _ := rig(t, nil)
-	if _, err := p.Fetch([]uint32{1, 2}); err != nil { // create the shard entry
-		t.Fatal(err)
-	}
-	key := string(pcp.AppendFetchReq(nil, []uint32{1, 2}))
-
-	local := make(map[string]*entry)
-	e1 := p.lookupAffine([]byte(key), local)
-	if e1 == nil {
-		t.Fatal("lookupAffine missed an entry a fetch just created")
-	}
-	if _, ok := local[key]; !ok {
-		t.Fatal("lookupAffine did not memoize into the connection-local map")
-	}
-	if e2 := p.lookupAffine([]byte(key), local); e2 != e1 {
-		t.Fatal("affine lookup returned a different entry for the same key")
-	}
-
-	// The memo is bounded: once full, new keys resolve but are not stored.
-	full := make(map[string]*entry)
-	for i := 0; i < maxShardEntries; i++ {
-		full[string(pcp.AppendFetchReq(nil, []uint32{uint32(i + 100)}))] = e1
-	}
-	if _, err := p.Fetch([]uint32{3}); err != nil {
-		t.Fatal(err)
-	}
-	overKey := pcp.AppendFetchReq(nil, []uint32{3})
-	if e := p.lookupAffine(overKey, full); e == nil {
-		t.Fatal("bounded memo must still resolve via the shard")
-	}
-	if _, stored := full[string(overKey)]; stored {
-		t.Fatalf("memo grew past maxShardEntries (%d)", maxShardEntries)
-	}
-}

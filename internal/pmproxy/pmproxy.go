@@ -254,9 +254,7 @@ func New(cfg Config) *Proxy {
 		sleep: time.Sleep,
 		boRng: xrand.New(cfg.Seed),
 	}
-	p.srv = pcp.NewServer(1, func() pcp.Handler {
-		return &proxyConn{p: p, local: make(map[string]*entry)}
-	})
+	p.srv = pcp.NewServer(1, func() pcp.Handler { return proxyHandler{p} })
 	for i := range p.shards {
 		p.shards[i].m = make(map[string]*entry)
 	}
@@ -548,39 +546,12 @@ func (p *Proxy) lookup(key []byte) *entry {
 	return e
 }
 
-// lookupAffine is lookup behind a connection-local memo: a serving
-// connection that re-requests the same pmid-sets (the dashboard steady
-// state) resolves its entry with one private map probe and never
-// touches the shard mutex again — connection affinity to the 16-way
-// sharded cache. The memo holds entry pointers only; if a shard
-// overflow resets the shared map underneath, a memoized entry keeps
-// working (it still coalesces every connection that memoized it) and
-// the bound keeps the memo from outliving its usefulness.
-func (p *Proxy) lookupAffine(key []byte, local map[string]*entry) *entry {
-	if local != nil {
-		if e, ok := local[string(key)]; ok {
-			return e
-		}
-	}
-	e := p.lookup(key)
-	if local != nil && len(local) < maxShardEntries {
-		local[string(key)] = e
-	}
-	return e
-}
-
 // Fetch serves one client fetch through the coalescing cache as the
 // default tenant. Exported for in-process use; the network handler goes
 // through FetchTenant. The returned result is shared with other readers
 // of the same cache entry and must be treated as read-only.
 func (p *Proxy) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 	return p.FetchTenant(DefaultTenant, pmids)
-}
-
-// FetchTenant is Fetch accounted to (and admission-controlled as) the
-// given tenant.
-func (p *Proxy) FetchTenant(tenant uint32, pmids []uint32) (pcp.FetchResult, error) {
-	return p.fetch(tenant, pmids, nil)
 }
 
 // shedOrStale resolves a typed admission rejection for one fetch set:
@@ -598,13 +569,15 @@ func (p *Proxy) shedOrStale(tenant uint32, tc *tenantCounter, e *entry, aerr err
 	return pcp.FetchResult{}, aerr
 }
 
-func (p *Proxy) fetch(tenant uint32, pmids []uint32, local map[string]*entry) (pcp.FetchResult, error) {
+// FetchTenant is Fetch accounted to (and admission-controlled as) the
+// given tenant.
+func (p *Proxy) FetchTenant(tenant uint32, pmids []uint32) (pcp.FetchResult, error) {
 	p.clientFetches.Add(1)
 	tc := p.tenantCounter(tenant)
 	tc.issued.Add(1)
 	bp := keyBufPool.Get().(*[]byte)
 	key := pcp.AppendFetchReq((*bp)[:0], pmids)
-	e := p.lookupAffine(key, local)
+	e := p.lookup(key)
 	*bp = key
 	keyBufPool.Put(bp)
 
@@ -671,15 +644,7 @@ func (p *Proxy) fetch(tenant uint32, pmids []uint32, local map[string]*entry) (p
 // not one per component). Results alias cache entries and must be
 // treated as read-only.
 func (p *Proxy) FetchBatch(sets [][]uint32) ([]pcp.FetchResult, error) {
-	return p.fetchBatch(DefaultTenant, sets, nil)
-}
-
-// FetchBatchTenant is FetchBatch accounted to (and admission-controlled
-// as) the given tenant. Each set counts as one issued request; a shed
-// batch counts every miss set as shed (hit sets stay admitted), so the
-// per-tenant conservation law holds set-exactly.
-func (p *Proxy) FetchBatchTenant(tenant uint32, sets [][]uint32) ([]pcp.FetchResult, error) {
-	return p.fetchBatch(tenant, sets, nil)
+	return p.FetchBatchTenant(DefaultTenant, sets)
 }
 
 // missGroup is one distinct stale pmid-set of a batch: its cache entry
@@ -691,7 +656,11 @@ type missGroup struct {
 	indices []int
 }
 
-func (p *Proxy) fetchBatch(tenant uint32, sets [][]uint32, local map[string]*entry) ([]pcp.FetchResult, error) {
+// FetchBatchTenant is FetchBatch accounted to (and admission-controlled
+// as) the given tenant. Each set counts as one issued request; a shed
+// batch counts every miss set as shed (hit sets stay admitted), so the
+// per-tenant conservation law holds set-exactly.
+func (p *Proxy) FetchBatchTenant(tenant uint32, sets [][]uint32) ([]pcp.FetchResult, error) {
 	p.clientFetches.Add(int64(len(sets)))
 	tc := p.tenantCounter(tenant)
 	tc.issued.Add(int64(len(sets)))
@@ -704,7 +673,7 @@ func (p *Proxy) fetchBatch(tenant uint32, sets [][]uint32, local map[string]*ent
 	key := (*bp)[:0]
 	for i, pmids := range sets {
 		key = pcp.AppendFetchReq(key[:0], pmids)
-		e := p.lookupAffine(key, local)
+		e := p.lookup(key)
 		if c := e.cur.Load(); c != nil && p.fresh(c.fetchedAt, p.now()) {
 			p.coalescedHits.Add(1)
 			tc.admitted.Add(1)
@@ -886,28 +855,25 @@ func (p *Proxy) Start(addr string) (string, error) { return p.srv.Start(addr) }
 // transports). It returns the listener's address.
 func (p *Proxy) StartOn(ln net.Listener) string { return p.srv.StartOn(ln) }
 
-// proxyConn is the proxy's per-connection pcp.Handler: it carries the
-// connection's entry memo (the cache-shard affinity map). Results alias
-// cache entries; the server encodes them before the next request.
-type proxyConn struct {
-	p     *Proxy
-	local map[string]*entry
-}
+// proxyHandler is the proxy as a pcp.Handler; it holds no connection
+// state. Results alias cache entries; the server encodes them before
+// the next request.
+type proxyHandler struct{ p *Proxy }
 
-func (c *proxyConn) Names() ([]pcp.NameEntry, error) { return c.p.Names() }
+func (h proxyHandler) Names() ([]pcp.NameEntry, error) { return h.p.Names() }
 
-func (c *proxyConn) Fetch(tenant uint32, pmids []uint32) (pcp.FetchResult, error) {
-	return c.p.fetch(tenant, pmids, c.local)
+func (h proxyHandler) Fetch(tenant uint32, pmids []uint32) (pcp.FetchResult, error) {
+	return h.p.FetchTenant(tenant, pmids)
 }
 
 // FetchAll is not served by the proxy: the request is answered like any
 // PDU type it does not know.
-func (c *proxyConn) FetchAll(uint32) (pcp.FetchResult, error) {
+func (proxyHandler) FetchAll(uint32) (pcp.FetchResult, error) {
 	return pcp.FetchResult{}, fmt.Errorf("unknown PDU type %d", pcp.PDUFetchAllReq)
 }
 
-func (c *proxyConn) FetchBatch(tenant uint32, sets [][]uint32) ([]pcp.FetchResult, error) {
-	return c.p.fetchBatch(tenant, sets, c.local)
+func (h proxyHandler) FetchBatch(tenant uint32, sets [][]uint32) ([]pcp.FetchResult, error) {
+	return h.p.FetchBatchTenant(tenant, sets)
 }
 
 // Close stops the listener, disconnects clients, waits for handlers to
