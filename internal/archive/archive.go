@@ -7,11 +7,11 @@
 // Raw samples are stored varint-delta encoded — each row is the zigzag
 // varint of the timestamp delta followed by one zigzag varint per
 // counter delta — in fixed-size blocks whose first row is absolute, so
-// any block decodes independently. Every sealed block carries an index
-// entry ([firstTS, lastTS]) and per-column summaries (first/last/min/
-// max/sum and the wrap-corrected delta total), so range queries binary-
-// search to the covering blocks and long-horizon rates fold summaries
-// instead of decoding rows. Decoded blocks are cached behind an
+// any block decodes independently. Every sealed block carries the same
+// summary a rollup bucket does ([FirstTS, LastTS], the row count and one
+// ColAgg per column), so range queries binary-search to the covering
+// blocks and windows and rates merge the summaries of the blocks they
+// cover instead of decoding rows. Decoded blocks are cached behind an
 // atomic.Pointer per block, so hot dashboards hit decoded data.
 //
 // Alongside the raw tier the archive maintains rollup tiers (10s and 5m
@@ -129,34 +129,33 @@ func (r Resolution) String() string {
 	}
 }
 
-// colSummary is the per-column index entry of one sealed block: enough
-// to answer floors, ceilings, and wrap-corrected rates without decoding.
-type colSummary struct {
-	First, Last uint64  // first/last sample values in the block
-	Min, Max    uint64  // extrema over the block's samples
-	Sum         float64 // Σ float64(value) over the block's samples
-	Delta       int64   // Σ wrap-corrected steps between consecutive rows
-}
-
-// block is one sealed, immutable run of delta-encoded rows plus its
-// index entry and summaries. dec caches the decoded rows; it is reset by
-// the compactor for cold blocks and repopulated on demand.
-type block struct {
-	buf     []byte
-	count   int
-	firstTS int64
-	lastTS  int64
-	sums    []colSummary
-	cum     []float64 // extended value at the first row, anchored at the writer epoch
-	dec     atomic.Pointer[[]Sample]
-}
-
-// ColAgg is the per-column aggregate of one rollup bucket.
+// ColAgg summarises one column over a run of consecutive samples: a
+// rollup bucket or a sealed raw block.
 type ColAgg struct {
-	First, Last uint64  // first/last sample values in the bucket
+	First, Last uint64  // first/last sample values in the run
 	Min, Max    uint64  // extrema
 	Sum         float64 // Σ float64(value), for averages
-	Delta       int64   // Σ wrap-corrected steps strictly inside the bucket
+	Delta       int64   // Σ wrap-corrected steps strictly inside the run
+}
+
+// add folds the run's next sample into g; n is how many it already holds.
+func (g *ColAgg) add(v uint64, n int) {
+	g.merge(&ColAgg{First: v, Last: v, Min: v, Max: v, Sum: float64(v)}, n)
+}
+
+// merge appends the summary o of the samples that directly follow g's
+// n samples. The step across the seam is recoverable exactly from the
+// facing edges, so the merged Delta is the one a single fold over all
+// the rows would have produced.
+func (g *ColAgg) merge(o *ColAgg, n int) {
+	if n == 0 {
+		*g = *o
+		return
+	}
+	g.Delta += int64(pcp.CounterDelta(g.Last, o.First)) + o.Delta
+	g.Last = o.Last
+	g.Min, g.Max = min(g.Min, o.Min), max(g.Max, o.Max)
+	g.Sum += o.Sum
 }
 
 // Bucket is one rollup row: the aggregate of every raw sample whose
@@ -171,6 +170,38 @@ type Bucket struct {
 	LastTS  int64 // timestamp of the last sample in the bucket
 	Count   int   // samples folded in
 	Cols    []ColAgg
+}
+
+// addRow folds the next row into the bucket, in place.
+func (b *Bucket) addRow(row Sample) {
+	if b.Count == 0 {
+		b.FirstTS = row.Timestamp
+		b.Cols = make([]ColAgg, len(row.Values))
+	}
+	for c, v := range row.Values {
+		b.Cols[c].add(v, b.Count)
+	}
+	b.LastTS = row.Timestamp
+	b.Count++
+}
+
+// lastRow synthesizes the bucket's newest sample from its aggregates.
+func (b *Bucket) lastRow() Sample {
+	row := Sample{Timestamp: b.LastTS, Values: make([]uint64, len(b.Cols))}
+	for c := range b.Cols {
+		row.Values[c] = b.Cols[c].Last
+	}
+	return row
+}
+
+// block is one sealed, immutable run of delta-encoded rows. Its index
+// entry and summaries are a Bucket (Start is the first row's timestamp:
+// a block has no resolution). dec caches the decoded rows; it is reset
+// by the compactor for cold blocks and repopulated on demand.
+type block struct {
+	Bucket
+	buf []byte
+	dec atomic.Pointer[[]Sample]
 }
 
 // tierSnap is one rollup tier inside a snapshot: completed buckets plus
@@ -201,9 +232,8 @@ func (t *tierSnap) at(i int) *Bucket {
 // work on it without locks. Writers build a new one under a.mu and
 // store it atomically.
 type snapshot struct {
-	blocks  []*block  // sealed raw blocks, ascending time
-	tail    []Sample  // decoded rows newer than the last sealed block
-	tailCum []float64 // extended value at tail[0], anchored at the writer epoch
+	blocks  []*block // sealed raw blocks, ascending time
+	tail    []Sample // decoded rows newer than the last sealed block
 	tiers   []tierSnap
 	last    *Sample // newest raw row, nil if none retained
 	lastTS  int64   // newest timestamp ever accepted (survives raw eviction)
@@ -230,8 +260,7 @@ type Archive struct {
 	snap atomic.Pointer[snapshot]
 
 	// Writer-only state, guarded by mu.
-	tailBuf    []byte    // encoded form of the published tail
-	runningExt []float64 // extended value at the newest row, anchored at the epoch
+	tailBuf []byte // encoded form of the published tail
 }
 
 // New builds an empty archive over the given name table. The entries
@@ -261,11 +290,10 @@ func New(names []pcp.NameEntry, opts Options) (*Archive, error) {
 		}
 	}
 	a := &Archive{
-		names:      append([]pcp.NameEntry(nil), names...),
-		byName:     make(map[string]uint32, len(names)),
-		col:        make(map[uint32]int, len(names)),
-		opts:       opts,
-		runningExt: make([]float64, len(names)),
+		names:  append([]pcp.NameEntry(nil), names...),
+		byName: make(map[string]uint32, len(names)),
+		col:    make(map[uint32]int, len(names)),
+		opts:   opts,
 	}
 	for i, e := range names {
 		if e.PMID == 0 {
@@ -303,18 +331,6 @@ func (a *Archive) PMIDs() []uint32 {
 	out := make([]uint32, len(a.names))
 	for i, e := range a.names {
 		out[i] = e.PMID
-	}
-	return out
-}
-
-// Resolutions returns the archive's tiers, finest first: ResRaw followed
-// by the configured rollup resolutions.
-func (a *Archive) Resolutions() []Resolution {
-	s := a.snap.Load()
-	out := make([]Resolution, 0, len(s.tiers)+1)
-	out = append(out, ResRaw)
-	for i := range s.tiers {
-		out = append(out, Resolution(s.tiers[i].res))
 	}
 	return out
 }
@@ -377,14 +393,6 @@ func (a *Archive) AppendSample(row Sample) error {
 		compactions: cur.compactions,
 	}
 
-	// Advance the extended (wrap-unrolled) series: one step per column
-	// from the previous row, when raw history is continuous.
-	if cur.last != nil {
-		for c := range own.Values {
-			a.runningExt[c] += float64(int64(pcp.CounterDelta(cur.last.Values[c], own.Values[c])))
-		}
-	}
-
 	// Encode the row into the writer's tail buffer: a keyframe when the
 	// tail is empty, deltas against the previous row otherwise.
 	if len(cur.tail) == 0 {
@@ -393,14 +401,12 @@ func (a *Archive) AppendSample(row Sample) error {
 			a.tailBuf = binary.AppendUvarint(a.tailBuf, v)
 		}
 		next.tail = append([]Sample(nil), own)
-		next.tailCum = append([]float64(nil), a.runningExt...)
 	} else {
 		a.tailBuf = binary.AppendVarint(a.tailBuf, own.Timestamp-cur.last.Timestamp)
 		for c, v := range own.Values {
 			a.tailBuf = binary.AppendVarint(a.tailBuf, int64(v-cur.last.Values[c]))
 		}
 		next.tail = append(cur.tail, own)
-		next.tailCum = cur.tailCum
 	}
 	next.tailBytes = len(a.tailBuf)
 
@@ -411,10 +417,10 @@ func (a *Archive) AppendSample(row Sample) error {
 
 	// Seal a full tail into an immutable indexed block.
 	if len(next.tail) >= a.opts.BlockSamples {
-		blk := sealBlock(a.tailBuf, next.tail, next.tailCum)
+		blk := sealBlock(a.tailBuf, next.tail)
 		next.blocks = append(cur.blocks, blk)
 		next.sealedBytes += len(blk.buf)
-		next.tail, next.tailCum, next.tailBytes = nil, nil, 0
+		next.tail, next.tailBytes = nil, 0
 		a.tailBuf = nil
 	}
 
@@ -424,8 +430,8 @@ func (a *Archive) AppendSample(row Sample) error {
 		old := next.blocks[0]
 		next.blocks = next.blocks[1:]
 		next.sealedBytes -= len(old.buf)
-		next.rawSamples -= old.count
-		next.evicted += old.count
+		next.rawSamples -= old.Count
+		next.evicted += old.Count
 	}
 
 	a.snap.Store(next)
@@ -433,34 +439,11 @@ func (a *Archive) AppendSample(row Sample) error {
 }
 
 // sealBlock builds the immutable block for a finished tail: the encoded
-// bytes, the [firstTS, lastTS] index entry, per-column summaries, and
-// the extended-series anchor of its first row.
-func sealBlock(buf []byte, rows []Sample, cum []float64) *block {
-	width := len(rows[0].Values)
-	b := &block{
-		buf:     buf,
-		count:   len(rows),
-		firstTS: rows[0].Timestamp,
-		lastTS:  rows[len(rows)-1].Timestamp,
-		sums:    make([]colSummary, width),
-		cum:     append([]float64(nil), cum...),
-	}
-	for c := 0; c < width; c++ {
-		v0 := rows[0].Values[c]
-		s := colSummary{First: v0, Last: v0, Min: v0, Max: v0, Sum: float64(v0)}
-		for i := 1; i < len(rows); i++ {
-			v := rows[i].Values[c]
-			s.Last = v
-			if v < s.Min {
-				s.Min = v
-			}
-			if v > s.Max {
-				s.Max = v
-			}
-			s.Sum += float64(v)
-			s.Delta += int64(pcp.CounterDelta(rows[i-1].Values[c], v))
-		}
-		b.sums[c] = s
+// bytes plus the index entry and per-column summaries folded from rows.
+func sealBlock(buf []byte, rows []Sample) *block {
+	b := &block{buf: buf, Bucket: Bucket{Start: rows[0].Timestamp}}
+	for _, r := range rows {
+		b.addRow(r)
 	}
 	return b
 }
@@ -479,52 +462,21 @@ func alignDown(ts, res int64) int64 {
 // are never mutated in place.
 func updateTier(t *tierSnap, row Sample, maxBuckets int) tierSnap {
 	nt := tierSnap{res: t.res, done: t.done, evicted: t.evicted}
-	start := alignDown(row.Timestamp, t.res)
-	if t.cur != nil && start == t.cur.Start {
+	nb := Bucket{Start: alignDown(row.Timestamp, t.res)}
+	if t.cur != nil && nb.Start == t.cur.Start {
 		// Extend the in-progress bucket. The previous sample is, by
 		// construction, this bucket's Last: steps folded here are
 		// strictly intra-bucket.
-		nb := Bucket{
-			Start:   t.cur.Start,
-			FirstTS: t.cur.FirstTS,
-			LastTS:  row.Timestamp,
-			Count:   t.cur.Count + 1,
-			Cols:    make([]ColAgg, len(t.cur.Cols)),
-		}
-		for c := range nb.Cols {
-			agg := t.cur.Cols[c]
-			v := row.Values[c]
-			agg.Delta += int64(pcp.CounterDelta(agg.Last, v))
-			agg.Last = v
-			if v < agg.Min {
-				agg.Min = v
-			}
-			if v > agg.Max {
-				agg.Max = v
-			}
-			agg.Sum += float64(v)
-			nb.Cols[c] = agg
-		}
-		nt.cur = &nb
-		return nt
-	}
-	if t.cur != nil {
+		nb = *t.cur
+		nb.Cols = append([]ColAgg(nil), t.cur.Cols...)
+	} else if t.cur != nil {
 		nt.done = append(t.done, *t.cur)
 		if drop := len(nt.done) - maxBuckets; drop > 0 {
 			nt.done = nt.done[drop:]
 			nt.evicted += drop
 		}
 	}
-	nb := Bucket{
-		Start:   start,
-		FirstTS: row.Timestamp,
-		LastTS:  row.Timestamp,
-		Count:   1,
-		Cols:    make([]ColAgg, len(row.Values)),
-	}
-	for c, v := range row.Values {
-		nb.Cols[c] = ColAgg{First: v, Last: v, Min: v, Max: v, Sum: float64(v)}
-	}
+	nb.addRow(row)
 	nt.cur = &nb
 	return nt
 }
@@ -582,7 +534,7 @@ func (a *Archive) decodeCached(b *block) ([]Sample, error) {
 	if p := b.dec.Load(); p != nil {
 		return *p, nil
 	}
-	rows, err := decodeRows(b.buf, b.count, len(a.names), false)
+	rows, err := decodeRows(b.buf, b.Count, len(a.names), false)
 	if err != nil {
 		return nil, err
 	}
@@ -649,9 +601,9 @@ func (a *Archive) Span() (first, last int64, ok bool) {
 func (s *snapshot) rawSpan() (first, last int64, ok bool) {
 	switch {
 	case len(s.blocks) > 0 && len(s.tail) > 0:
-		return s.blocks[0].firstTS, s.tail[len(s.tail)-1].Timestamp, true
+		return s.blocks[0].FirstTS, s.tail[len(s.tail)-1].Timestamp, true
 	case len(s.blocks) > 0:
-		return s.blocks[0].firstTS, s.blocks[len(s.blocks)-1].lastTS, true
+		return s.blocks[0].FirstTS, s.blocks[len(s.blocks)-1].LastTS, true
 	case len(s.tail) > 0:
 		return s.tail[0].Timestamp, s.tail[len(s.tail)-1].Timestamp, true
 	}
@@ -694,17 +646,17 @@ func (a *Archive) Samples(t0, t1 int64) ([]Sample, error) {
 	var out []Sample
 	blocks := s.blocks
 	// Binary search to the first block that can contain t0.
-	lo := sort.Search(len(blocks), func(i int) bool { return blocks[i].lastTS >= t0 })
+	lo := sort.Search(len(blocks), func(i int) bool { return blocks[i].LastTS >= t0 })
 	for i := lo; i < len(blocks); i++ {
 		b := blocks[i]
-		if b.firstTS > t1 {
+		if b.FirstTS > t1 {
 			return out, nil
 		}
 		rows, err := a.decodeCached(b)
 		if err != nil {
 			return nil, err
 		}
-		if b.firstTS >= t0 && b.lastTS <= t1 {
+		if b.FirstTS >= t0 && b.LastTS <= t1 {
 			out = append(out, rows...)
 			continue
 		}
@@ -745,23 +697,18 @@ func (a *Archive) All() ([]Sample, error) {
 // sample is newer than t (or no raw samples are retained).
 func (a *Archive) Floor(t int64) (Sample, bool) {
 	s := a.snap.Load()
-	return a.floorSnap(s, t)
-}
-
-func (a *Archive) floorSnap(s *snapshot, t int64) (Sample, bool) {
 	if len(s.tail) > 0 && s.tail[0].Timestamp <= t {
 		i := sort.Search(len(s.tail), func(i int) bool { return s.tail[i].Timestamp > t })
 		return s.tail[i-1], true
 	}
 	blocks := s.blocks
-	idx := sort.Search(len(blocks), func(i int) bool { return blocks[i].firstTS > t }) - 1
+	idx := sort.Search(len(blocks), func(i int) bool { return blocks[i].FirstTS > t }) - 1
 	if idx < 0 {
 		return Sample{}, false
 	}
 	b := blocks[idx]
-	if t >= b.lastTS {
-		// The block's last row, synthesized from summaries: no decode.
-		return a.summaryRow(b, b.lastTS, func(cs *colSummary) uint64 { return cs.Last }), true
+	if t >= b.LastTS {
+		return b.lastRow(), true // synthesized from summaries: no decode
 	}
 	rows, err := a.decodeCached(b)
 	if err != nil {
@@ -769,66 +716,6 @@ func (a *Archive) floorSnap(s *snapshot, t int64) (Sample, bool) {
 	}
 	i := sort.Search(len(rows), func(i int) bool { return rows[i].Timestamp > t })
 	return rows[i-1], true
-}
-
-// ceilSnap returns the oldest raw sample with Timestamp >= t.
-func (a *Archive) ceilSnap(s *snapshot, t int64) (Sample, bool) {
-	blocks := s.blocks
-	idx := sort.Search(len(blocks), func(i int) bool { return blocks[i].lastTS >= t })
-	if idx < len(blocks) {
-		b := blocks[idx]
-		if t <= b.firstTS {
-			return a.summaryRow(b, b.firstTS, func(cs *colSummary) uint64 { return cs.First }), true
-		}
-		rows, err := a.decodeCached(b)
-		if err != nil {
-			return Sample{}, false
-		}
-		i := sort.Search(len(rows), func(i int) bool { return rows[i].Timestamp >= t })
-		return rows[i], true
-	}
-	for _, r := range s.tail {
-		if r.Timestamp >= t {
-			return r, true
-		}
-	}
-	return Sample{}, false
-}
-
-// summaryRow synthesizes one edge row of a block from its summaries.
-func (a *Archive) summaryRow(b *block, ts int64, get func(*colSummary) uint64) Sample {
-	row := Sample{Timestamp: ts, Values: make([]uint64, len(a.names))}
-	for c := range b.sums {
-		row.Values[c] = get(&b.sums[c])
-	}
-	return row
-}
-
-// Nearest returns the retained raw sample whose timestamp is closest to
-// t (ties go to the older sample).
-func (a *Archive) Nearest(t int64) (Sample, bool) {
-	s := a.snap.Load()
-	lo, okLo := a.floorSnap(s, t)
-	hi, okHi := a.ceilSnap(s, t)
-	switch {
-	case !okLo && !okHi:
-		return Sample{}, false
-	case !okLo:
-		return hi, true
-	case !okHi:
-		return lo, true
-	}
-	if absDelta(lo.Timestamp, t) <= absDelta(hi.Timestamp, t) {
-		return lo, true
-	}
-	return hi, true
-}
-
-func absDelta(a, b int64) uint64 {
-	if a < b {
-		return uint64(b - a)
-	}
-	return uint64(a - b)
 }
 
 // sampleStep is the wrap-corrected change of column c between two
@@ -841,112 +728,13 @@ func sampleStep(lo, hi Sample, c int) float64 {
 	return float64(int64(pcp.CounterDelta(lo.Values[c], hi.Values[c])))
 }
 
-// ValueAt returns the metric's value at time t on the unwrapped
-// ("extended") series: linear interpolation between the surrounding
-// samples with uint64 wraparound corrected per step, clamped to the
-// recording's raw span. After a wrap the extended value keeps growing
-// past 2^64 — the series stays monotone for counters, which is what
-// interpolation is for. The lookup binary-searches to the covering
-// block and anchors on its precomputed extended-series prefix, so the
-// cost is independent of the archive size.
-func (a *Archive) ValueAt(pmid uint32, t int64) (float64, error) {
-	c, ok := a.col[pmid]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoPMID, pmid)
-	}
-	s := a.snap.Load()
-	// Oldest retained raw row: the anchor of the reported series.
-	var oldestTS int64
-	var oldestVal uint64
-	var extOldest float64
-	switch {
-	case len(s.blocks) > 0:
-		b := s.blocks[0]
-		oldestTS, oldestVal, extOldest = b.firstTS, b.sums[c].First, b.cum[c]
-	case len(s.tail) > 0:
-		oldestTS, oldestVal, extOldest = s.tail[0].Timestamp, s.tail[0].Values[c], s.tailCum[c]
-	default:
-		return 0, ErrEmpty
-	}
-	if t <= oldestTS {
-		return float64(oldestVal), nil
-	}
-	ext, err := a.extAt(s, c, t)
-	if err != nil {
-		return 0, err
-	}
-	return float64(oldestVal) + ext - extOldest, nil
-}
-
-// extAt computes the extended-series value at time t (> oldest retained
-// timestamp), anchored at the writer epoch.
-func (a *Archive) extAt(s *snapshot, c int, t int64) (float64, error) {
-	// In or beyond the tail?
-	if len(s.tail) > 0 && t >= s.tail[0].Timestamp {
-		ext := s.tailCum[c]
-		for i := 1; i < len(s.tail); i++ {
-			step := sampleStep(s.tail[i-1], s.tail[i], c)
-			if t <= s.tail[i].Timestamp {
-				lo, hi := s.tail[i-1], s.tail[i]
-				f := float64(t-lo.Timestamp) / float64(hi.Timestamp-lo.Timestamp)
-				return ext + f*step, nil
-			}
-			ext += step
-		}
-		return ext, nil // clamped past the newest row
-	}
-	blocks := s.blocks
-	idx := sort.Search(len(blocks), func(i int) bool { return blocks[i].firstTS > t }) - 1
-	if idx < 0 {
-		// t precedes all blocks but a tail exists before t was checked:
-		// only reachable when there are no blocks at all.
-		return 0, ErrEmpty
-	}
-	b := blocks[idx]
-	if t <= b.lastTS {
-		rows, err := a.decodeCached(b)
-		if err != nil {
-			return 0, err
-		}
-		ext := b.cum[c]
-		for i := 1; i < len(rows); i++ {
-			step := sampleStep(rows[i-1], rows[i], c)
-			if t <= rows[i].Timestamp {
-				lo, hi := rows[i-1], rows[i]
-				f := float64(t-lo.Timestamp) / float64(hi.Timestamp-lo.Timestamp)
-				return ext + f*step, nil
-			}
-			ext += step
-		}
-		return ext, nil
-	}
-	// t falls between this block's last row and the next chunk's first.
-	extEnd := b.cum[c] + float64(b.sums[c].Delta)
-	var nextTS int64
-	var extNext float64
-	switch {
-	case idx+1 < len(blocks):
-		nb := blocks[idx+1]
-		nextTS, extNext = nb.firstTS, nb.cum[c]
-	case len(s.tail) > 0:
-		nextTS, extNext = s.tail[0].Timestamp, s.tailCum[c]
-	default:
-		return extEnd, nil // clamped past the newest row
-	}
-	f := float64(t-b.lastTS) / float64(nextTS-b.lastTS)
-	return extEnd + f*(extNext-extEnd), nil
-}
-
 // Rate returns the metric's average rate over [t0, t1] in units per
 // second of simulated time — the quantity the paper's bandwidth figures
-// plot. It is deliberately not the difference of two ValueAt endpoints:
-// near 2^64 adjacent float64 values are 2048 apart, so differencing two
-// extended values would swallow exactly the small per-interval deltas a
-// rate is made of. Instead each segment's wrap-corrected uint64 delta is
-// summed directly, weighted by its fractional overlap with [t0, t1].
-// Blocks that lie entirely inside the window contribute their summary
-// delta without being decoded; only the window's edge blocks decode
-// (served from the per-block cache when hot).
+// plot. It is deliberately not a difference of two float64 endpoint
+// values: near 2^64 adjacent float64 values are 2048 apart, so that
+// would swallow exactly the small per-interval deltas a rate is made
+// of. Instead each segment's wrap-corrected uint64 delta is summed
+// directly, weighted by its fractional overlap with [t0, t1] (rawWindow).
 func (a *Archive) Rate(pmid uint32, t0, t1 int64) (float64, error) {
 	if t1 <= t0 {
 		return 0, fmt.Errorf("archive: bad rate interval [%d, %d]", t0, t1)
@@ -959,11 +747,11 @@ func (a *Archive) Rate(pmid uint32, t0, t1 int64) (float64, error) {
 	if s.rawSamples == 0 {
 		return 0, ErrEmpty
 	}
-	sum, err := a.rawDeltaSum(s, c, t0, t1)
+	_, _, delta, err := a.rawWindow(s, c, t0, t1)
 	if err != nil {
 		return 0, err
 	}
-	return sum / (float64(t1-t0) / 1e9), nil
+	return delta / (float64(t1-t0) / 1e9), nil
 }
 
 // overlapFrac is the fraction of segment [lo, hi] covered by [t0, t1].
@@ -978,32 +766,39 @@ func overlapFrac(lo, hi, t0, t1 int64) float64 {
 	return float64(e-s) / float64(hi-lo)
 }
 
-// rawDeltaSum computes Σ frac·step over every consecutive-sample segment
-// of column c overlapping [t0, t1], using block summaries for fully
-// covered blocks and decoding only the window's edge blocks.
-func (a *Archive) rawDeltaSum(s *snapshot, c int, t0, t1 int64) (float64, error) {
+// rawWindow folds column c over the window on one snapshot: the n raw
+// samples with t0 <= Timestamp < t1 into agg, and Σ frac·step over
+// every consecutive-sample segment overlapping [t0, t1] into delta. A
+// block the window covers merges its summary undecoded; only a block a
+// window edge splits is decoded (through the per-block cache) and
+// walked row by row, as is the tail. Nothing is copied.
+func (a *Archive) rawWindow(s *snapshot, c int, t0, t1 int64) (n int, agg ColAgg, delta float64, err error) {
 	blocks := s.blocks
-	var sum float64
-	// walkRows folds the decoded rows of one chunk.
 	walkRows := func(rows []Sample) {
-		for i := 1; i < len(rows); i++ {
-			f := overlapFrac(rows[i-1].Timestamp, rows[i].Timestamp, t0, t1)
-			if f > 0 {
-				sum += f * sampleStep(rows[i-1], rows[i], c)
+		for i := range rows {
+			if i > 0 {
+				if f := overlapFrac(rows[i-1].Timestamp, rows[i].Timestamp, t0, t1); f > 0 {
+					delta += f * sampleStep(rows[i-1], rows[i], c)
+				}
+			}
+			if ts := rows[i].Timestamp; ts >= t0 && ts < t1 {
+				agg.add(rows[i].Values[c], n)
+				n++
 			}
 		}
 	}
-	// Sealed blocks overlapping the window.
-	lo := sort.Search(len(blocks), func(i int) bool { return blocks[i].lastTS > t0 })
-	for i := lo; i < len(blocks) && blocks[i].firstTS < t1; i++ {
+	lo := sort.Search(len(blocks), func(i int) bool { return blocks[i].LastTS >= t0 })
+	for i := lo; i < len(blocks) && blocks[i].FirstTS < t1; i++ {
 		b := blocks[i]
-		if b.firstTS >= t0 && b.lastTS <= t1 {
-			sum += float64(b.sums[c].Delta)
+		if b.FirstTS >= t0 && b.LastTS < t1 {
+			agg.merge(&b.Cols[c], n)
+			n += b.Count
+			delta += float64(b.Cols[c].Delta)
 			continue
 		}
 		rows, err := a.decodeCached(b)
 		if err != nil {
-			return 0, err
+			return 0, ColAgg{}, 0, err
 		}
 		walkRows(rows)
 	}
@@ -1011,28 +806,22 @@ func (a *Archive) rawDeltaSum(s *snapshot, c int, t0, t1 int64) (float64, error)
 	// block→tail): their endpoint values come from summaries, no decode.
 	// Start one block early — the boundary out of a block that ends
 	// before t0 can still overlap the window.
-	for i := max(lo-1, 0); i < len(blocks); i++ {
-		endTS := blocks[i].lastTS
-		if endTS >= t1 {
-			break
-		}
+	for i := max(lo-1, 0); i < len(blocks) && blocks[i].LastTS < t1; i++ {
 		var startTS int64
-		var endVal, startVal uint64
+		var startVal uint64
 		if i+1 < len(blocks) {
-			startTS, startVal = blocks[i+1].firstTS, blocks[i+1].sums[c].First
+			startTS, startVal = blocks[i+1].FirstTS, blocks[i+1].Cols[c].First
 		} else if len(s.tail) > 0 {
 			startTS, startVal = s.tail[0].Timestamp, s.tail[0].Values[c]
 		} else {
 			break
 		}
-		endVal = blocks[i].sums[c].Last
-		if f := overlapFrac(endTS, startTS, t0, t1); f > 0 {
-			sum += f * float64(int64(pcp.CounterDelta(endVal, startVal)))
+		if f := overlapFrac(blocks[i].LastTS, startTS, t0, t1); f > 0 {
+			delta += f * float64(int64(pcp.CounterDelta(blocks[i].Cols[c].Last, startVal)))
 		}
 	}
-	// Tail rows.
-	if len(s.tail) > 0 && s.tail[len(s.tail)-1].Timestamp > t0 && s.tail[0].Timestamp < t1 {
+	if len(s.tail) > 0 && s.tail[len(s.tail)-1].Timestamp >= t0 && s.tail[0].Timestamp < t1 {
 		walkRows(s.tail)
 	}
-	return sum, nil
+	return n, agg, delta, nil
 }

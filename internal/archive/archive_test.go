@@ -162,19 +162,6 @@ func TestFloorNearestValueAtRate(t *testing.T) {
 	if s, ok := a.Floor(300); !ok || s.Timestamp != 300 {
 		t.Errorf("Floor(300) = %+v, %v", s, ok)
 	}
-	if s, ok := a.Nearest(260); !ok || s.Timestamp != 300 {
-		t.Errorf("Nearest(260) = %+v, %v", s, ok)
-	}
-	if s, ok := a.Nearest(0); !ok || s.Timestamp != 100 {
-		t.Errorf("Nearest(0) = %+v, %v", s, ok)
-	}
-	v, err := a.ValueAt(1, 150)
-	if err != nil || v != 2000 {
-		t.Errorf("ValueAt(150) = %v, %v; want 2000", v, err)
-	}
-	if v, _ := a.ValueAt(1, 50); v != 1000 { // clamped
-		t.Errorf("ValueAt before span = %v", v)
-	}
 	// 4000 counts over 200 ns = 4000 / 200e-9 s.
 	rate, err := a.Rate(1, 100, 300)
 	if err != nil {
@@ -240,7 +227,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 }
 
 // TestRateCounterWrap is the regression test for the wraparound bug:
-// Rate and ValueAt used to difference raw float64 values, so a uint64
+// Rate used to difference raw float64 values, so a uint64
 // counter wrapping between samples produced a huge negative rate. The
 // wrap-corrected delta (pcp.CounterDelta) must yield the true small
 // positive rate, exactly.
@@ -276,11 +263,6 @@ func TestRateCounterWrap(t *testing.T) {
 	// Partial overlap: half of each segment, still 800/s.
 	if rate, err := a.Rate(1, 500_000_000, 1_500_000_000); err != nil || rate != 800 {
 		t.Errorf("Rate over partial window = %v, %v; want exactly 800", rate, err)
-	}
-	// The extended series keeps growing past 2^64 instead of collapsing
-	// to the small post-wrap stored value.
-	if v, err := a.ValueAt(1, 2_000_000_000); err != nil || v < float64(^uint64(0)) {
-		t.Errorf("ValueAt after wrap = %v, %v; want beyond 2^64", v, err)
 	}
 	// A decreasing instant metric is a real decrease, not a wrap.
 	if rate, err := a.Rate(2, 0, 2_000_000_000); err != nil || rate != -1000 {

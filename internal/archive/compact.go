@@ -19,7 +19,10 @@ import (
 
 // hotDecodedBlocks is how many of the newest sealed blocks keep their
 // decoded-row caches across a Compact pass; older caches are dropped
-// and repopulate on demand.
+// and repopulate on demand. It is a memory bound, not an optimisation:
+// decoded rows cost several times their encoded bytes, and without the
+// trim one scan of a long archive would leave all of it decoded for as
+// long as the raw tier retains it.
 const hotDecodedBlocks = 8
 
 // Compact runs one compaction pass: raw blocks whose samples are
@@ -51,7 +54,7 @@ func (a *Archive) Compact() int {
 		for i := range cur.tiers {
 			t := &cur.tiers[i]
 			if len(t.done) == 0 {
-				covered = cur.blocks[0].firstTS - 1 // nothing completed: fold nothing
+				covered = cur.blocks[0].FirstTS - 1 // nothing completed: fold nothing
 				break
 			}
 			if end := t.done[len(t.done)-1].LastTS; end < covered {
@@ -59,8 +62,8 @@ func (a *Archive) Compact() int {
 			}
 		}
 		drop := 0
-		for drop < len(cur.blocks) && cur.blocks[drop].lastTS <= min(cutoff, covered) {
-			folded += cur.blocks[drop].count
+		for drop < len(cur.blocks) && cur.blocks[drop].LastTS <= min(cutoff, covered) {
+			folded += cur.blocks[drop].Count
 			next.sealedBytes -= len(cur.blocks[drop].buf)
 			drop++
 		}

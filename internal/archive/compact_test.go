@@ -46,7 +46,7 @@ func TestCompactFoldsAgedRaw(t *testing.T) {
 	// the counter climbs 50 per 100ns — 100 steps of 50 over the
 	// window, divided by the window the same way the raw path divides.
 	want := 5000.0 / (float64(10_000) / 1e9)
-	rate, err := a.RateAt(1000, 1, 0, 10_000)
+	rate, err := rateAt(a, 1000, 1, 0, 10_000)
 	if err != nil || rate != want {
 		t.Errorf("rate over folded span = %v, %v; want exactly %v", rate, err, want)
 	}
@@ -115,8 +115,9 @@ func TestStartCompactor(t *testing.T) {
 // blocks or tears readers. A deterministic appender (fixed cadence,
 // fixed increment) races an aggressive compactor against concurrent
 // readers; the oracle: *any* consistent snapshot yields monotonic
-// cadence-spaced Samples with value == 7·(ts/cadence), and every
-// whole-segment Rate is exactly incr/cadence — no matter how the block
+// cadence-spaced Samples with value == 7·(ts/cadence), every
+// whole-segment Rate is exactly incr/cadence, and a raw window's count,
+// extrema and delta describe the same rows — no matter how the block
 // list was republished mid-read.
 func TestCompactorReaderStress(t *testing.T) {
 	const (
@@ -189,6 +190,24 @@ func TestCompactorReaderStress(t *testing.T) {
 						return
 					}
 				}
+				// A raw window reads its count, extrema and delta off one
+				// snapshot: on any single block list of this series a
+				// cadence-aligned window's delta is one step per row, give
+				// or take the step into t1, and its extrema span exactly
+				// its rows. Two loads a fold apart would put a whole block
+				// between the count and the delta.
+				if t1 > t0 {
+					w, err := a.WindowAt(ResRaw, 1, t0, t1)
+					if err != nil {
+						t.Errorf("WindowAt: %v", err)
+						return
+					}
+					if w.Count > 0 && (math.Abs(w.Delta/float64(incr)-float64(w.Count)) > 1 ||
+						w.Max-w.Min != uint64(w.Count-1)*incr) {
+						t.Errorf("raw window [%d, %d) = %+v: count, extrema and delta disagree", t0, t1, w)
+						return
+					}
+				}
 				// Rate oracles. Each call loads its own snapshot, and a
 				// fold may land between two loads, so the raw-path rate
 				// over a window chosen from an older snapshot is either
@@ -214,7 +233,7 @@ func TestCompactorReaderStress(t *testing.T) {
 					bw := int64(cadence * 8)
 					loA, hiA := (lo+bw-1)/bw*bw, hi/bw*bw
 					if hiA > loA {
-						if rate, err := a.RateAt(Resolution(bw), 1, loA, hiA); err != nil || rate != wantAt(loA, hiA) {
+						if rate, err := rateAt(a, Resolution(bw), 1, loA, hiA); err != nil || rate != wantAt(loA, hiA) {
 							t.Errorf("rollup rate over [%d, %d] = %v, %v; want exactly %v", loA, hiA, rate, err, wantAt(loA, hiA))
 							return
 						}

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// Satellite audit: Samples / Floor / Nearest edge cases pinned with
+// Satellite audit: Samples / Floor edge cases pinned with
 // table-driven tests — inverted intervals, empty archives,
 // single-sample blocks, and queries entirely outside the retained span.
 
@@ -107,42 +107,7 @@ func TestFloorEdgeCases(t *testing.T) {
 	}
 }
 
-func TestNearestEdgeCases(t *testing.T) {
-	stamps := []int64{100, 200, 300}
-	cases := []struct {
-		name   string
-		stamps []int64
-		tiny   bool
-		t      int64
-		want   int64
-		ok     bool
-	}{
-		{"empty archive", nil, false, 0, 0, false},
-		{"far before", stamps, false, -1000, 100, true},
-		{"far after", stamps, false, 1 << 60, 300, true},
-		{"exact hit", stamps, false, 200, 200, true},
-		{"closer to left", stamps, false, 240, 200, true},
-		{"closer to right", stamps, false, 260, 300, true},
-		{"tie goes older", stamps, false, 250, 200, true},
-		{"single row", []int64{42}, false, -5, 42, true},
-		{"single-sample blocks tie", stamps, true, 150, 100, true},
-		{"single-sample blocks right", stamps, true, 170, 200, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			a := edgeArchive(t, c.stamps, c.tiny)
-			s, ok := a.Nearest(c.t)
-			if ok != c.ok {
-				t.Fatalf("Nearest(%d) ok = %v, want %v", c.t, ok, c.ok)
-			}
-			if ok && s.Timestamp != c.want {
-				t.Errorf("Nearest(%d) = ts %d, want %d", c.t, s.Timestamp, c.want)
-			}
-		})
-	}
-}
-
-// TestFloorAcrossSealedBoundary: floors and ceilings served from block
+// TestFloorAcrossSealedBoundary: floors served from block
 // summaries (no decode) must agree with the decoded rows at every
 // position around a block boundary.
 func TestFloorAcrossSealedBoundary(t *testing.T) {

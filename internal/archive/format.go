@@ -30,10 +30,9 @@ import (
 // new sections appear. Current sections:
 //
 //	id 1, block index: per chunk varint firstTS, varint lastTS. Lets a
-//	    reader sanity-check chunk boundaries; per-column summaries and
-//	    the extended-series prefix are recomputed during the mandatory
-//	    validation decode, so lying on-disk summaries cannot poison
-//	    queries.
+//	    reader sanity-check chunk boundaries; per-column summaries are
+//	    recomputed during the mandatory validation decode, so lying
+//	    on-disk summaries cannot poison queries.
 //	id 2, rollup tiers: uvarint nTiers, per tier uvarint res,
 //	    uvarint evicted, uvarint nBuckets, then per bucket
 //	    varint start, uvarint count, uvarint firstTS-start,
@@ -91,7 +90,7 @@ func (a *Archive) WriteTo(w io.Writer) (int64, error) {
 		buf = append(buf, b...)
 	}
 	for _, b := range s.blocks {
-		writeChunk(b.count, b.buf)
+		writeChunk(b.Count, b.buf)
 	}
 	if len(s.tail) > 0 {
 		writeChunk(len(s.tail), tailBuf)
@@ -100,8 +99,8 @@ func (a *Archive) WriteTo(w io.Writer) (int64, error) {
 	// Sections.
 	var idx []byte
 	for _, b := range s.blocks {
-		idx = binary.AppendVarint(idx, b.firstTS)
-		idx = binary.AppendVarint(idx, b.lastTS)
+		idx = binary.AppendVarint(idx, b.FirstTS)
+		idx = binary.AppendVarint(idx, b.LastTS)
 	}
 	if len(s.tail) > 0 {
 		idx = binary.AppendVarint(idx, s.tail[0].Timestamp)
@@ -284,9 +283,8 @@ func readV1(buf []byte, opts Options) (*Archive, error) {
 }
 
 // readV2 parses the chunked format: raw chunks become sealed blocks
-// (summaries and extended-series prefixes recomputed from the decoded
-// rows, never trusted from disk), known sections are validated, unknown
-// sections are skipped.
+// (summaries recomputed from the decoded rows, never trusted from
+// disk), known sections are validated, unknown sections are skipped.
 func readV2(buf []byte, opts Options) (*Archive, error) {
 	p := &parser{buf: buf}
 	names, err := readSchema(p)
@@ -307,7 +305,6 @@ func readV2(buf []byte, opts Options) (*Archive, error) {
 		return nil, fmt.Errorf("%w: implausible chunk count %d", ErrFormat, nChunks)
 	}
 	blocks := make([]*block, 0, nChunks)
-	runningExt := make([]float64, width)
 	var prevLast *Sample
 	var rawSamples, sealedBytes int
 	for i := uint64(0); i < nChunks; i++ {
@@ -341,19 +338,9 @@ func readV2(buf []byte, opts Options) (*Archive, error) {
 		if prevLast != nil && rows[0].Timestamp <= prevLast.Timestamp {
 			return nil, fmt.Errorf("%w: chunks out of order", ErrFormat)
 		}
-		// Extend the epoch-anchored series across the chunk boundary,
-		// then let sealBlock recompute the per-column summaries.
-		if prevLast != nil {
-			for c := 0; c < width; c++ {
-				runningExt[c] += float64(int64(pcp.CounterDelta(prevLast.Values[c], rows[0].Values[c])))
-			}
-		}
-		blk := sealBlock(append([]byte(nil), cb...), rows, runningExt)
-		for c := 0; c < width; c++ {
-			runningExt[c] += float64(blk.sums[c].Delta)
-		}
+		blk := sealBlock(append([]byte(nil), cb...), rows)
 		blocks = append(blocks, blk)
-		rawSamples += blk.count
+		rawSamples += blk.Count
 		sealedBytes += len(blk.buf)
 		last := rows[len(rows)-1]
 		prevLast = &last
@@ -441,7 +428,6 @@ func readV2(buf []byte, opts Options) (*Archive, error) {
 			}
 		}
 	}
-	a.runningExt = runningExt
 	a.snap.Store(s)
 	return a, nil
 }
@@ -455,9 +441,9 @@ func validateBlockIndex(payload []byte, blocks []*block) error {
 		if p.err != nil {
 			return p.err
 		}
-		if first != b.firstTS || last != b.lastTS {
+		if first != b.FirstTS || last != b.LastTS {
 			return fmt.Errorf("%w: block index disagrees with chunk (%d..%d vs %d..%d)",
-				ErrFormat, first, last, b.firstTS, b.lastTS)
+				ErrFormat, first, last, b.FirstTS, b.LastTS)
 		}
 	}
 	if len(p.buf) != 0 {

@@ -80,7 +80,7 @@ func TestGoldenV1Interop(t *testing.T) {
 		t.Errorf("Rate of golden level = %v, %v; want exactly -200", rate, err)
 	}
 	// Rollups were rebuilt from the raw rows and agree with the raw path.
-	if rate, err := a.RateAt(Res10s, 1, 0, 36*500_000_000); err != nil || rate != 800 {
+	if rate, err := rateAt(a, Res10s, 1, 0, 36*500_000_000); err != nil || rate != 800 {
 		t.Errorf("rollup Rate over golden archive = %v, %v; want exactly 800", rate, err)
 	}
 
@@ -160,8 +160,8 @@ func TestV2RoundTripTiers(t *testing.T) {
 		}
 	}
 	// The reloaded archive keeps answering over the folded span.
-	vA, errA := a.RateAt(Resolution(100), 1, 0, 5000)
-	vB, errB := b.RateAt(Resolution(100), 1, 0, 5000)
+	vA, errA := rateAt(a, Resolution(100), 1, 0, 5000)
+	vB, errB := rateAt(b, Resolution(100), 1, 0, 5000)
 	if errA != nil || errB != nil || vA != vB {
 		t.Fatalf("rollup rate diverged after reload: %v/%v vs %v/%v", vA, errA, vB, errB)
 	}

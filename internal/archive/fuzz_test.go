@@ -177,12 +177,14 @@ func FuzzReadArchive(f *testing.F) {
 				t.Fatalf("row at ts=%d has %d values for a %d-column schema", r.Timestamp, len(r.Values), len(a.Names()))
 			}
 		}
-		// Accepted rollup tiers must be queryable without panicking.
-		for _, res := range a.Resolutions() {
+		// Accepted tiers must be queryable without panicking.
+		a.Floor(0)
+		for _, ts := range a.Stats().Tiers {
+			res := ts.Resolution
 			if _, _, ok := a.SpanAt(res); !ok {
 				continue
 			}
-			if _, err := a.Buckets(res, math.MinInt64/2, math.MaxInt64/2); err != nil && res != ResRaw {
+			if _, err := a.Buckets(res, math.MinInt64/2, math.MaxInt64/2); err != nil {
 				t.Fatalf("accepted archive: Buckets(%v) failed: %v", res, err)
 			}
 			a.FloorAt(res, 0)
@@ -206,10 +208,8 @@ func FuzzReadArchive(f *testing.F) {
 			}
 		}
 		// Rollup tiers must survive the round trip bucket-for-bucket.
-		for _, res := range a.Resolutions() {
-			if res == ResRaw {
-				continue
-			}
+		for _, ts := range a.Stats().Tiers {
+			res := ts.Resolution
 			ba, errA := a.Buckets(res, math.MinInt64/2, math.MaxInt64/2)
 			bb, errB := b.Buckets(res, math.MinInt64/2, math.MaxInt64/2)
 			if (errA == nil) != (errB == nil) {

@@ -86,8 +86,9 @@ func (r *Replay) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 
 // EvalWindow implements the metricql WindowPlanner interface: windowed
 // functions over a replay source are answered straight from the
-// archive, selecting the coarsest tier that satisfies the window (a
-// replay pinned to a resolution never reads finer than its pin). ok is
+// archive over the half-open window [t0, t1) (WindowAt), selecting the
+// coarsest tier that satisfies the window (a replay pinned to a
+// resolution never reads finer than its pin). ok is
 // false when the function or window cannot be pushed down — the engine
 // then falls back to its sample-ring path.
 func (r *Replay) EvalWindow(fn string, pmid uint32, t0, t1 int64) (float64, bool, error) {

@@ -26,7 +26,8 @@ import (
 // minBucketsPerWindow is the resolution-selection rule: a rollup tier
 // is eligible for a window only if at least this many of its buckets
 // fit, so edge-bucket approximation error stays under ~2/minBuckets of
-// the window.
+// the window. It is an accuracy bound, not an optimisation: a smaller
+// value trades error for speed and a larger one only reads finer tiers.
 const minBucketsPerWindow = 4
 
 // Buckets returns the tier's retained buckets whose sample span
@@ -56,36 +57,6 @@ func bucketRange(t *tierSnap, t0, t1 int64) (int, int) {
 		hi = lo
 	}
 	return lo, hi
-}
-
-// RateAt returns the metric's average rate over [t0, t1] at the given
-// resolution. ResRaw delegates to Rate. For rollups, fully covered
-// buckets contribute their exact intra-bucket Delta, boundary segments
-// between consecutive buckets contribute the exact wrap-corrected
-// cross-bucket step, and window edges that split a bucket weight its
-// Delta by fractional overlap (see the package-level exactness
-// contract).
-func (a *Archive) RateAt(res Resolution, pmid uint32, t0, t1 int64) (float64, error) {
-	if res == ResRaw {
-		return a.Rate(pmid, t0, t1)
-	}
-	if t1 <= t0 {
-		return 0, fmt.Errorf("archive: bad rate interval [%d, %d]", t0, t1)
-	}
-	c, ok := a.col[pmid]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoPMID, pmid)
-	}
-	s := a.snap.Load()
-	t := s.tier(int64(res))
-	if t == nil {
-		return 0, fmt.Errorf("%w: %v", ErrNoTier, res)
-	}
-	if t.count() == 0 {
-		return 0, ErrEmpty
-	}
-	sum := rollupDeltaSum(t, c, t0, t1)
-	return sum / (float64(t1-t0) / 1e9), nil
 }
 
 // rollupDeltaSum computes Σ frac·delta over the tier's buckets and
@@ -134,12 +105,7 @@ func (a *Archive) FloorAt(res Resolution, t int64) (Sample, bool) {
 	if i < 0 {
 		return Sample{}, false
 	}
-	b := tr.at(i)
-	row := Sample{Timestamp: b.LastTS, Values: make([]uint64, len(b.Cols))}
-	for c := range b.Cols {
-		row.Values[c] = b.Cols[c].Last
-	}
-	return row, true
+	return tr.at(i).lastRow(), true
 }
 
 // WindowAgg is the aggregate of one metric over one time window at one
@@ -154,19 +120,18 @@ type WindowAgg struct {
 	Seconds    float64 // window length in seconds
 }
 
-// Window aggregates the metric over the half-open window [t0, t1),
-// picking the coarsest resolution that satisfies the window
-// (SelectResolution). Raw windows aggregate rows with t0 <= ts < t1;
-// rollup windows aggregate every bucket whose nominal range
-// [Start, Start+res) intersects [t0, t1) — a window whose edges align
-// with bucket boundaries covers its buckets exactly, so the rollup
-// answer equals the raw answer; an unaligned edge over-includes at most
-// one bucket's worth of samples per side (the documented bound).
-func (a *Archive) Window(pmid uint32, t0, t1 int64) (WindowAgg, error) {
-	return a.WindowAt(a.SelectResolution(t0, t1), pmid, t0, t1)
-}
-
-// WindowAt is Window pinned to one resolution.
+// WindowAt aggregates the metric over the half-open window [t0, t1) at
+// one resolution (SelectResolution picks the coarsest that satisfies a
+// window). Raw windows aggregate rows with t0 <= ts < t1; rollup
+// windows aggregate every bucket whose nominal range [Start, Start+res)
+// intersects [t0, t1) — a window whose edges align with bucket
+// boundaries covers its buckets exactly, so the rollup answer equals
+// the raw answer; an unaligned edge over-includes at most one bucket's
+// worth of samples per side (the documented bound). Both tiers merge
+// the per-column summaries of the blocks or buckets they cover, so Sum
+// adds per-block partial sums: equal to a row-by-row sum up to float
+// re-association, and bit-equal while every partial sum is an integer
+// below 2^53. Delta is reported only when Count > 0.
 func (a *Archive) WindowAt(res Resolution, pmid uint32, t0, t1 int64) (WindowAgg, error) {
 	c, ok := a.col[pmid]
 	if !ok {
@@ -175,68 +140,36 @@ func (a *Archive) WindowAt(res Resolution, pmid uint32, t0, t1 int64) (WindowAgg
 	if t1 <= t0 {
 		return WindowAgg{}, fmt.Errorf("archive: bad window [%d, %d]", t0, t1)
 	}
-	agg := WindowAgg{Resolution: res, Seconds: float64(t1-t0) / 1e9}
 	s := a.snap.Load()
+	var n int
+	var agg ColAgg
+	var delta float64
 	if res == ResRaw {
-		rows, err := a.Samples(t0, t1-1)
-		if err != nil {
+		var err error
+		if n, agg, delta, err = a.rawWindow(s, c, t0, t1); err != nil {
 			return WindowAgg{}, err
 		}
-		for i, r := range rows {
-			v := r.Values[c]
-			if i == 0 {
-				agg.Min, agg.Max = v, v
-			} else {
-				if v < agg.Min {
-					agg.Min = v
-				}
-				if v > agg.Max {
-					agg.Max = v
-				}
-			}
-			agg.Sum += float64(v)
+	} else {
+		t := s.tier(int64(res))
+		if t == nil {
+			return WindowAgg{}, fmt.Errorf("%w: %v", ErrNoTier, res)
 		}
-		agg.Count = len(rows)
-		if agg.Count > 0 {
-			d, err := a.rawDeltaSum(s, c, t0, t1)
-			if err != nil {
-				return WindowAgg{}, err
-			}
-			agg.Delta = d
+		// Buckets whose nominal range [Start, Start+res) intersects [t0, t1).
+		lo := sort.Search(t.count(), func(i int) bool { return t.at(i).Start+int64(res) > t0 })
+		for i := lo; i < t.count() && t.at(i).Start < t1; i++ {
+			b := t.at(i)
+			agg.merge(&b.Cols[c], n)
+			n += b.Count
 		}
-		return agg, nil
-	}
-	t := s.tier(int64(res))
-	if t == nil {
-		return WindowAgg{}, fmt.Errorf("%w: %v", ErrNoTier, res)
-	}
-	// Buckets whose nominal range [Start, Start+res) intersects [t0, t1).
-	n := t.count()
-	lo := sort.Search(n, func(i int) bool { return t.at(i).Start+int64(res) > t0 })
-	hi := sort.Search(n, func(i int) bool { return t.at(i).Start >= t1 })
-	if hi < lo {
-		hi = lo
-	}
-	for i := lo; i < hi; i++ {
-		b := t.at(i)
-		ca := b.Cols[c]
-		if agg.Count == 0 {
-			agg.Min, agg.Max = ca.Min, ca.Max
-		} else {
-			if ca.Min < agg.Min {
-				agg.Min = ca.Min
-			}
-			if ca.Max > agg.Max {
-				agg.Max = ca.Max
-			}
+		if n > 0 {
+			delta = rollupDeltaSum(t, c, t0, t1)
 		}
-		agg.Sum += ca.Sum
-		agg.Count += b.Count
 	}
-	if agg.Count > 0 {
-		agg.Delta = rollupDeltaSum(t, c, t0, t1)
+	out := WindowAgg{Resolution: res, Count: n, Seconds: float64(t1-t0) / 1e9}
+	if n > 0 {
+		out.Sum, out.Min, out.Max, out.Delta = agg.Sum, agg.Min, agg.Max, delta
 	}
-	return agg, nil
+	return out, nil
 }
 
 // SelectResolution picks the coarsest tier whose buckets are fine

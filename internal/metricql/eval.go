@@ -80,15 +80,17 @@ type Engine struct {
 }
 
 // WindowPlanner is implemented by sources that can answer a windowed
-// function over (t0, t1] directly — an archive replay reads its rollup
-// tiers instead of having the engine ring-buffer raw samples. fn is the
-// metricql function name ("avg_over", "min_over", "max_over",
-// "rate_over"). ok=false means this window cannot be pushed down (the
-// engine falls back to its sample ring); an error aborts the
-// evaluation. Pushed-down windows aggregate every archived sample in
-// the window, which matches the ring's fetch-cadence aggregation
-// whenever the engine steps at the recording cadence and is strictly
-// more accurate when it steps coarser.
+// function over the half-open window [t0, t1) directly — an archive
+// replay reads its rollup tiers instead of having the engine
+// ring-buffer raw samples. A sample stamped t1, the step being
+// evaluated, is not part of the window. fn is the metricql function
+// name ("avg_over", "min_over", "max_over", "rate_over"). ok=false
+// means this window cannot be pushed down (the engine falls back to
+// its sample ring); an error aborts the evaluation. Pushed-down
+// windows aggregate every archived sample in the window, which matches
+// the ring's sample count whenever the engine steps at the recording
+// cadence (evalWindow) and is strictly more accurate when it steps
+// coarser.
 type WindowPlanner interface {
 	EvalWindow(fn string, pmid uint32, t0, t1 int64) (val float64, ok bool, err error)
 }
@@ -728,8 +730,10 @@ func (e *Engine) evalCounterFn(n *node, ts int64) (Value, error) {
 // to its history ring (once per distinct timestamp), prunes samples
 // outside the half-open window (ts-window, ts] — so a 2s window on a
 // 1s cadence aggregates exactly two samples — and reduces elementwise
-// over the retained samples including the current one. Callers hold
-// e.mu.
+// over the retained samples including the current one. A pushed-down
+// window (WindowPlanner) covers [ts-window, ts) instead: the same
+// number of samples at the recording cadence, shifted one sample
+// older. Callers hold e.mu.
 func (e *Engine) evalWindow(n *node, cur Value, ts int64, fresh bool) (Value, error) {
 	h := n.hist
 	if len(h.vals) > 0 && len(h.vals[len(h.vals)-1]) != len(cur.Vals) {
