@@ -11,8 +11,9 @@
 // summary a rollup bucket does ([FirstTS, LastTS], the row count and one
 // ColAgg per column), so range queries binary-search to the covering
 // blocks and windows and rates merge the summaries of the blocks they
-// cover instead of decoding rows. Decoded blocks are cached behind an
-// atomic.Pointer per block, so hot dashboards hit decoded data.
+// cover instead of decoding rows. A block a window edge splits is cut
+// there into two more such summaries, and a bounded ring keeps the most
+// recent cuts, so a dashboard refreshing the same steps parses nothing.
 //
 // Alongside the raw tier the archive maintains rollup tiers (10s and 5m
 // buckets by default), updated incrementally on Append: each bucket
@@ -39,6 +40,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -176,7 +178,9 @@ type Bucket struct {
 func (b *Bucket) addRow(row Sample) {
 	if b.Count == 0 {
 		b.FirstTS = row.Timestamp
-		b.Cols = make([]ColAgg, len(row.Values))
+		if b.Cols == nil {
+			b.Cols = make([]ColAgg, len(row.Values))
+		}
 	}
 	for c, v := range row.Values {
 		b.Cols[c].add(v, b.Count)
@@ -185,7 +189,16 @@ func (b *Bucket) addRow(row Sample) {
 	b.Count++
 }
 
-// lastRow synthesizes the bucket's newest sample from its aggregates.
+// firstRow and lastRow synthesize the bucket's oldest and newest sample
+// from its aggregates.
+func (b *Bucket) firstRow() Sample {
+	row := Sample{Timestamp: b.FirstTS, Values: make([]uint64, len(b.Cols))}
+	for c := range b.Cols {
+		row.Values[c] = b.Cols[c].First
+	}
+	return row
+}
+
 func (b *Bucket) lastRow() Sample {
 	row := Sample{Timestamp: b.LastTS, Values: make([]uint64, len(b.Cols))}
 	for c := range b.Cols {
@@ -196,13 +209,36 @@ func (b *Bucket) lastRow() Sample {
 
 // block is one sealed, immutable run of delta-encoded rows. Its index
 // entry and summaries are a Bucket (Start is the first row's timestamp:
-// a block has no resolution). dec caches the decoded rows; it is reset
-// by the compactor for cold blocks and repopulated on demand.
+// a block has no resolution). slot is where in the archive's cut ring
+// the block's cached cut was put, if it still is there. dec caches the
+// decoded rows for Samples and All; the compactor resets it on cold
+// blocks.
 type block struct {
 	Bucket
-	buf []byte
-	dec atomic.Pointer[[]Sample]
+	buf  []byte
+	slot atomic.Uint32
+	dec  atomic.Pointer[[]Sample]
 }
+
+// blockCut is a sealed block split at one time: the rows before at and
+// the rows from at on, each folded into the Bucket a whole block is, so
+// a window edge or a floor inside a block reads summaries like
+// everything else does. first is the block's FirstTS, which names the
+// block within its archive.
+type blockCut struct {
+	first, at     int64
+	before, after Bucket
+}
+
+// maxCuts is how many cuts an archive keeps, in a ring (a power of two):
+// putting one more overwrites the oldest. It is the memory bound of
+// windows and floors — a cut is 128 B of headers plus 96 B a column,
+// 1.6 KB at 16 columns, 1.7 MB for the ring — sized by what a dashboard
+// re-reads: a panel of S steps with two raw window lengths cuts 2(S+1)
+// blocks and finds them all again on its next refresh while that fits,
+// which two 240-step panels do. A longer scan parses each edge block
+// once per pass, as an archive without the ring would.
+const maxCuts = 1024
 
 // tierSnap is one rollup tier inside a snapshot: completed buckets plus
 // the in-progress one (copy-on-write so published buckets never mutate).
@@ -258,6 +294,10 @@ type Archive struct {
 	opts   Options
 
 	snap atomic.Pointer[snapshot]
+
+	// The cut ring: readers put and find block cuts without a lock.
+	cuts    [maxCuts]atomic.Pointer[blockCut]
+	cutNext atomic.Uint32
 
 	// Writer-only state, guarded by mu.
 	tailBuf []byte // encoded form of the published tail
@@ -481,49 +521,53 @@ func updateTier(t *tierSnap, row Sample, maxBuckets int) tierSnap {
 	return nt
 }
 
+// rowCursor streams one chunk's delta-encoded rows, the one decoder of
+// the row encoding: next decodes the following row over the previous
+// one in the single width-sized row the cursor owns.
+type rowCursor struct {
+	p    parser
+	ts   int64
+	vals []uint64 // the current row, overwritten by next
+	n    int      // rows decoded
+}
+
+func newRowCursor(buf []byte, width int) rowCursor {
+	return rowCursor{p: parser{buf: buf}, vals: make([]uint64, width)}
+}
+
+func (rc *rowCursor) next() error {
+	if rc.n == 0 { // keyframe: absolute values
+		rc.ts = rc.p.sv()
+		for c := range rc.vals {
+			rc.vals[c] = rc.p.uv()
+		}
+	} else {
+		rc.ts += rc.p.sv()
+		for c := range rc.vals {
+			rc.vals[c] += uint64(rc.p.sv())
+		}
+	}
+	rc.n++
+	return rc.p.err
+}
+
+// row is the current row, valid until the following next.
+func (rc *rowCursor) row() Sample { return Sample{Timestamp: rc.ts, Values: rc.vals} }
+
 // decodeRows decodes count delta-encoded rows of the given width from
 // buf. With strict set, trailing bytes after the last row are rejected.
 func decodeRows(buf []byte, count, width int, strict bool) ([]Sample, error) {
-	rows := make([]Sample, 0, count)
-	var prev Sample
-	for i := 0; i < count; i++ {
-		row := Sample{Values: make([]uint64, width)}
-		if i == 0 {
-			ts, n := binary.Varint(buf)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: keyframe timestamp", ErrFormat)
-			}
-			buf = buf[n:]
-			row.Timestamp = ts
-			for c := range row.Values {
-				v, n := binary.Uvarint(buf)
-				if n <= 0 {
-					return nil, fmt.Errorf("%w: keyframe value", ErrFormat)
-				}
-				buf = buf[n:]
-				row.Values[c] = v
-			}
-		} else {
-			dt, n := binary.Varint(buf)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: delta timestamp", ErrFormat)
-			}
-			buf = buf[n:]
-			row.Timestamp = prev.Timestamp + dt
-			for c := range row.Values {
-				dv, n := binary.Varint(buf)
-				if n <= 0 {
-					return nil, fmt.Errorf("%w: delta value", ErrFormat)
-				}
-				buf = buf[n:]
-				row.Values[c] = prev.Values[c] + uint64(dv)
-			}
+	rows := make([]Sample, count)
+	vals := make([]uint64, count*width)
+	rc := newRowCursor(buf, width)
+	for i := range rows {
+		if err := rc.next(); err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
-		prev = row
+		rows[i] = Sample{Timestamp: rc.ts, Values: append(vals[i*width:i*width:(i+1)*width], rc.vals...)}
 	}
-	if strict && len(buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after block", ErrFormat, len(buf))
+	if strict && len(rc.p.buf) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after block", ErrFormat, len(rc.p.buf))
 	}
 	return rows, nil
 }
@@ -540,6 +584,34 @@ func (a *Archive) decodeCached(b *block) ([]Sample, error) {
 	}
 	b.dec.Store(&rows)
 	return rows, nil
+}
+
+// cutAt splits block b at time t, FirstTS < t <= LastTS so that rows
+// fall on both sides, in one pass over its bytes, or finds the cut in
+// the ring. Racing readers may each parse the same cut; both results
+// are the same and either may stay.
+func (a *Archive) cutAt(b *block, t int64) (*blockCut, error) {
+	if c := a.cuts[b.slot.Load()].Load(); c != nil && c.first == b.FirstTS && c.at == t {
+		return c, nil
+	}
+	w := len(a.names)
+	cols := make([]ColAgg, 2*w)
+	c := &blockCut{first: b.FirstTS, at: t, before: Bucket{Cols: cols[:w:w]}, after: Bucket{Cols: cols[w:]}}
+	rc := newRowCursor(b.buf, w)
+	for rc.n < b.Count {
+		if err := rc.next(); err != nil {
+			return nil, err
+		}
+		if rc.ts < t {
+			c.before.addRow(rc.row())
+		} else {
+			c.after.addRow(rc.row())
+		}
+	}
+	i := a.cutNext.Add(1) % maxCuts
+	a.cuts[i].Store(c)
+	b.slot.Store(i)
+	return c, nil
 }
 
 // Len returns the number of retained raw samples.
@@ -678,19 +750,7 @@ func (a *Archive) Samples(t0, t1 int64) ([]Sample, error) {
 }
 
 // All returns every retained raw row, oldest first.
-func (a *Archive) All() ([]Sample, error) {
-	s := a.snap.Load()
-	out := make([]Sample, 0, s.rawSamples)
-	for _, b := range s.blocks {
-		rows, err := a.decodeCached(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows...)
-	}
-	out = append(out, s.tail...)
-	return out, nil
-}
+func (a *Archive) All() ([]Sample, error) { return a.Samples(math.MinInt64, math.MaxInt64) }
 
 // Floor returns the newest raw sample with Timestamp <= t — the value a
 // live daemon would have served at time t. ok is false if every retained
@@ -707,25 +767,22 @@ func (a *Archive) Floor(t int64) (Sample, bool) {
 		return Sample{}, false
 	}
 	b := blocks[idx]
-	if t >= b.LastTS {
-		return b.lastRow(), true // synthesized from summaries: no decode
+	switch { // synthesized from summaries: no decode
+	case t >= b.LastTS:
+		return b.lastRow(), true
+	case t == b.FirstTS:
+		return b.firstRow(), true
 	}
-	rows, err := a.decodeCached(b)
+	// The row at the cut: the one stamped t if there is one, else the
+	// last before it. A window ending at t reads the same cut.
+	c, err := a.cutAt(b, t)
 	if err != nil {
 		return Sample{}, false
 	}
-	i := sort.Search(len(rows), func(i int) bool { return rows[i].Timestamp > t })
-	return rows[i-1], true
-}
-
-// sampleStep is the wrap-corrected change of column c between two
-// consecutive rows, as a signed float: the mod-2^64 delta from
-// pcp.CounterDelta reinterpreted as int64, so a counter that wrapped
-// between samples yields its true small positive increment (not a huge
-// negative one, the bug this replaced) while an instant metric that
-// genuinely decreased still yields a negative step.
-func sampleStep(lo, hi Sample, c int) float64 {
-	return float64(int64(pcp.CounterDelta(lo.Values[c], hi.Values[c])))
+	if c.after.FirstTS == t {
+		return c.after.firstRow(), true
+	}
+	return c.before.lastRow(), true
 }
 
 // Rate returns the metric's average rate over [t0, t1] in units per
@@ -769,59 +826,89 @@ func overlapFrac(lo, hi, t0, t1 int64) float64 {
 // rawWindow folds column c over the window on one snapshot: the n raw
 // samples with t0 <= Timestamp < t1 into agg, and Σ frac·step over
 // every consecutive-sample segment overlapping [t0, t1] into delta. A
-// block the window covers merges its summary undecoded; only a block a
-// window edge splits is decoded (through the per-block cache) and
-// walked row by row, as is the tail. Nothing is copied.
+// block the window covers merges its summary; a block one window edge
+// splits merges the inner half of its cut there (cutAt), and the step
+// across the cut comes from the halves' facing rows exactly as the step
+// between two blocks does. Rows are walked only in the tail, in place,
+// and in a block that holds both edges, through one cursor.
 func (a *Archive) rawWindow(s *snapshot, c int, t0, t1 int64) (n int, agg ColAgg, delta float64, err error) {
 	blocks := s.blocks
-	walkRows := func(rows []Sample) {
-		for i := range rows {
-			if i > 0 {
-				if f := overlapFrac(rows[i-1].Timestamp, rows[i].Timestamp, t0, t1); f > 0 {
-					delta += f * sampleStep(rows[i-1], rows[i], c)
-				}
-			}
-			if ts := rows[i].Timestamp; ts >= t0 && ts < t1 {
-				agg.add(rows[i].Values[c], n)
-				n++
-			}
+	take := func(run *Bucket) { // a run of rows wholly inside the window
+		agg.merge(&run.Cols[c], n)
+		n += run.Count
+		delta += float64(run.Cols[c].Delta)
+	}
+	// seam adds the segment between two adjacent rows. Its step is the
+	// mod-2^64 delta read as int64: a counter that wrapped between them
+	// yields its true small increment, an instant metric that fell a
+	// negative step.
+	seam := func(loTS int64, lo uint64, hiTS int64, hi uint64) {
+		if f := overlapFrac(loTS, hiTS, t0, t1); f > 0 {
+			delta += f * float64(int64(pcp.CounterDelta(lo, hi)))
 		}
+	}
+	between := func(lo, hi *Bucket) { seam(lo.LastTS, lo.Cols[c].Last, hi.FirstTS, hi.Cols[c].First) }
+	var prevTS int64
+	var prevV uint64
+	walked := false
+	walk := func(ts int64, v uint64) (more bool) { // a run taken row by row
+		if walked {
+			seam(prevTS, prevV, ts, v)
+		}
+		if ts >= t0 && ts < t1 {
+			agg.add(v, n)
+			n++
+		}
+		prevTS, prevV, walked = ts, v, true
+		return ts < t1
 	}
 	lo := sort.Search(len(blocks), func(i int) bool { return blocks[i].LastTS >= t0 })
 	for i := lo; i < len(blocks) && blocks[i].FirstTS < t1; i++ {
 		b := blocks[i]
-		if b.FirstTS >= t0 && b.LastTS < t1 {
-			agg.merge(&b.Cols[c], n)
-			n += b.Count
-			delta += float64(b.Cols[c].Delta)
-			continue
-		}
-		rows, err := a.decodeCached(b)
-		if err != nil {
-			return 0, ColAgg{}, 0, err
-		}
-		walkRows(rows)
-	}
-	// Boundary segments between consecutive chunks (block→block and
-	// block→tail): their endpoint values come from summaries, no decode.
-	// Start one block early — the boundary out of a block that ends
-	// before t0 can still overlap the window.
-	for i := max(lo-1, 0); i < len(blocks) && blocks[i].LastTS < t1; i++ {
-		var startTS int64
-		var startVal uint64
-		if i+1 < len(blocks) {
-			startTS, startVal = blocks[i+1].FirstTS, blocks[i+1].Cols[c].First
-		} else if len(s.tail) > 0 {
-			startTS, startVal = s.tail[0].Timestamp, s.tail[0].Values[c]
-		} else {
-			break
-		}
-		if f := overlapFrac(blocks[i].LastTS, startTS, t0, t1); f > 0 {
-			delta += f * float64(int64(pcp.CounterDelta(blocks[i].Cols[c].Last, startVal)))
+		switch splitLo, splitHi := b.FirstTS < t0, b.LastTS >= t1; {
+		case splitLo && splitHi:
+			for rc := newRowCursor(b.buf, len(a.names)); rc.n < b.Count; {
+				if err := rc.next(); err != nil {
+					return 0, ColAgg{}, 0, err
+				}
+				if !walk(rc.ts, rc.vals[c]) {
+					break
+				}
+			}
+		case splitLo: // the rows from t0 on are inside
+			cut, err := a.cutAt(b, t0)
+			if err != nil {
+				return 0, ColAgg{}, 0, err
+			}
+			between(&cut.before, &cut.after)
+			take(&cut.after)
+		case splitHi: // the rows before t1 are inside
+			cut, err := a.cutAt(b, t1)
+			if err != nil {
+				return 0, ColAgg{}, 0, err
+			}
+			take(&cut.before)
+			between(&cut.before, &cut.after)
+		default:
+			take(&b.Bucket)
 		}
 	}
-	if len(s.tail) > 0 && s.tail[len(s.tail)-1].Timestamp >= t0 && s.tail[0].Timestamp < t1 {
-		walkRows(s.tail)
+	// Segments between consecutive blocks: their facing rows come from
+	// the summaries. Start one block early — the segment out of a block
+	// that ends before t0 can still overlap the window.
+	for i := max(lo-1, 0); i+1 < len(blocks) && blocks[i].LastTS < t1; i++ {
+		between(&blocks[i].Bucket, &blocks[i+1].Bucket)
+	}
+	// The tail, entered from the newest block's last row.
+	if nt, nb := len(s.tail), len(blocks); nt > 0 && s.tail[nt-1].Timestamp >= t0 {
+		if walked = nb > 0; walked {
+			prevTS, prevV = blocks[nb-1].LastTS, blocks[nb-1].Cols[c].Last
+		}
+		for _, r := range s.tail {
+			if !walk(r.Timestamp, r.Values[c]) {
+				break
+			}
+		}
 	}
 	return n, agg, delta, nil
 }

@@ -17,12 +17,13 @@ import (
 // as long as that reader holds them — and the next load observes the
 // new list in full. There is no intermediate state to observe.
 
-// hotDecodedBlocks is how many of the newest sealed blocks keep their
-// decoded-row caches across a Compact pass; older caches are dropped
-// and repopulate on demand. It is a memory bound, not an optimisation:
-// decoded rows cost several times their encoded bytes, and without the
-// trim one scan of a long archive would leave all of it decoded for as
-// long as the raw tier retains it.
+// hotDecodedBlocks is how many of the newest sealed blocks keep the
+// decoded rows Samples and All cache across a Compact pass; older
+// caches are dropped and repopulate on demand. It is a memory bound,
+// not an optimisation: decoded rows cost several times their encoded
+// bytes, and without the trim one scan of a long archive would leave
+// all of it decoded for as long as the raw tier retains it. Windows and
+// floors do not decode rows and are bounded by maxCuts instead.
 const hotDecodedBlocks = 8
 
 // Compact runs one compaction pass: raw blocks whose samples are
@@ -76,9 +77,12 @@ func (a *Archive) Compact() int {
 
 	// Trim decoded caches on all but the newest hot blocks. Readers
 	// holding a decoded slice keep it; the block just re-decodes for
-	// the next cold query.
+	// the next cold query. Only a block that has one is written to: a
+	// store dirties the cache line readers load the block's summary from.
 	for i := 0; i < len(next.blocks)-hotDecodedBlocks; i++ {
-		next.blocks[i].dec.Store(nil)
+		if b := next.blocks[i]; b.dec.Load() != nil {
+			b.dec.Store(nil)
+		}
 	}
 
 	a.snap.Store(&next)

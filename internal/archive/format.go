@@ -257,27 +257,13 @@ func readV1(buf []byte, opts Options) (*Archive, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	prev := Sample{Values: make([]uint64, len(names))}
-	for i := uint64(0); i < nRows; i++ {
-		row := Sample{Values: make([]uint64, len(names))}
-		if i == 0 {
-			row.Timestamp = p.sv()
-			for c := range row.Values {
-				row.Values[c] = p.uv()
-			}
-		} else {
-			row.Timestamp = prev.Timestamp + p.sv()
-			for c := range row.Values {
-				row.Values[c] = prev.Values[c] + uint64(p.sv())
-			}
-		}
-		if p.err != nil {
-			return nil, p.err
-		}
-		if err := a.AppendSample(row); err != nil {
+	for rc := newRowCursor(p.buf, len(names)); uint64(rc.n) < nRows; {
+		if err := rc.next(); err != nil {
 			return nil, err
 		}
-		prev = row
+		if err := a.AppendSample(rc.row()); err != nil {
+			return nil, err
+		}
 	}
 	return a, nil
 }
@@ -417,13 +403,12 @@ func readV2(buf []byte, opts Options) (*Archive, error) {
 		// configured tiers from the raw rows.
 		s.tiers = a.snap.Load().tiers
 		for _, b := range blocks {
-			rows, err := a.decodeCached(b)
-			if err != nil {
-				return nil, err
-			}
-			for _, row := range rows {
+			for rc := newRowCursor(b.buf, width); rc.n < b.Count; {
+				if err := rc.next(); err != nil {
+					return nil, err
+				}
 				for ti := range s.tiers {
-					s.tiers[ti] = updateTier(&s.tiers[ti], row, a.opts.MaxBuckets)
+					s.tiers[ti] = updateTier(&s.tiers[ti], rc.row(), a.opts.MaxBuckets)
 				}
 			}
 		}

@@ -3,12 +3,19 @@ package archive
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"papimc/internal/pcp"
 )
+
+// fuzzFirstChunk is where the first raw chunk's rows start in what
+// fuzzArchiveBytes writes: magic, name count, three 13-byte names each
+// behind a pmid and a length byte, chunk count, row count, byte length.
+const fuzzFirstChunk = len(fileMagicV2) + 1 + 3*(2+13) + 3
 
 // fuzzArchiveBytes serializes a small valid archive (current format
 // version) to seed the corpus.
@@ -75,6 +82,79 @@ func fuzzArchiveBytesV1(rows int) []byte {
 		prev = row
 	}
 	return buf
+}
+
+// referenceDecodeRows is the block decoder as it stood before decodeRows
+// was rebuilt on rowCursor, kept verbatim as the fuzz oracle: the cursor
+// must produce these rows, and fail where this fails.
+func referenceDecodeRows(buf []byte, count, width int, strict bool) ([]Sample, error) {
+	rows := make([]Sample, 0, count)
+	var prev Sample
+	for i := 0; i < count; i++ {
+		row := Sample{Values: make([]uint64, width)}
+		if i == 0 {
+			ts, n := binary.Varint(buf)
+			if n <= 0 {
+				return nil, fmt.Errorf("%w: keyframe timestamp", ErrFormat)
+			}
+			buf = buf[n:]
+			row.Timestamp = ts
+			for c := range row.Values {
+				v, n := binary.Uvarint(buf)
+				if n <= 0 {
+					return nil, fmt.Errorf("%w: keyframe value", ErrFormat)
+				}
+				buf = buf[n:]
+				row.Values[c] = v
+			}
+		} else {
+			dt, n := binary.Varint(buf)
+			if n <= 0 {
+				return nil, fmt.Errorf("%w: delta timestamp", ErrFormat)
+			}
+			buf = buf[n:]
+			row.Timestamp = prev.Timestamp + dt
+			for c := range row.Values {
+				dv, n := binary.Varint(buf)
+				if n <= 0 {
+					return nil, fmt.Errorf("%w: delta value", ErrFormat)
+				}
+				buf = buf[n:]
+				row.Values[c] = prev.Values[c] + uint64(dv)
+			}
+		}
+		rows = append(rows, row)
+		prev = row
+	}
+	if strict && len(buf) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after block", ErrFormat, len(buf))
+	}
+	return rows, nil
+}
+
+// checkCursorAgainstReference decodes data as one raw chunk, at a few
+// row counts and widths, through decodeRows (the cursor) and through the
+// reference: same rows, or both ErrFormat.
+func checkCursorAgainstReference(t *testing.T, data []byte) {
+	for _, shape := range [][2]int{{1, 1}, {4, 3}, {9, 3}, {64, 16}} {
+		count, width := shape[0], shape[1]
+		for _, strict := range []bool{false, true} {
+			want, wantErr := referenceDecodeRows(data, count, width, strict)
+			got, err := decodeRows(data, count, width, strict)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("chunk %d x %d strict=%v: cursor error %v, reference error %v", count, width, strict, err, wantErr)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrFormat) {
+					t.Fatalf("chunk %d x %d: cursor failed with %v, want ErrFormat", count, width, err)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("chunk %d x %d: cursor rows differ from the reference:\n%v\n%v", count, width, got, want)
+			}
+		}
+	}
 }
 
 // FuzzReadArchive hammers the archive decoder — both format versions,
@@ -159,9 +239,23 @@ func FuzzReadArchive(f *testing.F) {
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The bytes as one hostile chunk, and from inside the first chunk
+		// of the valid seeds (past magic, schema and chunk header).
+		checkCursorAgainstReference(t, data)
+		if len(data) > fuzzFirstChunk {
+			checkCursorAgainstReference(t, data[fuzzFirstChunk:])
+		}
 		a, err := Read(bytes.NewReader(data), Options{})
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
+		}
+		width := len(a.Names())
+		for _, b := range a.snap.Load().blocks {
+			want, wantErr := referenceDecodeRows(b.buf, b.Count, width, true)
+			got, err := decodeRows(b.buf, b.Count, width, true)
+			if err != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("accepted block: cursor rows %v (%v), reference rows %v (%v)", got, err, want, wantErr)
+			}
 		}
 		rows, err := a.All()
 		if err != nil {
@@ -177,8 +271,17 @@ func FuzzReadArchive(f *testing.F) {
 				t.Fatalf("row at ts=%d has %d values for a %d-column schema", r.Timestamp, len(r.Values), len(a.Names()))
 			}
 		}
-		// Accepted tiers must be queryable without panicking.
+		// Accepted tiers must be queryable without panicking; a raw
+		// window and a floor strictly inside the span cut the edge blocks.
 		a.Floor(0)
+		if first, last, ok := a.Span(); ok && last-first > 2 {
+			a.Floor(first + (last-first)/2)
+			for _, e := range a.Names() {
+				if _, err := a.WindowAt(ResRaw, e.PMID, first+1, last); err != nil {
+					t.Fatalf("accepted archive: raw window failed: %v", err)
+				}
+			}
+		}
 		for _, ts := range a.Stats().Tiers {
 			res := ts.Resolution
 			if _, _, ok := a.SpanAt(res); !ok {

@@ -2,9 +2,20 @@ package archive
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
+
+// cachedCuts counts the block cuts the archive's ring holds.
+func cachedCuts(a *Archive) (n int) {
+	for i := range a.cuts {
+		if a.cuts[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // scanWindow is the reference a raw window is compared against: one
 // pass over every retained row in time order, sharing none of the
@@ -32,6 +43,19 @@ func scanWindow(rows []Sample, c int, t0, t1 int64) (n int, sum float64, lo, hi 
 		n++
 	}
 	return n, sum, lo, hi, delta
+}
+
+// windowDiff compares a raw WindowAt of column c with the row scan of
+// rows: "" when they agree (Sum up to float re-association), else both.
+func windowDiff(a *Archive, rows []Sample, c int, t0, t1 int64) string {
+	got, err := a.WindowAt(ResRaw, uint32(c+1), t0, t1)
+	n, sum, lo, hi, delta := scanWindow(rows, c, t0, t1)
+	if err == nil && got.Count == n && got.Min == lo && got.Max == hi && got.Delta == delta &&
+		math.Abs(got.Sum-sum) <= 1e-12*math.Abs(sum) {
+		return ""
+	}
+	return fmt.Sprintf("[%d, %d) col %d: WindowAt = %+v, %v; row scan = count %d sum %v min %d max %d delta %v",
+		t0, t1, c, got, err, n, sum, lo, hi, delta)
 }
 
 // TestRawWindowMatchesRowScan: a raw WindowAt, which merges the
@@ -88,6 +112,16 @@ func TestRawWindowMatchesRowScan(t *testing.T) {
 			{"empty, after the newest row", last + 1, last + 50},
 			{"across the 2^64 wrap", wrap - 3*cadence - 2, wrap + 4*cadence + 1},
 			{"the wrapping segment alone", wrap + 2, wrap + 6},
+			// Where a cut can fall in the block it splits.
+			{"t0 one past a block's first row", b.FirstTS + 1, last + 5},
+			{"t0 on a block's last row, t1 far", b.LastTS, last + 5},
+			{"t1 on a block's last row", b.FirstTS - 3*cadence, nb.LastTS},
+			{"t1 one past a block's first row", first - 5, nb.FirstTS + 1},
+			{"both edges in the tail", last - 2*cadence - 3, last - 3},
+			{"starting in the tail", last - 2*cadence - 3, last + 1},
+			{"t0 splits the wrapping block", wrap - 2*cadence - 1, last + 1},
+			{"t0 inside the wrapping segment", wrap + 3, last + 1},
+			{"t1 inside the wrapping segment", first - 5, wrap + 5},
 		}
 		for _, w := range windows {
 			for c := 0; c < 3; c++ {
@@ -108,8 +142,27 @@ func TestRawWindowMatchesRowScan(t *testing.T) {
 		}
 	}
 
-	// Cold caches: a reloaded archive has decoded nothing.
+	// A second column reads through the cut the first one made: two
+	// parses for the two edge blocks, then none.
 	a, _ := New(schema(3), Options{BlockSamples: 16})
+	fillArchive(t, a, 10*16+5, 100, 400)
+	rows, _ := a.All()
+	t0, t1 := rows[16+5].Timestamp+50, rows[7*16+9].Timestamp // half a segment: exact in float64
+	for c, wantParses := range []uint32{2, 0, 0} {
+		before := a.cutNext.Load()
+		if diff := windowDiff(a, rows, c, t0, t1); diff != "" {
+			t.Errorf("through a cached cut, %s", diff)
+		}
+		if parses := a.cutNext.Load() - before; parses != wantParses {
+			t.Errorf("col %d: %d blocks parsed, want %d", c, parses, wantParses)
+		}
+	}
+	if row, ok := a.Floor(t1); !ok || row.Timestamp != t1 || a.cutNext.Load() != 2 {
+		t.Errorf("Floor(%d) = %+v, %v after %d parses; want the row at the window's cut and no third parse", t1, row, ok, a.cutNext.Load())
+	}
+
+	// Cold caches: a reloaded archive has decoded nothing.
+	a, _ = New(schema(3), Options{BlockSamples: 16})
 	fillArchive(t, a, 45*16+5, 100, 400)
 	var buf bytes.Buffer
 	if _, err := a.WriteTo(&buf); err != nil {
@@ -120,20 +173,13 @@ func TestRawWindowMatchesRowScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := b.snap.Load().blocks
-	decoded := func() (n int) {
-		for _, blk := range blocks {
-			if blk.dec.Load() != nil {
-				n++
-			}
-		}
-		return n
-	}
+	decoded := func() int { return cachedCuts(b) }
 	if len(blocks) < 40 || decoded() != 0 {
-		t.Fatalf("reloaded archive: %d blocks, %d decoded; want at least 40, none decoded", len(blocks), decoded())
+		t.Fatalf("reloaded archive: %d blocks, %d cut; want at least 40, none cut", len(blocks), decoded())
 	}
 	// From the middle of block 5 to the middle of block 35: 29 covered
 	// blocks between two split ones.
-	t0, t1 := blocks[5].FirstTS+850, blocks[35].FirstTS+850
+	t0, t1 = blocks[5].FirstTS+850, blocks[35].FirstTS+850
 	window := func() {
 		if agg, err := b.WindowAt(ResRaw, 2, t0, t1); err != nil || agg.Count != 30*16 {
 			t.Fatalf("WindowAt = %+v, %v; want %d rows", agg, err, 30*16)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,8 +74,11 @@ type Engine struct {
 	state   map[uint32]*counterState
 	hists   map[string]*history // canonical key -> shared window ring
 	memo    map[string]Value
-	down    map[uint32]bool // PMIDs whose node was down on the last fetch
-	downKey string          // canonical form of down, the memo invalidator
+	qs      []*Query          // the query set ids was built from
+	ids     []uint32          // sorted PMIDs of qs, rebuilt only when qs changes
+	byID    map[uint32]uint64 // the last fetch's values, reused across fetches
+	down    map[uint32]bool   // PMIDs whose node was down on the last fetch
+	downKey string            // canonical form of down, the memo invalidator
 	lastTS  int64
 	hasTS   bool
 }
@@ -106,6 +110,8 @@ func NewEngine(src Source) *Engine {
 		state:   make(map[uint32]*counterState),
 		hists:   make(map[string]*history),
 		memo:    make(map[string]Value),
+		byID:    make(map[uint32]uint64),
+		down:    make(map[uint32]bool),
 	}
 }
 
@@ -441,11 +447,7 @@ func staticWidth(n *node) (int, error) {
 // expanded metric instances. Widths 0 and 1 both satisfy Scalar().
 func (q *Query) Width() (int, error) { return staticWidth(q.root) }
 
-// pmids appends every PMID referenced by the query to dst.
-func (q *Query) pmids(dst map[uint32]bool) {
-	collectPMIDs(q.root, dst)
-}
-
+// collectPMIDs adds every PMID referenced under n to dst.
 func collectPMIDs(n *node, dst map[uint32]bool) {
 	if n.kind == nodeMetric {
 		for _, s := range n.sel {
@@ -483,28 +485,31 @@ func (q *Query) Eval() (Value, error) {
 func (e *Engine) EvalAll(qs ...*Query) ([]Value, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	idset := make(map[uint32]bool)
-	for _, q := range qs {
-		if q.eng != e {
-			return nil, fmt.Errorf("metricql: query bound to a different engine")
+	if !slices.Equal(qs, e.qs) { // a bound panel asks for the same queries every step
+		idset := make(map[uint32]bool)
+		for _, q := range qs {
+			if q.eng != e {
+				return nil, fmt.Errorf("metricql: query bound to a different engine")
+			}
+			collectPMIDs(q.root, idset)
 		}
-		q.pmids(idset)
+		e.qs, e.ids = append(e.qs[:0], qs...), e.ids[:0]
+		for id := range idset {
+			e.ids = append(e.ids, id)
+		}
+		slices.Sort(e.ids)
 	}
-	ids := make([]uint32, 0, len(idset))
-	for id := range idset {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	res, err := e.src.Fetch(ids)
+	res, err := e.src.Fetch(e.ids)
 	var pe *pcp.PartialError
 	if err != nil && !errors.As(err, &pe) {
 		return nil, fmt.Errorf("metricql: fetch: %w", err)
 	}
-	if len(res.Values) != len(ids) {
-		return nil, fmt.Errorf("metricql: fetch returned %d values for %d pmids", len(res.Values), len(ids))
+	if len(res.Values) != len(e.ids) {
+		return nil, fmt.Errorf("metricql: fetch returned %d values for %d pmids", len(res.Values), len(e.ids))
 	}
-	byID := make(map[uint32]uint64, len(res.Values))
-	down := make(map[uint32]bool)
+	byID, down := e.byID, e.down
+	clear(byID)
+	clear(down)
 	for _, v := range res.Values {
 		switch v.Status {
 		case pcp.StatusOK:
@@ -520,8 +525,12 @@ func (e *Engine) EvalAll(qs ...*Query) ([]Value, error) {
 		return nil, fmt.Errorf("metricql: fetch timestamp went backwards (%d < %d)", ts, e.lastTS)
 	}
 	fresh := !e.hasTS || ts > e.lastTS
-	downKey := downSetKey(down)
-	e.down = down
+	if downKey := downSetKey(down); fresh || downKey != e.downKey {
+		// A new daemon sample, or the same one with a different set of
+		// down nodes: memoized vectors embed the old down-set's shape.
+		clear(e.memo)
+		e.downKey = downKey
+	}
 	if fresh {
 		for id, v := range byID {
 			st := e.state[id]
@@ -529,25 +538,14 @@ func (e *Engine) EvalAll(qs ...*Query) ([]Value, error) {
 				st = &counterState{}
 				e.state[id] = st
 			}
-			if st.seen == 0 {
-				st.cur, st.curTS = v, ts
-				st.seen = 1
-			} else {
+			if st.seen > 0 {
 				st.prev, st.prevTS = st.cur, st.curTS
-				st.cur, st.curTS = v, ts
-				st.seen++
 			}
+			st.cur, st.curTS = v, ts
+			st.seen++
 		}
 		e.lastTS, e.hasTS = ts, true
-		e.memo = make(map[string]Value)
-		e.downKey = downKey
 	} else {
-		if downKey != e.downKey {
-			// Same daemon sample but a different set of down nodes:
-			// memoized vectors embed the old down-set's shape.
-			e.memo = make(map[string]Value)
-			e.downKey = downKey
-		}
 		// Same daemon sample as last time: top up state for PMIDs this
 		// fetch saw for the first time, keep existing memo entries.
 		for id, v := range byID {
@@ -558,7 +556,7 @@ func (e *Engine) EvalAll(qs ...*Query) ([]Value, error) {
 	}
 	out := make([]Value, len(qs))
 	for i, q := range qs {
-		v, err := e.evalNode(q.root, byID, ts, fresh)
+		v, err := e.evalNode(q.root, ts, fresh)
 		if err != nil {
 			return nil, err
 		}
@@ -579,7 +577,7 @@ func downSetKey(down map[uint32]bool) string {
 	for id := range down {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var b strings.Builder
 	for i, id := range ids {
 		if i > 0 {
@@ -599,11 +597,11 @@ func (e *Engine) LastTimestamp() (int64, bool) {
 
 // evalNode evaluates one bound node, memoizing by canonical key.
 // Callers hold e.mu.
-func (e *Engine) evalNode(n *node, byID map[uint32]uint64, ts int64, fresh bool) (Value, error) {
+func (e *Engine) evalNode(n *node, ts int64, fresh bool) (Value, error) {
 	if v, ok := e.memo[n.key]; ok {
 		return v, nil
 	}
-	v, err := e.evalNodeUncached(n, byID, ts, fresh)
+	v, err := e.evalNodeUncached(n, ts, fresh)
 	if err != nil {
 		return Value{}, err
 	}
@@ -611,7 +609,7 @@ func (e *Engine) evalNode(n *node, byID map[uint32]uint64, ts int64, fresh bool)
 	return v, nil
 }
 
-func (e *Engine) evalNodeUncached(n *node, byID map[uint32]uint64, ts int64, fresh bool) (Value, error) {
+func (e *Engine) evalNodeUncached(n *node, ts int64, fresh bool) (Value, error) {
 	switch n.kind {
 	case nodeNum:
 		return Value{Vals: []float64{n.num}}, nil
@@ -620,7 +618,7 @@ func (e *Engine) evalNodeUncached(n *node, byID map[uint32]uint64, ts int64, fre
 		names := make([]string, 0, len(n.sel))
 		vals := make([]float64, 0, len(n.sel))
 		for _, s := range n.sel {
-			v, ok := byID[s.pmid]
+			v, ok := e.byID[s.pmid]
 			if !ok {
 				if e.down[s.pmid] {
 					// The owning node is down this snapshot: partial-result
@@ -642,7 +640,7 @@ func (e *Engine) evalNodeUncached(n *node, byID map[uint32]uint64, ts int64, fre
 		return Value{Names: names, Vals: vals}, nil
 
 	case nodeUnary:
-		v, err := e.evalNode(n.args[0], byID, ts, fresh)
+		v, err := e.evalNode(n.args[0], ts, fresh)
 		if err != nil {
 			return Value{}, err
 		}
@@ -653,11 +651,11 @@ func (e *Engine) evalNodeUncached(n *node, byID map[uint32]uint64, ts int64, fre
 		return out, nil
 
 	case nodeBinary:
-		l, err := e.evalNode(n.args[0], byID, ts, fresh)
+		l, err := e.evalNode(n.args[0], ts, fresh)
 		if err != nil {
 			return Value{}, err
 		}
-		r, err := e.evalNode(n.args[1], byID, ts, fresh)
+		r, err := e.evalNode(n.args[1], ts, fresh)
 		if err != nil {
 			return Value{}, err
 		}
@@ -668,7 +666,7 @@ func (e *Engine) evalNodeUncached(n *node, byID map[uint32]uint64, ts int64, fre
 		case "rate", "delta":
 			return e.evalCounterFn(n, ts)
 		case "sum", "avg", "min", "max":
-			v, err := e.evalNode(n.args[0], byID, ts, fresh)
+			v, err := e.evalNode(n.args[0], ts, fresh)
 			if err != nil {
 				return Value{}, err
 			}
@@ -682,7 +680,7 @@ func (e *Engine) evalNodeUncached(n *node, byID map[uint32]uint64, ts int64, fre
 			} else if ok {
 				return v, nil
 			}
-			v, err := e.evalNode(n.args[0], byID, ts, fresh)
+			v, err := e.evalNode(n.args[0], ts, fresh)
 			if err != nil {
 				return Value{}, err
 			}

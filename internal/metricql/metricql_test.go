@@ -173,7 +173,7 @@ func TestGlobExpansion(t *testing.T) {
 	// The bare glob matches the socket-0 aliases only (mba0, mba1), not
 	// the .cpu175 qualified instance of mba0.
 	ids := make(map[uint32]bool)
-	q.pmids(ids)
+	collectPMIDs(q.root, ids)
 	if len(ids) != 2 || !ids[1] || !ids[2] {
 		t.Fatalf("pattern expanded to pmids %v, want {1, 2}", ids)
 	}
@@ -183,7 +183,7 @@ func TestGlobExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids2 := make(map[uint32]bool)
-	q2.pmids(ids2)
+	collectPMIDs(q2.root, ids2)
 	if len(ids2) != 1 || !ids2[4] {
 		t.Fatalf("qualified pattern expanded to %v, want {4}", ids2)
 	}

@@ -249,3 +249,46 @@ func TestParseNewWindowedFuncs(t *testing.T) {
 		}
 	}
 }
+
+// planSource is a fakeSource that answers every window itself, so a
+// panel of windowed functions over bare metrics never reaches the ring.
+type planSource struct{ *fakeSource }
+
+func (planSource) EvalWindow(fn string, pmid uint32, t0, t1 int64) (float64, bool, error) {
+	return float64(pmid), true, nil
+}
+
+// TestEvalAllStepAllocs bounds what the engine allocates for one step
+// of a bound, pushdown-only panel. It keeps its sorted PMID list while
+// the query set is the same and clears its maps instead of remaking
+// them, so a step is left with the result slice (1), a names and a
+// values slice for each of the three window nodes (6), the scalar of
+// the one sum (1) and the partial-error target errors.As may fill (1),
+// beside the 4 the fake's Fetch spends growing its reply: 13. Rebuilding
+// the id set, the list and the three maps every step made it 19.
+func TestEvalAllStepAllocs(t *testing.T) {
+	src := planSource{newFake()}
+	e := NewEngine(src)
+	var qs []*Query
+	for _, expr := range []string{
+		"sum(rate_over(perfevent.*, 2s))",
+		"max_over(kernel.load, 30s)",
+		"rate_over(kernel.load, 200ms)",
+	} {
+		q, err := e.Query(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	const bound = 13
+	allocs := testing.AllocsPerRun(100, func() {
+		src.ts++ // a new daemon sample every step, as a panel stepping through history sees
+		if vs, err := e.EvalAll(qs...); err != nil || vs[0].Vals[0] != 1+2+3+4 {
+			t.Fatalf("EvalAll = %v, %v", vs, err)
+		}
+	})
+	if allocs > bound {
+		t.Errorf("one panel step allocates %v times, want at most %d", allocs, bound)
+	}
+}
