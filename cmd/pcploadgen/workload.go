@@ -1,95 +1,100 @@
-// Workload-model mode: -spec runs a declarative workload through
-// internal/workload — virtual time by default, a real tier with -live —
-// with optional trace recording and bit-exact replay.
+// Workload-model mode. -spec runs a declarative workload through
+// internal/workload in virtual time, with optional trace recording and
+// bit-exact replay; -spec -live hands the same arrival stream to
+// internal/loadgen as its open-loop schedule. This file is the seam:
+// workload knows no wall clock, loadgen no spec.
 package main
 
 import (
 	"fmt"
-	"os"
-	"strings"
+	"time"
 
-	"papimc/internal/arch"
 	"papimc/internal/loadgen"
-	"papimc/internal/node"
 	"papimc/internal/workload"
 )
 
-func workloadMain(specPath, replayPath, recordPath string, mult float64, live bool, target, machine string, workers int) {
-	if specPath == "" {
-		wfail(fmt.Errorf("-replay needs -spec: the trace stores the schedule, the spec the cohorts and service model"))
-	}
+func virtualMain(specPath, replayPath, recordPath string, mult float64) {
 	spec, err := workload.LoadSpec(specPath)
 	if err != nil {
-		wfail(err)
+		fail(err)
 	}
 	o := workload.Options{Mult: mult}
 	var tr workload.Trace
 	if recordPath != "" {
 		o.Record = &tr
 	}
-	if live {
-		addr, cleanup, err := resolveLiveAddr(target, machine)
-		if err != nil {
-			wfail(err)
-		}
-		defer cleanup()
-		fmt.Printf("live tier at %s, %d executor connections\n", addr, workers)
-		o.Live = &workload.LiveOptions{Factory: loadgen.DialFactory(addr), Workers: workers}
-	}
 	var rep *workload.Report
 	if replayPath != "" {
 		rec, err := workload.ReadTraceFile(replayPath)
 		if err != nil {
-			wfail(err)
+			fail(err)
 		}
 		rep, err = workload.Replay(rec, spec, o)
 		if err != nil {
-			wfail(err)
+			fail(err)
 		}
 		fmt.Printf("replayed %d requests from %s\n", len(rec.Rows), replayPath)
 	} else {
 		rep, err = workload.Run(spec, o)
 		if err != nil {
-			wfail(err)
+			fail(err)
 		}
 	}
 	fmt.Print(rep.Render())
 	if recordPath != "" {
 		if err := tr.WriteFile(recordPath); err != nil {
-			wfail(err)
+			fail(err)
 		}
 		fmt.Printf("recorded %d requests to %s\n", len(tr.Rows), recordPath)
 	}
 }
 
-// resolveLiveAddr turns the -target flag into one dialable address: a
-// self-hosted testbed tier by name, or an external host:port as given.
-func resolveLiveAddr(target, machine string) (string, func(), error) {
-	switch target {
-	case "daemon", "proxy", "both":
-		m := arch.Summit()
-		if strings.EqualFold(machine, "tellico") {
-			m = arch.Tellico()
-		}
-		tb, err := node.NewTestbed(m, 1, node.Options{DisableNoise: true})
+// liveSpec loads the spec (and the trace to replay, if any), exiting on
+// failure, and returns the options of a wall-clock run over its
+// arrivals: base with Ops cleared, the window set to the horizon — cut
+// short by base.Duration when that is set — and a fresh schedule on every
+// call, because a stream serves one run.
+func liveSpec(specPath, replayPath string, mult float64, base loadgen.Options) func() loadgen.Options {
+	spec, err := workload.LoadSpec(specPath)
+	if err != nil {
+		fail(err)
+	}
+	arrivals := func() func() (workload.Request, bool) {
+		next, err := workload.Arrivals(spec, mult)
 		if err != nil {
-			return "", nil, err
+			fail(err)
 		}
-		if target == "proxy" {
-			_, addr, err := tb.StartProxy()
-			if err != nil {
-				tb.Close()
-				return "", nil, err
-			}
-			return addr, func() { tb.Close() }, nil
+		return next
+	}
+	horizon := time.Duration(spec.Duration)
+	if replayPath != "" {
+		rec, err := workload.ReadTraceFile(replayPath)
+		if err != nil {
+			fail(err)
 		}
-		return tb.PMCDAddr, func() { tb.Close() }, nil
-	default:
-		return target, func() {}, nil
+		arrivals = rec.Arrivals
+		if rec.Horizon > 0 {
+			horizon = time.Duration(rec.Horizon)
+		}
+	}
+	if base.Duration > 0 {
+		horizon = min(horizon, base.Duration)
+	}
+	fmt.Printf("workload %s horizon=%v mode=wall-clock\n", spec.Name, horizon)
+	base.Ops, base.Duration = 0, horizon
+	return func() loadgen.Options {
+		o := base
+		o.Schedule = specSchedule(arrivals())
+		return o
 	}
 }
 
-func wfail(err error) {
-	fmt.Fprintln(os.Stderr, "pcploadgen:", err)
-	os.Exit(1)
+// specSchedule adapts a workload arrival stream to a loadgen plan: the
+// request's virtual arrival time becomes its wall-clock offset and its
+// size the fetch width; cohort and class have no meaning on the wire.
+func specSchedule(next func() (workload.Request, bool)) loadgen.Schedule {
+	return func(int) (time.Duration, int, bool) {
+		req, ok := next()
+		return time.Duration(req.T), req.Size, ok
+	}
 }

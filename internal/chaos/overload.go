@@ -25,7 +25,7 @@
 // The upstream service is modelled, not measured: the driver is
 // single-threaded under a simtime clock, and each admitted request
 // passes through a FIFO queue with deterministic service time
-// (overloadService, capacity OverloadCapacity req/s). Latency is
+// (overloadService, capacity 2000 req/s). Latency is
 // queueing delay plus service — a pure function of the admitted
 // arrival sequence, which itself derives entirely from
 // (Options.Seed, trial index) via SplitMix64 substreams. The same
@@ -47,11 +47,10 @@ import (
 )
 
 // Overload testbed model: the upstream serves one request per
-// overloadService, i.e. OverloadCapacity requests/sec. The three
-// tenants together offer 2x that.
+// overloadService, i.e. 2000 requests/sec. The three tenants together
+// offer 2x that.
 const (
-	overloadService  = 500 * simtime.Microsecond
-	OverloadCapacity = 2000.0 // modelled upstream capacity, req/s
+	overloadService = 500 * simtime.Microsecond
 
 	goldRate   = 800  // offered req/s, within every protecting quota
 	silverRate = 1600 // offered req/s, far over quota

@@ -74,8 +74,8 @@ func TestNodeGate(t *testing.T) {
 	if _, err := src.Fetch([]uint32{1}); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("killed node fetch: %v", err)
 	}
-	if !n.Down() {
-		t.Error("Down() false after Kill")
+	if n.state.Load() == nodeUp {
+		t.Error("node still up after Kill")
 	}
 	n.Restore()
 	if _, err := src.Fetch([]uint32{1}); err != nil {

@@ -94,9 +94,6 @@ func (n *Node) Stall(d time.Duration) {
 // Restore brings the node back up.
 func (n *Node) Restore() { n.state.Store(nodeUp) }
 
-// Down reports whether the gate is currently refusing fetches.
-func (n *Node) Down() bool { return n.state.Load() != nodeUp }
-
 // Source returns the node's gated in-process metric source: the
 // daemon's lock-free fetch path behind the fault gate.
 func (n *Node) Source() Source {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"papimc/internal/pcp"
 )
@@ -57,12 +56,10 @@ func TestBatchAccounting(t *testing.T) {
 	target := &batchCounter{}
 	const batch, ops = 8, 64
 	res, err := Run(SharedFactory(target), Options{
-		Mode:    Closed,
 		Workers: 2,
 		Ops:     ops,
 		Batch:   batch,
 		PMIDs:   []uint32{1, 2, 3},
-		Sim:     &SimModel{Seed: 7, Base: 5 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +97,10 @@ func TestBatchRequiresBatchFetcher(t *testing.T) {
 		return pcp.FetchResult{}, nil
 	})
 	_, err := Run(SharedFactory(plain), Options{
-		Mode:    Closed,
 		Workers: 1,
 		Ops:     1,
 		Batch:   4,
 		PMIDs:   []uint32{1},
-		Sim:     &SimModel{Seed: 1, Base: time.Microsecond},
 	})
 	if err == nil || !strings.Contains(err.Error(), "BatchFetcher") {
 		t.Fatalf("err = %v, want a BatchFetcher requirement error", err)
@@ -173,7 +168,6 @@ func TestPipelinedFactorySharing(t *testing.T) {
 func TestBatchAgainstLiveDaemon(t *testing.T) {
 	_, addr := testDaemon(t)
 	res, err := Run(PipelinedFactory(addr, 2), Options{
-		Mode:    Closed,
 		Workers: 4,
 		Ops:     25,
 		Batch:   4,

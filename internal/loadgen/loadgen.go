@@ -1,27 +1,26 @@
 // Package loadgen drives fetch load against a PCP serving tier (a live
 // PMCD daemon or a pmproxy) and reports throughput and latency
-// percentiles from log-bucketed histograms.
+// percentiles from log-bucketed histograms. It is the one place in the
+// repository (outside bench/) that paces load against the wall clock;
+// virtual-time runs are internal/workload's.
 //
 // Two generation disciplines are supported:
 //
 //   - Closed loop: W workers issue requests back-to-back. Throughput is
 //     what the tier sustains at that concurrency; latency excludes
 //     queueing the generator itself created.
-//   - Open loop: requests arrive at a fixed rate regardless of how fast
-//     responses come back. Latency is measured from the scheduled
-//     arrival, so a tier that can't keep up shows coordinated-omission-
-//     free queueing delay in its tail percentiles.
+//   - Open loop (Options.Schedule): one dispatcher pulls arrivals from a
+//     schedule function, sleeps until each is due and hands it to a free
+//     worker. Latency is measured from the scheduled arrival, not from
+//     the moment a worker picked the request up, so a tier that can't
+//     keep up shows its queueing delay in the percentiles and in the
+//     completed/pending split (no coordinated omission). FixedRate is
+//     the trivial schedule; a workload spec's or a recorded trace's
+//     arrival stream is the other.
 //
 // Each worker records into its own histogram; histograms are merged
 // after the run, so percentile counts are exact with no recording
 // contention.
-//
-// In simulated-time mode (Options.Sim) the generator still issues every
-// request against the real target, but latencies are drawn from a
-// seeded deterministic service-time model and time is virtual: the
-// whole report — ops, throughput, every percentile — is bit-identical
-// across runs, which makes sweeps diffable and testable. Live mode
-// measures wall-clock round trips.
 package loadgen
 
 import (
@@ -33,35 +32,21 @@ import (
 
 	"papimc/internal/pcp"
 	"papimc/internal/stats"
-	"papimc/internal/xrand"
 )
 
-// Typed option-validation errors, so callers (the workload subsystem,
-// cohort expansion) can distinguish a bad rate from a bad seed set with
-// errors.Is instead of string matching.
-var (
-	// ErrRate rejects a zero or negative arrival rate. A negative Rate is
-	// rejected in every mode — previously it only failed in open loop and
-	// silently rode along in closed loop.
-	ErrRate = errors.New("loadgen: rate must be positive")
-	// ErrSeedCount rejects a WorkerSeeds slice whose length does not
-	// match the worker count.
-	ErrSeedCount = errors.New("loadgen: WorkerSeeds length must equal Workers")
-	// ErrDuplicateSeed rejects two workers sharing a sim seed: their
-	// latency streams would be identical, silently halving the effective
-	// sample diversity.
-	ErrDuplicateSeed = errors.New("loadgen: duplicate worker seed")
-)
+// ErrRate rejects a zero or negative arrival rate, typed so callers can
+// tell it from a connection failure with errors.Is.
+var ErrRate = errors.New("loadgen: rate must be positive")
 
-// Mode selects the load-generation discipline.
+// Mode names the discipline a Result was measured under.
 type Mode int
 
 const (
 	// Closed loop: each worker issues the next request as soon as the
 	// previous one completes.
 	Closed Mode = iota
-	// Open loop: requests are scheduled at a fixed arrival rate and
-	// latency is measured from the scheduled arrival time.
+	// Open loop: requests arrive on a Schedule and latency is measured
+	// from the scheduled arrival time.
 	Open
 )
 
@@ -181,69 +166,48 @@ func PipelinedFactory(addr string, conns int) Factory {
 	}
 }
 
-// SimModel is the deterministic service-time model used in
-// simulated-time mode: a base latency with bounded uniform jitter and a
-// rare heavy tail (the stand-in for resamples, GC pauses and scheduler
-// hiccups that make real tails interesting).
-type SimModel struct {
-	Seed   uint64
-	Base   time.Duration // mean service time; 0 means 10µs
-	Jitter float64       // relative uniform jitter; 0 means 0.25
-}
+// Schedule is an open-loop arrival plan. Schedule(i) is arrival i: its
+// offset from the start of the run, which must not decrease with i, and
+// how many of Options.PMIDs it fetches (clamped to them; 0 means all).
+// ok=false ends the plan. Run asks for i = 0, 1, 2, … in order, so a plan
+// may be a stream that ignores i and serves one Run; such a plan is
+// bounded by Options.Duration, because a count-bounded run (Ops > 0)
+// first asks for arrival Workers×Ops to learn where its window closes.
+type Schedule func(i int) (at time.Duration, width int, ok bool)
 
-// service draws the next deterministic service time in nanoseconds.
-func (s *SimModel) service(rng *xrand.Source) int64 {
-	base := float64(s.Base.Nanoseconds())
-	if base <= 0 {
-		base = 10_000
+// FixedRate is the trivial schedule: full-width arrivals evenly spaced
+// at perSecond requests per second, without end. It is stateless, so one
+// value serves every level of a Sweep.
+func FixedRate(perSecond float64) (Schedule, error) {
+	if !(perSecond > 0) {
+		return nil, fmt.Errorf("%w: got %g", ErrRate, perSecond)
 	}
-	jitter := s.Jitter
-	if jitter <= 0 {
-		jitter = 0.25
-	}
-	u := float64(rng.Uint64()>>11) / (1 << 53)
-	svc := base * (1 + jitter*(2*u-1))
-	// ~1/128 of requests pay an 8–16x tail.
-	if rng.Uint64()%128 == 0 {
-		svc *= 8 + 8*float64(rng.Uint64()>>11)/(1<<53)
-	}
-	if svc < 1 {
-		svc = 1
-	}
-	return int64(svc)
+	gap := 1e9 / perSecond
+	return func(i int) (time.Duration, int, bool) {
+		return time.Duration(float64(i) * gap), 0, true
+	}, nil
 }
 
 // Options configures one load-generation run.
 type Options struct {
-	Mode    Mode
 	Workers int      // concurrent workers; 0 means 1
 	PMIDs   []uint32 // pmid set each request fetches; nil means {1}
-	// Ops is the per-worker request count. Required in simulated-time
-	// mode (virtual time has no wall deadline); in live mode it may be 0,
-	// in which case workers run until Duration elapses.
+	// Schedule, when non-nil, makes the run open loop: arrivals come from
+	// the plan, whatever the workers are doing. Nil means closed loop.
+	Schedule Schedule
+	// Ops is the per-worker request count; an open-loop run offers
+	// Workers×Ops arrivals in all. 0 means run until Duration elapses.
 	Ops int
-	// Duration bounds a live-mode run when Ops is 0. Ignored in
-	// simulated-time mode.
+	// Duration bounds the run when Ops is 0 (0 means one second): the
+	// closed loop's deadline, the open loop's window — arrivals due at or
+	// after it are not offered.
 	Duration time.Duration
-	// Rate is the total open-loop arrival rate in fetched sets/second,
-	// split evenly across workers. Required when Mode is Open; must not
-	// be negative in any mode. With Batch > 1 the request rate is
-	// Rate/Batch, so the offered per-set load stays comparable across
-	// batch factors.
-	Rate float64
-	// Batch, when > 1, bundles that many copies of PMIDs into one
-	// FetchBatch round trip per request. The fetchers must implement
-	// BatchFetcher. Ops still counts requests per worker; reported ops
-	// and throughput count fetched sets; a failed request counts one
-	// error.
+	// Batch, when > 1, bundles that many copies of the request's PMID set
+	// into one FetchBatch round trip. The fetchers must implement
+	// BatchFetcher. Ops and a Schedule count requests (so a fixed per-set
+	// rate R is FixedRate(R/Batch)); reported ops and throughput count
+	// fetched sets; a failed request counts one error.
 	Batch int
-	// Sim switches to deterministic simulated-time latencies.
-	Sim *SimModel
-	// WorkerSeeds, when non-nil, gives each sim worker an explicit seed
-	// substream (the workload subsystem derives these per cohort via
-	// sweep.Seed2). Length must equal the resolved worker count and the
-	// seeds must be distinct; nil keeps the default Sim.Seed derivation.
-	WorkerSeeds []uint64
 }
 
 // Result is one run's report.
@@ -256,37 +220,56 @@ type Result struct {
 	// status (admission control), kept apart from Errors: a shed is the
 	// tier working as configured, an error is the tier failing.
 	Shed       int64
-	Elapsed    time.Duration // virtual in simulated-time mode
-	Throughput float64       // ops per (virtual) second
+	Elapsed    time.Duration
+	Throughput float64 // ops per second of Elapsed
 	P50        time.Duration
 	P95        time.Duration
 	P99        time.Duration
 	P999       time.Duration
 	Max        time.Duration
+	// Open loop only. Window is the span arrivals were offered over:
+	// Duration, or in a count-bounded run the offset at which arrival
+	// Workers×Ops would have come. Arrivals counts the requests offered,
+	// Pending those that came back — served, failed or shed — after the
+	// window had closed: the backlog a tier slower than the offered rate
+	// leaves behind.
+	Window   time.Duration
+	Arrivals int64
+	Pending  int64
 }
 
 // workerOut is one worker's private accumulation, merged after the run.
 type workerOut struct {
-	hist       stats.Histogram
-	ops, errs  int64
-	shed       int64
-	virtualEnd int64 // last virtual completion, simulated-time mode
-	err        error
+	hist                     stats.Histogram
+	ops, errs, shed, pending int64
 }
 
-// countFailure classifies one failed request: typed overload rejections
-// (pmproxy admission sheds, travelling as pcp.StatusOverload over the
-// wire or wrapping pcp.ErrOverload in process) count as sheds, anything
-// else as an error.
-func (o *workerOut) countFailure(err error) {
-	if errors.Is(err, pcp.ErrOverload) {
+// count records one finished request of per sets. Typed overload
+// rejections (pmproxy admission sheds, travelling as pcp.StatusOverload
+// over the wire or wrapping pcp.ErrOverload in process) count as sheds,
+// any other failure as an error; only served requests enter the
+// histogram.
+func (o *workerOut) count(err error, lat time.Duration, per int) {
+	switch {
+	case err == nil:
+		o.hist.Record(lat.Nanoseconds())
+		o.ops += int64(per)
+	case errors.Is(err, pcp.ErrOverload):
 		o.shed++
-	} else {
+	default:
 		o.errs++
 	}
 }
 
-// Run executes one load-generation run at o.Workers concurrency.
+// arrival is one scheduled request on its way from the dispatcher to a
+// worker.
+type arrival struct {
+	at    time.Duration
+	width int
+}
+
+// Run executes one load-generation run at o.Workers concurrency. Every
+// worker's connection is up before the clock starts.
 func Run(f Factory, o Options) (Result, error) {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -294,70 +277,68 @@ func Run(f Factory, o Options) (Result, error) {
 	if len(o.PMIDs) == 0 {
 		o.PMIDs = []uint32{1}
 	}
-	if o.Rate < 0 || (o.Mode == Open && o.Rate <= 0) {
-		return Result{}, fmt.Errorf("%w: got %g in %s loop", ErrRate, o.Rate, o.Mode)
-	}
-	if o.WorkerSeeds != nil {
-		if len(o.WorkerSeeds) != o.Workers {
-			return Result{}, fmt.Errorf("%w: %d seeds for %d workers", ErrSeedCount, len(o.WorkerSeeds), o.Workers)
-		}
-		seen := make(map[uint64]int, len(o.WorkerSeeds))
-		for i, s := range o.WorkerSeeds {
-			if prev, dup := seen[s]; dup {
-				return Result{}, fmt.Errorf("%w: workers %d and %d both use %d", ErrDuplicateSeed, prev, i, s)
-			}
-			seen[s] = i
-		}
-	}
-	if o.Sim != nil && o.Ops <= 0 {
-		return Result{}, fmt.Errorf("loadgen: simulated-time mode requires a per-worker Ops count")
-	}
-	if o.Sim == nil && o.Ops <= 0 && o.Duration <= 0 {
+	if o.Ops <= 0 && o.Duration <= 0 {
 		o.Duration = time.Second
 	}
+	per := max(o.Batch, 1)
+	ops := make([]func(width int) error, o.Workers)
+	for w := range ops {
+		fet, cleanup, err := f()
+		if err != nil {
+			return Result{}, fmt.Errorf("loadgen: worker %d: %w", w, err)
+		}
+		defer cleanup()
+		if ops[w], err = fetchOp(fet, o); err != nil {
+			return Result{}, fmt.Errorf("loadgen: worker %d: %w", w, err)
+		}
+	}
 
+	res := Result{Mode: Closed, Workers: o.Workers}
+	var arrivals chan arrival
+	window := o.Duration
+	if o.Schedule != nil {
+		if o.Ops > 0 {
+			window, _, _ = o.Schedule(o.Workers * o.Ops)
+		}
+		res.Mode, res.Window = Open, window
+		arrivals = make(chan arrival)
+	}
 	outs := make([]workerOut, o.Workers)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < o.Workers; w++ {
+	for w := range ops {
 		wg.Add(1)
-		go func(w int) {
+		go func(op func(int) error, out *workerOut) {
 			defer wg.Done()
-			out := &outs[w]
-			fet, cleanup, err := f()
-			if err != nil {
-				out.err = err
+			if arrivals == nil {
+				out.runClosed(op, per, o, start)
 				return
 			}
-			defer cleanup()
-			if o.Sim != nil {
-				runSimWorker(fet, o, w, out)
-			} else {
-				runLiveWorker(fet, o, w, start, out)
+			for a := range arrivals {
+				err := op(a.width)
+				// From the scheduled arrival: time spent waiting for a free
+				// worker is the tier's queueing delay, not the generator's.
+				lat := time.Since(start.Add(a.at))
+				out.count(err, lat, per)
+				if a.at+lat > window {
+					out.pending++
+				}
 			}
-		}(w)
+		}(ops[w], &outs[w])
+	}
+	if arrivals != nil {
+		res.Arrivals = dispatch(o, start, window, arrivals)
 	}
 	wg.Wait()
+	res.Elapsed = time.Since(start)
 
-	res := Result{Mode: o.Mode, Workers: o.Workers}
 	var hist stats.Histogram
-	var virtualEnd int64
 	for i := range outs {
-		if outs[i].err != nil {
-			return Result{}, fmt.Errorf("loadgen: worker %d: %w", i, outs[i].err)
-		}
 		res.Ops += outs[i].ops
 		res.Errors += outs[i].errs
 		res.Shed += outs[i].shed
+		res.Pending += outs[i].pending
 		hist.Merge(&outs[i].hist)
-		if outs[i].virtualEnd > virtualEnd {
-			virtualEnd = outs[i].virtualEnd
-		}
-	}
-	if o.Sim != nil {
-		res.Elapsed = time.Duration(virtualEnd)
-	} else {
-		res.Elapsed = time.Since(start)
 	}
 	if s := res.Elapsed.Seconds(); s > 0 {
 		res.Throughput = float64(res.Ops) / s
@@ -370,26 +351,32 @@ func Run(f Factory, o Options) (Result, error) {
 	return res, nil
 }
 
-// fetchOp resolves one worker's per-request operation: a single fetch,
-// or — when Options.Batch > 1 — one FetchBatch round trip carrying
-// Batch copies of the PMID set. Returns the operation and the number of
-// sets each request fetches.
-func fetchOp(fet Fetcher, o Options) (func() error, int, error) {
+// fetchOp resolves one worker's per-request operation: a single fetch of
+// the first width PMIDs, or — when Options.Batch > 1 — one FetchBatch
+// round trip carrying Batch copies of that set.
+func fetchOp(fet Fetcher, o Options) (func(width int) error, error) {
+	set := func(width int) []uint32 {
+		if width <= 0 || width > len(o.PMIDs) {
+			return o.PMIDs
+		}
+		return o.PMIDs[:width]
+	}
 	if o.Batch <= 1 {
-		return func() error {
-			_, err := fet.Fetch(o.PMIDs)
+		return func(width int) error {
+			_, err := fet.Fetch(set(width))
 			return err
-		}, 1, nil
+		}, nil
 	}
 	bf, ok := fet.(BatchFetcher)
 	if !ok {
-		return nil, 0, fmt.Errorf("loadgen: Batch=%d but fetcher %T does not implement BatchFetcher", o.Batch, fet)
+		return nil, fmt.Errorf("loadgen: Batch=%d but fetcher %T does not implement BatchFetcher", o.Batch, fet)
 	}
 	sets := make([][]uint32, o.Batch)
-	for i := range sets {
-		sets[i] = o.PMIDs
-	}
-	return func() error {
+	return func(width int) error {
+		s := set(width)
+		for i := range sets {
+			sets[i] = s
+		}
 		out, err := bf.FetchBatch(sets)
 		if err != nil {
 			return err
@@ -398,67 +385,33 @@ func fetchOp(fet Fetcher, o Options) (func() error, int, error) {
 			return fmt.Errorf("loadgen: batch returned %d sets, want %d", len(out), len(sets))
 		}
 		return nil
-	}, o.Batch, nil
+	}, nil
 }
 
-// runSimWorker issues o.Ops real requests and advances a virtual clock
-// by deterministic service times. In the open loop, arrivals are spaced
-// at the per-worker inter-arrival interval and latency includes the
-// virtual queueing delay behind earlier requests on this connection.
-func runSimWorker(fet Fetcher, o Options, w int, out *workerOut) {
-	seed := o.Sim.Seed ^ (uint64(w+1) * 0x9E3779B97F4A7C15)
-	if o.WorkerSeeds != nil {
-		seed = o.WorkerSeeds[w]
-	}
-	rng := xrand.New(seed)
-	op, per, err := fetchOp(fet, o)
-	if err != nil {
-		out.err = err
-		return
-	}
-	var interArrival float64
-	if o.Mode == Open {
-		interArrival = float64(o.Workers*per) / o.Rate * 1e9
-	}
-	var busy int64
-	for i := 0; i < o.Ops; i++ {
-		if err := op(); err != nil {
-			out.countFailure(err)
-			continue
+// dispatch is the open-loop pacer, the only one: it pulls the plan's
+// arrivals in order, sleeps until each is due and hands it to whichever
+// worker is free, blocking while none is — falling behind is then
+// visible in every later latency, because workers measure from the
+// scheduled offset. It returns the number of arrivals offered.
+func dispatch(o Options, start time.Time, window time.Duration, out chan<- arrival) (n int64) {
+	defer close(out)
+	for i := 0; o.Ops <= 0 || i < o.Workers*o.Ops; i++ {
+		at, width, ok := o.Schedule(i)
+		if !ok || (o.Ops <= 0 && at >= window) {
+			break
 		}
-		svc := o.Sim.service(rng)
-		var lat int64
-		if o.Mode == Open {
-			sched := int64(float64(i) * interArrival)
-			begin := sched
-			if busy > begin {
-				begin = busy
-			}
-			done := begin + svc
-			lat = done - sched
-			busy = done
-		} else {
-			busy += svc
-			lat = svc
+		if d := time.Until(start.Add(at)); d > 0 {
+			time.Sleep(d)
 		}
-		out.hist.Record(lat)
-		out.ops += int64(per)
+		out <- arrival{at, width}
+		n++
 	}
-	out.virtualEnd = busy
+	return n
 }
 
-// runLiveWorker measures wall-clock round trips until the op count or
+// runClosed issues requests back to back until the op count or the
 // deadline is reached.
-func runLiveWorker(fet Fetcher, o Options, w int, start time.Time, out *workerOut) {
-	op, per, err := fetchOp(fet, o)
-	if err != nil {
-		out.err = err
-		return
-	}
-	var interArrival time.Duration
-	if o.Mode == Open {
-		interArrival = time.Duration(float64(o.Workers*per) / o.Rate * 1e9)
-	}
+func (out *workerOut) runClosed(op func(int) error, per int, o Options, start time.Time) {
 	deadline := start.Add(o.Duration)
 	for i := 0; ; i++ {
 		if o.Ops > 0 && i >= o.Ops {
@@ -467,23 +420,9 @@ func runLiveWorker(fet Fetcher, o Options, w int, start time.Time, out *workerOu
 		if o.Ops <= 0 && !time.Now().Before(deadline) {
 			return
 		}
-		var ref time.Time
-		if o.Mode == Open {
-			// Latency is measured from the scheduled arrival, so falling
-			// behind shows up as queueing delay (no coordinated omission).
-			ref = start.Add(time.Duration(i) * interArrival)
-			if d := time.Until(ref); d > 0 {
-				time.Sleep(d)
-			}
-		} else {
-			ref = time.Now()
-		}
-		if err := op(); err != nil {
-			out.countFailure(err)
-			continue
-		}
-		out.hist.Record(time.Since(ref).Nanoseconds())
-		out.ops += int64(per)
+		ref := time.Now()
+		err := op(0)
+		out.count(err, time.Since(ref), per)
 	}
 }
 
@@ -510,6 +449,11 @@ func Report(results []Result) string {
 		fmt.Fprintf(&b, "%7d %5s %9d %6d %6d %9.0f/s %9s %9s %9s %9s %9s\n",
 			r.Workers, r.Mode, r.Ops, r.Errors, r.Shed, r.Throughput,
 			fmtDur(r.P50), fmtDur(r.P95), fmtDur(r.P99), fmtDur(r.P999), fmtDur(r.Max))
+		if secs := r.Window.Seconds(); r.Arrivals > 0 && secs > 0 {
+			done := float64(r.Arrivals - r.Pending)
+			fmt.Fprintf(&b, "%13s offered %.1f/s achieved %.1f/s ratio %.3f pending %d\n", "",
+				float64(r.Arrivals)/secs, done/secs, done/float64(r.Arrivals), r.Pending)
+		}
 	}
 	return b.String()
 }

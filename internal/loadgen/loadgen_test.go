@@ -2,7 +2,7 @@ package loadgen
 
 import (
 	"errors"
-	"reflect"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -18,74 +18,11 @@ func testDaemon(t *testing.T) (*pcp.Daemon, string) {
 	return testutil.StartSyntheticDaemon(t, 8)
 }
 
-// TestSimSweepDeterministic: the whole simulated-time report — ops,
-// throughput, every percentile — is identical across runs, including
-// over a real TCP connection to a live daemon.
-func TestSimSweepDeterministic(t *testing.T) {
-	_, addr := testDaemon(t)
-	opts := Options{
-		Mode:  Closed,
-		Ops:   300,
-		PMIDs: []uint32{1, 2, 3},
-		Sim:   &SimModel{Seed: 42, Base: 10 * time.Microsecond},
-	}
-	sweep := []int{1, 2, 4}
-	a, err := Sweep(DialFactory(addr), sweep, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Sweep(DialFactory(addr), sweep, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("simulated-time sweep not deterministic:\n%s\nvs\n%s", Report(a), Report(b))
-	}
-	for i, r := range a {
-		if r.Ops != int64(sweep[i]*opts.Ops) || r.Errors != 0 {
-			t.Errorf("workers=%d: ops=%d errs=%d, want %d/0", r.Workers, r.Ops, r.Errors, sweep[i]*opts.Ops)
-		}
-		if r.P50 <= 0 || r.P999 < r.P99 || r.P99 < r.P95 || r.P95 < r.P50 || r.Max < r.P999 {
-			t.Errorf("workers=%d: non-monotone percentiles %+v", r.Workers, r)
-		}
-	}
-}
-
-// TestSimOpenLoopQueueing: an open-loop arrival rate well above the
-// service rate must surface queueing delay in the tail — p99 latency
-// far beyond the pure service time — while a low rate must not.
-func TestSimOpenLoopQueueing(t *testing.T) {
-	_, addr := testDaemon(t)
-	base := 10 * time.Microsecond // service rate ≈ 100k/s per worker
-	run := func(rate float64) Result {
-		r, err := Run(DialFactory(addr), Options{
-			Mode:  Open,
-			Rate:  rate,
-			Ops:   400,
-			PMIDs: []uint32{1},
-			Sim:   &SimModel{Seed: 7, Base: base},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	relaxed := run(20_000)     // 20% utilisation: no queueing
-	overloaded := run(500_000) // 5x over capacity: queue grows without bound
-	if relaxed.P99 > 20*base {
-		t.Errorf("relaxed open loop shows queueing: p99 = %v", relaxed.P99)
-	}
-	if overloaded.P99 < 10*relaxed.P99 {
-		t.Errorf("overload not visible in tail: p99 %v (relaxed %v)", overloaded.P99, relaxed.P99)
-	}
-}
-
 // TestLiveClosedLoop drives real wall-clock load against the daemon over
 // TCP — the smoke path CI exercises via cmd/pcploadgen.
 func TestLiveClosedLoop(t *testing.T) {
 	_, addr := testDaemon(t)
 	r, err := Run(DialFactory(addr), Options{
-		Mode:    Closed,
 		Workers: 4,
 		Ops:     50,
 		PMIDs:   []uint32{1, 2},
@@ -108,7 +45,7 @@ func TestSharedFactoryInProcess(t *testing.T) {
 	f := SharedFactory(FetchFunc(func(pmids []uint32) (pcp.FetchResult, error) {
 		return d.Fetch(pmids), nil
 	}))
-	r, err := Run(f, Options{Workers: 2, Ops: 100, Sim: &SimModel{Seed: 1}})
+	r, err := Run(f, Options{Workers: 2, Ops: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,89 +55,89 @@ func TestSharedFactoryInProcess(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	f := SharedFactory(FetchFunc(func([]uint32) (pcp.FetchResult, error) {
-		return pcp.FetchResult{}, nil
-	}))
-	if _, err := Run(f, Options{Mode: Open}); err == nil {
+	if _, err := FixedRate(0); err == nil {
 		t.Error("open loop without a rate should fail")
 	}
-	if _, err := Run(f, Options{Sim: &SimModel{}}); err == nil {
-		t.Error("sim mode without Ops should fail")
-	}
-}
-
-// TestRateValidationTyped: a zero or negative rate is rejected with the
-// typed ErrRate — including a negative rate in closed loop, which used
-// to ride along silently because closed loop never reads Rate.
-func TestRateValidationTyped(t *testing.T) {
-	f := SharedFactory(FetchFunc(func([]uint32) (pcp.FetchResult, error) {
-		return pcp.FetchResult{}, nil
-	}))
-	for _, tc := range []struct {
-		name string
-		o    Options
-	}{
-		{"open zero rate", Options{Mode: Open, Ops: 10}},
-		{"open negative rate", Options{Mode: Open, Rate: -5, Ops: 10}},
-		{"closed negative rate", Options{Mode: Closed, Rate: -1, Ops: 10}},
-	} {
-		_, err := Run(f, tc.o)
-		if !errors.Is(err, ErrRate) {
-			t.Errorf("%s: err = %v, want ErrRate", tc.name, err)
+	down := errors.New("factory down")
+	bad := func() (Fetcher, func() error, error) { return nil, nil, down }
+	for _, o := range []Options{{Ops: 1}, {Ops: 1, Schedule: func(int) (time.Duration, int, bool) { return 0, 0, true }}} {
+		if _, err := Run(bad, o); !errors.Is(err, down) {
+			t.Errorf("factory failure: err = %v, want it surfaced before any load", err)
 		}
 	}
-	// A closed loop that never set Rate must keep working.
-	if _, err := Run(f, Options{Mode: Closed, Ops: 5, Sim: &SimModel{Seed: 1}}); err != nil {
-		t.Errorf("closed loop with zero rate rejected: %v", err)
-	}
 }
 
-// TestWorkerSeedValidation: explicit per-worker seed substreams must
-// match the worker count and be distinct, each failure mode with its own
-// typed error; valid distinct seeds change the latency draws.
-func TestWorkerSeedValidation(t *testing.T) {
+// TestRateValidationTyped: a zero, negative or NaN rate is rejected with
+// the typed ErrRate where the rate enters, FixedRate; a closed loop has
+// no rate to get wrong.
+func TestRateValidationTyped(t *testing.T) {
+	for _, rate := range []float64{0, -5, math.NaN()} {
+		if _, err := FixedRate(rate); !errors.Is(err, ErrRate) {
+			t.Errorf("FixedRate(%g): err = %v, want ErrRate", rate, err)
+		}
+	}
 	f := SharedFactory(FetchFunc(func([]uint32) (pcp.FetchResult, error) {
 		return pcp.FetchResult{}, nil
 	}))
-	base := Options{Workers: 2, Ops: 50, Sim: &SimModel{Seed: 9}}
+	r, err := Run(f, Options{Ops: 5})
+	if err != nil || r.Ops != 5 || r.Mode != Closed {
+		t.Errorf("closed loop without a schedule: %+v, %v, want 5 closed ops", r, err)
+	}
+}
 
-	o := base
-	o.WorkerSeeds = []uint64{1}
-	if _, err := Run(f, o); !errors.Is(err, ErrSeedCount) {
-		t.Errorf("short seed slice: err = %v, want ErrSeedCount", err)
+// slowFetcher serves every fetch in service, one at a time per caller.
+func slowFetcher(service time.Duration) Factory {
+	return SharedFactory(FetchFunc(func([]uint32) (pcp.FetchResult, error) {
+		time.Sleep(service)
+		return pcp.FetchResult{}, nil
+	}))
+}
+
+// TestOpenLoopQueueing: one worker behind a 2 ms fetcher serves at most
+// 500 req/s. Offered 1000 req/s it must report the queue it builds —
+// latency measured from the scheduled arrival grows to about the run's
+// overshoot, and the requests still in the queue when the window closed
+// are pending — while at 100 req/s it must report none of that.
+func TestOpenLoopQueueing(t *testing.T) {
+	const service = 2 * time.Millisecond
+	run := func(rate float64, ops int) Result {
+		t.Helper()
+		sched, err := FixedRate(rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(slowFetcher(service), Options{Schedule: sched, Ops: ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Mode != Open || r.Arrivals != int64(ops) || r.Ops != int64(ops) || r.Errors != 0 {
+			t.Fatalf("rate %g: %+v, want %d open arrivals all served", rate, r, ops)
+		}
+		if want := time.Duration(float64(ops) / rate * 1e9); r.Window != want {
+			t.Errorf("rate %g: window %v, want %v", rate, r.Window, want)
+		}
+		return r
 	}
-	o = base
-	o.WorkerSeeds = []uint64{7, 7}
-	if _, err := Run(f, o); !errors.Is(err, ErrDuplicateSeed) {
-		t.Errorf("duplicate seeds: err = %v, want ErrDuplicateSeed", err)
+	relaxed := run(100, 20)
+	if relaxed.P50 > 10*service || relaxed.Pending > 1 {
+		t.Errorf("20%% load shows queueing: p50 %v, %d pending", relaxed.P50, relaxed.Pending)
 	}
-	o = base
-	o.WorkerSeeds = []uint64{3, 4}
-	a, err := Run(f, o)
-	if err != nil {
-		t.Fatal(err)
+	over := run(1000, 200)
+	overshoot := over.Elapsed - over.Window
+	if over.P99 < overshoot/2 || over.P99 < 25*service {
+		t.Errorf("2x overload hidden: p99 %v, overshoot %v, service %v", over.P99, overshoot, service)
 	}
-	b, err := Run(f, o)
-	if err != nil {
-		t.Fatal(err)
+	if over.Pending < over.Arrivals/4 {
+		t.Errorf("2x overload: %d of %d arrivals pending, want about half", over.Pending, over.Arrivals)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("explicit worker seeds not deterministic")
-	}
-	def, err := Run(f, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a, def) {
-		t.Error("explicit worker seeds did not change the draw streams")
+	if rep := Report([]Result{over}); !strings.Contains(rep, "offered 1000.0/s") || !strings.Contains(rep, "ratio 0.") {
+		t.Errorf("report hides the window accounting:\n%s", rep)
 	}
 }
 
 func TestReportShape(t *testing.T) {
 	_, addr := testDaemon(t)
-	rs, err := Sweep(DialFactory(addr), []int{1, 2}, Options{
-		Ops: 50, Sim: &SimModel{Seed: 3},
-	})
+	rs, err := Sweep(DialFactory(addr), []int{1, 2}, Options{Ops: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

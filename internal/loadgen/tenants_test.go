@@ -27,7 +27,7 @@ func TestRunTenantsShedAccounting(t *testing.T) {
 	}
 	defer p.Close()
 
-	opts := Options{Mode: Closed, Ops: 50, PMIDs: []uint32{1, 2}}
+	opts := Options{Ops: 50, PMIDs: []uint32{1, 2}}
 	results, err := RunTenants([]TenantLoad{
 		{Name: "gold", Tenant: 1, Factory: DialTenantFactory(paddr, 1), Opts: opts},
 		{Tenant: 2, Factory: DialTenantFactory(paddr, 2), Opts: opts},

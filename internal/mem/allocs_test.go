@@ -41,7 +41,7 @@ func TestAddTrafficSteadyStateDoesNotAllocate(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.AddTraffic(true, int64(i)*64, 4096, 0, 0)
 	}
-	c.Read(simtime.Time(simtime.Second))
+	c.ReadInto(simtime.Time(simtime.Second), nil)
 	if got := testing.AllocsPerRun(1000, func() {
 		c.AddTraffic(true, 0, 4096, 0, 0)
 	}); got != 0 {

@@ -17,7 +17,7 @@ func BenchmarkRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t = t.Add(100 * simtime.Microsecond)
 		c.AddTraffic(true, int64(i)*64, 1<<16, t, t)
-		c.Read(t)
+		c.ReadInto(t, nil)
 	}
 }
 
@@ -62,7 +62,7 @@ func BenchmarkAddTrafficNoisy(b *testing.B) {
 		t = t.Add(simtime.Microsecond)
 		c.AddTraffic(true, int64(i)*64, 1<<16, t, t)
 		if i%1024 == 1023 { // drain periodically as a sampler would
-			c.Read(t.Add(simtime.Second))
+			c.ReadInto(t.Add(simtime.Second), nil)
 		}
 	}
 }

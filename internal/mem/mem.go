@@ -335,15 +335,11 @@ func (c *Controller) foldLocked(t simtime.Time) {
 	}
 }
 
-// Read returns a snapshot of every channel's counters as visible at
-// simulated time t: all traffic posted at or before t, plus background
-// noise up to t.
-func (c *Controller) Read(t simtime.Time) []ChannelCounts {
-	return c.ReadInto(t, nil)
-}
-
-// ReadInto is Read into a caller-provided buffer, growing it if needed;
-// with a buffer of sufficient capacity it does not allocate.
+// ReadInto snapshots every channel's counters as visible at simulated
+// time t — all traffic posted at or before t, plus background noise up
+// to t — into a caller-provided buffer, growing it if needed (nil
+// allocates one); with a buffer of sufficient capacity it does not
+// allocate.
 func (c *Controller) ReadInto(t simtime.Time, dst []ChannelCounts) []ChannelCounts {
 	c.mu.Lock()
 	defer c.mu.Unlock()

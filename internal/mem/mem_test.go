@@ -34,7 +34,7 @@ func TestChannelInterleaving(t *testing.T) {
 	c, _ := idealController()
 	// 16 transactions over 8 channels: exactly 2 per channel.
 	c.AddTraffic(true, 0, 64*16, 0, 0)
-	for i, ch := range c.Read(0) {
+	for i, ch := range c.ReadInto(0, nil) {
 		if ch.ReadBytes != 128 {
 			t.Errorf("channel %d = %d bytes, want 128", i, ch.ReadBytes)
 		}
@@ -45,7 +45,7 @@ func TestInterleavingRemainderFollowsAddress(t *testing.T) {
 	c, _ := idealController()
 	// 3 transactions starting at address 5*64: channels 5,6,7 get one each.
 	c.AddTraffic(true, 5*64, 3*64, 0, 0)
-	counts := c.Read(0)
+	counts := c.ReadInto(0, nil)
 	for i, ch := range counts {
 		want := uint64(0)
 		if i >= 5 {
@@ -205,7 +205,7 @@ func TestBalanceProperty(t *testing.T) {
 			return true
 		}
 		c.AddTraffic(true, int64(addrTx)*64, int64(txCount)*64, 0, 0)
-		counts := c.Read(0)
+		counts := c.ReadInto(0, nil)
 		min, max := counts[0].ReadBytes, counts[0].ReadBytes
 		for _, ch := range counts {
 			if ch.ReadBytes < min {

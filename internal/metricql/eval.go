@@ -115,15 +115,8 @@ func NewEngine(src Source) *Engine {
 	}
 }
 
-// Alias registers name as an alias for the raw metric rawName. Aliases
-// participate in glob expansion alongside raw names.
-func (e *Engine) Alias(name, rawName string) {
-	e.mu.Lock()
-	e.aliases[name] = rawName
-	e.mu.Unlock()
-}
-
-// AliasAll registers a batch of aliases.
+// AliasAll registers a batch of aliases: each key names the raw metric
+// it maps to. Aliases participate in glob expansion alongside raw names.
 func (e *Engine) AliasAll(m map[string]string) {
 	e.mu.Lock()
 	for k, v := range m {

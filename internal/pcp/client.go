@@ -102,16 +102,6 @@ func DialMax(addr string, maxVersion uint32) (*Client, error) {
 	return NewClientConnMax(conn, maxVersion)
 }
 
-// DialRaw connects using the given handshake magic; it exists so tests
-// can exercise the daemon's rejection of unknown protocols.
-func DialRaw(addr, magic string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("pcp: dial %s: %w", addr, err)
-	}
-	return NewClientConnRaw(conn, magic)
-}
-
 // NewClientConn performs the protocol handshake over an
 // already-established connection and returns a Client speaking on it.
 // It is the injection point for transport wrappers (fault injection,
@@ -125,11 +115,6 @@ func NewClientConn(conn net.Conn) (*Client, error) {
 // version (see DialMax).
 func NewClientConnMax(conn net.Conn, maxVersion uint32) (*Client, error) {
 	return newClientConn(conn, Magic, maxVersion)
-}
-
-// NewClientConnRaw is NewClientConn with a caller-chosen handshake magic.
-func NewClientConnRaw(conn net.Conn, magic string) (*Client, error) {
-	return newClientConn(conn, magic, MaxVersion)
 }
 
 func newClientConn(conn net.Conn, magic string, maxVersion uint32) (*Client, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -147,7 +148,11 @@ func TestBadHandshakeRejected(t *testing.T) {
 	}
 	defer d.Close()
 	// A client that speaks the wrong magic gets disconnected.
-	c, err := DialRaw(addr, "NOPE")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := newClientConn(conn, "NOPE", MaxVersion)
 	if err == nil {
 		c.Close()
 		t.Error("expected handshake failure")

@@ -40,7 +40,6 @@ type AdmitRequest struct {
 // concurrent use and deterministic given the AdmitRequest (all timing
 // comes from Now).
 type Policy interface {
-	Name() string
 	Admit(req AdmitRequest) error
 }
 
@@ -179,14 +178,12 @@ func init() {
 // overload experiment.
 type alwaysAdmit struct{}
 
-func (alwaysAdmit) Name() string             { return "always-admit" }
 func (alwaysAdmit) Admit(AdmitRequest) error { return nil }
 
 // rejectAll sheds everything: the drain/maintenance policy, and the
 // degenerate case unit tests pin down.
 type rejectAll struct{}
 
-func (rejectAll) Name() string { return "reject-all" }
 func (rejectAll) Admit(AdmitRequest) error {
 	return fmt.Errorf("%w: policy reject-all", ErrAdmissionRejected)
 }
@@ -212,8 +209,6 @@ type bucket struct {
 func newTokenBucket(cfg AdmissionConfig) Policy {
 	return &tokenBucket{cfg: cfg, buckets: make(map[uint32]*bucket)}
 }
-
-func (t *tokenBucket) Name() string { return "token-bucket" }
 
 func (t *tokenBucket) Admit(req AdmitRequest) error {
 	tc := t.cfg.tenant(req.Tenant)
@@ -272,8 +267,6 @@ type priorityShedder struct {
 func newPriorityShedder(cfg AdmissionConfig) Policy {
 	return &priorityShedder{cfg: cfg, depth: cfg.Capacity}
 }
-
-func (p *priorityShedder) Name() string { return "priority" }
 
 func (p *priorityShedder) Admit(req AdmitRequest) error {
 	if p.cfg.Capacity <= 0 {

@@ -128,7 +128,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	// Two refused dials reach the threshold and trip the breaker.
 	mustFail("failure 1")
 	mustFail("failure 2")
-	if got := p.BreakerHistory(); !reflect.DeepEqual(got, []string{"closed→open"}) {
+	if got := p.brk.history(); !reflect.DeepEqual(got, []string{"closed→open"}) {
 		t.Fatalf("after threshold: history = %v", got)
 	}
 	if dials.Load() != 2 {
@@ -172,7 +172,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		"open→half-open", "half-open→open",
 		"open→half-open", "half-open→closed",
 	}
-	if got := p.BreakerHistory(); !reflect.DeepEqual(got, want) {
+	if got := p.brk.history(); !reflect.DeepEqual(got, want) {
 		t.Errorf("transition sequence = %v, want %v", got, want)
 	}
 	st := p.Stats()

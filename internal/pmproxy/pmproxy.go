@@ -324,15 +324,6 @@ func (p *Proxy) TenantStatsAll() []TenantStats {
 	return out
 }
 
-// BreakerHistory returns the breaker's state-transition sequence so
-// far ("closed→open", ...); empty when the breaker is disabled.
-func (p *Proxy) BreakerHistory() []string {
-	if p.brk == nil {
-		return nil
-	}
-	return p.brk.history()
-}
-
 // admitReq assembles one admission decision's input.
 func (p *Proxy) admitReq(tenant uint32, cost int) AdmitRequest {
 	return AdmitRequest{

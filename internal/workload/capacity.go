@@ -154,12 +154,8 @@ func (cr *CapacityReport) Render() string {
 // text block.
 func (r *Report) Render() string {
 	var b strings.Builder
-	mode := "virtual-time"
-	if r.Live {
-		mode = "wall-clock"
-	}
-	fmt.Fprintf(&b, "workload %s seed=%d mult=%g horizon=%v mode=%s\n",
-		r.Name, r.Seed, r.Mult, r.Horizon, mode)
+	fmt.Fprintf(&b, "workload %s seed=%d mult=%g horizon=%v mode=virtual-time\n",
+		r.Name, r.Seed, r.Mult, r.Horizon)
 	fmt.Fprintf(&b, "%-14s %9s %9s %9s %8s %6s %9s %9s %9s %9s %9s\n",
 		"cohort", "clients", "arrivals", "complete", "pending", "errs", "p50", "p90", "p99", "p99.9", "max")
 	rows := append([]CohortResult{}, r.Cohorts...)

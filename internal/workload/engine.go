@@ -5,22 +5,19 @@
 // arrivals form a non-homogeneous Poisson process per cohort while every
 // draw stays deterministic.
 //
-// Virtual-time and wall-clock runs share this entire path — generation,
-// thinning, issue, accounting, trace recording. They diverge only at two
-// clock touchpoints: pace() (a no-op in virtual time, a sleep-until in
-// wall time) and the Target (deterministic queue model vs. real fetch).
-// That is what makes a laptop simulate a million concurrent clients
-// faster than real time with the same code that drives a real tier.
+// The package owns virtual time and nothing else: no socket, no wall
+// clock. The heap loop is a pull iterator (Arrivals) that Run drains
+// through a Target as fast as it yields — which is what lets a laptop
+// simulate a million concurrent clients faster than real time — and
+// that a wall-clock executor (internal/loadgen, glued in
+// cmd/pcploadgen) can pace against a real tier instead. A recorded
+// trace yields the same kind of iterator, so a trace is a schedule too.
 package workload
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
-	"time"
 
-	"papimc/internal/loadgen"
 	"papimc/internal/simtime"
 	"papimc/internal/stats"
 	"papimc/internal/sweep"
@@ -32,25 +29,10 @@ type Options struct {
 	// Mult scales every cohort's rate curve (the capacity analyzer's
 	// sweep axis). 0 means 1.
 	Mult float64
-	// Target overrides the service model. Nil means NewSimTarget(spec)
-	// in virtual time; ignored when Live is set.
+	// Target overrides the service model. Nil means NewSimTarget(spec).
 	Target Target
 	// Record, when non-nil, receives every issued request as a trace row.
 	Record *Trace
-	// Live switches to the wall-clock executor: arrivals are paced in
-	// real time and issued against real connections.
-	Live *LiveOptions
-}
-
-// LiveOptions configures the wall-clock executor.
-type LiveOptions struct {
-	// Factory builds one connection per executor worker.
-	Factory loadgen.Factory
-	// Workers bounds in-flight requests (0 means 64). Generation blocks
-	// when all workers are busy, which is the executor's backpressure.
-	Workers int
-	// MaxPMIDs caps the fetch width a request's Size can demand (0: 64).
-	MaxPMIDs int
 }
 
 // CohortResult is one cohort's accounting in a report.
@@ -70,14 +52,13 @@ type CohortResult struct {
 }
 
 // Report is one run's result: per-cohort and total accounting plus the
-// saturation ratio the capacity analyzer keys on. In virtual-time mode
-// every field is bit-identical across runs with the same spec and seed.
+// saturation ratio the capacity analyzer keys on. Every field is
+// bit-identical across runs with the same spec and seed.
 type Report struct {
 	Name    string           `json:"name"`
 	Seed    uint64           `json:"seed"`
 	Mult    float64          `json:"mult"`
 	Horizon simtime.Duration `json:"horizon_ns"`
-	Live    bool             `json:"live,omitempty"`
 	Cohorts []CohortResult   `json:"cohorts"`
 	Total   CohortResult     `json:"total"`
 	// Offered is the accepted arrival rate over the horizon; Achieved
@@ -235,26 +216,98 @@ func (g *cohortGen) draw(j int) (Class, int) {
 	return class, int(size)
 }
 
-// engine carries one run's mutable state; Run and Replay both drive it
-// through the same pace/issue/complete path.
+// generator is the spec's arrival stream: the event heap plus every
+// cohort's client state machines.
+type generator struct {
+	gens    []*cohortGen
+	heap    eventHeap
+	horizon int64
+	seq     int64
+	events  int64 // candidates popped, thinned ones included
+}
+
+// newGenerator seeds the heap with every client's first candidate. The
+// spec must be validated and mult positive.
+func newGenerator(spec *Spec, mult float64) *generator {
+	g := &generator{gens: make([]*cohortGen, len(spec.Cohorts)), horizon: int64(spec.Duration)}
+	for ci := range spec.Cohorts {
+		g.gens[ci] = newCohortGen(spec, ci, mult)
+		for j := 0; j < spec.Cohorts[ci].Clients; j++ {
+			if t := g.gens[ci].next(j); t <= g.horizon {
+				g.heap.ev = append(g.heap.ev, event{t: t, cohort: int32(ci), client: int32(j)})
+			}
+		}
+	}
+	g.heap.init()
+	return g
+}
+
+// next pops candidates until one survives thinning and returns it as the
+// next request. Every draw on a client's substream happens in the order
+// accept, class and size, next delay, whatever the caller does with the
+// request in between.
+func (g *generator) next() (Request, bool) {
+	for len(g.heap.ev) > 0 {
+		ev := g.heap.pop()
+		g.events++
+		cg, j := g.gens[ev.cohort], int(ev.client)
+		accepted := cg.accept(j, simtime.Time(ev.t))
+		var req Request
+		if accepted {
+			class, size := cg.draw(j)
+			req = Request{T: simtime.Time(ev.t), Seq: g.seq, Cohort: int(ev.cohort), Class: class, Size: size}
+			g.seq++
+		}
+		if t := ev.t + cg.next(j); t <= g.horizon {
+			g.heap.push(event{t: t, cohort: ev.cohort, client: ev.client})
+		}
+		if accepted {
+			return req, true
+		}
+	}
+	return Request{}, false
+}
+
+// Arrivals expands the spec into its deterministic request stream at
+// rate multiplier mult (0 means 1) and returns it as a pull iterator:
+// each call yields the next request — T nondecreasing, Seq counting from
+// 0 — until ok is false at the spec's horizon. Run drains exactly this
+// iterator through a Target; a wall-clock executor paces it instead.
+func Arrivals(spec *Spec, mult float64) (func() (Request, bool), error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if mult <= 0 {
+		mult = 1
+	}
+	return newGenerator(spec, mult).next, nil
+}
+
+// Arrivals is the recorded schedule as the iterator Arrivals returns for
+// a spec: the rows' arrival time, cohort, class and size in issue order,
+// outcomes left behind.
+func (tr *Trace) Arrivals() func() (Request, bool) {
+	i := 0
+	return func() (Request, bool) {
+		if i == len(tr.Rows) {
+			return Request{}, false
+		}
+		r := &tr.Rows[i]
+		req := Request{T: simtime.Time(r.T), Seq: int64(i), Cohort: int(r.Cohort), Class: r.Class, Size: int(r.Size)}
+		i++
+		return req, true
+	}
+}
+
+// engine carries one run's accounting; Run and Replay both drain their
+// iterator through it.
 type engine struct {
 	spec    *Spec
 	mult    float64
 	horizon int64
 	target  Target
 	rec     *Trace
-
-	// live-mode rig; nil in virtual time.
-	live      *LiveOptions
-	wallStart time.Time
-	reqs      chan Request
-	wg        sync.WaitGroup
-	mu        sync.Mutex // guards accounting + trace in live mode
-	liveErr   error
-
-	seq    int64
-	events int64
-	acc    []cohortAcc
+	acc     []cohortAcc
 }
 
 type cohortAcc struct {
@@ -263,14 +316,13 @@ type cohortAcc struct {
 	hist                               stats.Histogram
 }
 
-func newEngine(spec *Spec, o Options) (*engine, error) {
+func newEngine(spec *Spec, o Options) *engine {
 	e := &engine{
 		spec:    spec,
 		mult:    o.Mult,
 		horizon: int64(spec.Duration),
 		target:  o.Target,
 		rec:     o.Record,
-		live:    o.Live,
 		acc:     make([]cohortAcc, len(spec.Cohorts)),
 	}
 	if e.mult <= 0 {
@@ -287,75 +339,21 @@ func newEngine(spec *Spec, o Options) (*engine, error) {
 		}
 		e.rec.Rows = e.rec.Rows[:0]
 	}
-	if e.live != nil {
-		if e.live.Factory == nil {
-			return nil, fmt.Errorf("workload: live mode requires a Factory")
-		}
-		if err := e.startLive(); err != nil {
-			return nil, err
-		}
-	} else if e.target == nil {
+	if e.target == nil {
 		e.target = NewSimTarget(spec)
 	}
-	return e, nil
+	return e
 }
 
-func (e *engine) startLive() error {
-	workers := e.live.Workers
-	if workers <= 0 {
-		workers = 64
+// run drains the iterator through the target and assembles the report.
+func (e *engine) run(next func() (Request, bool)) *Report {
+	for req, ok := next(); ok; req, ok = next() {
+		e.complete(req, e.target.Do(req))
 	}
-	e.wallStart = time.Now()
-	e.reqs = make(chan Request, workers)
-	for w := 0; w < workers; w++ {
-		fet, cleanup, err := e.live.Factory()
-		if err != nil {
-			close(e.reqs)
-			e.wg.Wait()
-			return fmt.Errorf("workload: live worker %d: %w", w, err)
-		}
-		lt := NewLiveTarget(fet, e.live.MaxPMIDs)
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			defer cleanup()
-			for req := range e.reqs {
-				out := lt.Do(req)
-				e.mu.Lock()
-				e.complete(req, out)
-				e.mu.Unlock()
-			}
-		}()
-	}
-	return nil
+	return e.finish()
 }
 
-// pace is the only clock touchpoint of the generation loop: virtual time
-// proceeds as fast as the heap drains, wall time sleeps to the schedule.
-func (e *engine) pace(t int64) {
-	if e.live == nil {
-		return
-	}
-	if d := time.Until(e.wallStart.Add(time.Duration(t))); d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// issue sends one request down the shared path: inline through the
-// deterministic target in virtual time, to the executor pool in live
-// mode.
-func (e *engine) issue(t int64, cohort int, class Class, size int) {
-	req := Request{T: simtime.Time(t), Seq: e.seq, Cohort: cohort, Class: class, Size: size}
-	e.seq++
-	if e.live != nil {
-		e.reqs <- req
-		return
-	}
-	e.complete(req, e.target.Do(req))
-}
-
-// complete records one outcome. Called inline in virtual time, under
-// e.mu from executor workers in live mode.
+// complete records one outcome.
 func (e *engine) complete(req Request, out Outcome) {
 	a := &e.acc[req.Cohort]
 	a.arrivals++
@@ -379,23 +377,12 @@ func (e *engine) complete(req Request, out Outcome) {
 	}
 }
 
-// finish drains the executor, sorts trace rows back into issue order
-// (live completions arrive out of order), and assembles the report.
 func (e *engine) finish() *Report {
-	if e.live != nil {
-		close(e.reqs)
-		e.wg.Wait()
-	}
-	if e.rec != nil {
-		sort.Slice(e.rec.Rows, func(i, j int) bool { return e.rec.Rows[i].Seq < e.rec.Rows[j].Seq })
-	}
 	rep := &Report{
 		Name:    e.spec.Name,
 		Seed:    e.spec.Seed,
 		Mult:    e.mult,
 		Horizon: simtime.Duration(e.horizon),
-		Live:    e.live != nil,
-		Events:  e.events,
 	}
 	var total cohortAcc
 	qs := []float64{0.5, 0.9, 0.99, 0.999}
@@ -436,51 +423,25 @@ func cohortResult(name string, clients int, a *cohortAcc, qs []float64) CohortRe
 	}
 }
 
-// Run expands the spec into its request stream and executes it. With the
-// default virtual-time executor the run is deterministic: byte-identical
-// reports (and traces) across runs with the same spec and seed.
+// Run expands the spec into its request stream and executes it in
+// virtual time. The run is deterministic: byte-identical reports (and
+// traces) across runs with the same spec and seed.
 func Run(spec *Spec, o Options) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	e, err := newEngine(spec, o)
-	if err != nil {
-		return nil, err
-	}
-	gens := make([]*cohortGen, len(spec.Cohorts))
-	var h eventHeap
-	for ci := range spec.Cohorts {
-		gens[ci] = newCohortGen(spec, ci, e.mult)
-		for j := 0; j < spec.Cohorts[ci].Clients; j++ {
-			if t := gens[ci].next(j); t <= e.horizon {
-				h.ev = append(h.ev, event{t: t, cohort: int32(ci), client: int32(j)})
-			}
-		}
-	}
-	h.init()
-	for len(h.ev) > 0 {
-		ev := h.pop()
-		e.events++
-		g := gens[ev.cohort]
-		j := int(ev.client)
-		if g.accept(j, simtime.Time(ev.t)) {
-			class, size := g.draw(j)
-			e.pace(ev.t)
-			e.issue(ev.t, int(ev.cohort), class, size)
-		}
-		if t := ev.t + g.next(j); t <= e.horizon {
-			h.push(event{t: t, cohort: ev.cohort, client: ev.client})
-		}
-	}
-	return e.finish(), nil
+	e := newEngine(spec, o)
+	g := newGenerator(spec, e.mult)
+	rep := e.run(g.next)
+	rep.Events = g.events
+	return rep, nil
 }
 
-// Replay re-issues a recorded trace through the same issue path: the
-// per-request schedule comes from the trace rows instead of the client
-// state machines, everything downstream — pacing, target, accounting,
-// re-recording — is the code Run uses. Replaying a virtual-time trace
-// against the spec that recorded it reproduces the original run's result
-// stream bit-exact.
+// Replay re-issues a recorded trace: the schedule comes from the trace
+// rows instead of the client state machines, everything downstream —
+// target, accounting, re-recording — is the code Run uses. Replaying a
+// trace against the spec that recorded it reproduces the original run's
+// result stream bit-exact.
 func Replay(tr *Trace, spec *Spec, o Options) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -493,6 +454,11 @@ func Replay(tr *Trace, spec *Spec, o Options) (*Report, error) {
 			return nil, fmt.Errorf("workload: trace cohort %d is %q, spec has %q", i, tr.Cohorts[i], spec.Cohorts[i].Name)
 		}
 	}
+	for i := range tr.Rows {
+		if int(tr.Rows[i].Cohort) >= len(spec.Cohorts) {
+			return nil, fmt.Errorf("workload: trace row %d names cohort %d of %d", i, tr.Rows[i].Cohort, len(spec.Cohorts))
+		}
+	}
 	if o.Mult == 0 {
 		o.Mult = tr.Mult
 	}
@@ -501,18 +467,7 @@ func Replay(tr *Trace, spec *Spec, o Options) (*Report, error) {
 	if tr.Horizon > 0 {
 		replaySpec.Duration = simtime.Duration(tr.Horizon)
 	}
-	e, err := newEngine(&replaySpec, o)
-	if err != nil {
-		return nil, err
-	}
-	for i := range tr.Rows {
-		r := &tr.Rows[i]
-		if int(r.Cohort) >= len(spec.Cohorts) {
-			return nil, fmt.Errorf("workload: trace row %d names cohort %d of %d", i, r.Cohort, len(spec.Cohorts))
-		}
-		e.events++
-		e.pace(r.T)
-		e.issue(r.T, int(r.Cohort), r.Class, int(r.Size))
-	}
-	return e.finish(), nil
+	rep := newEngine(&replaySpec, o).run(tr.Arrivals())
+	rep.Events = int64(len(tr.Rows))
+	return rep, nil
 }

@@ -1,13 +1,10 @@
 package workload
 
 import (
-	"strings"
 	"testing"
 	"time"
 
-	"papimc/internal/loadgen"
 	"papimc/internal/simtime"
-	"papimc/internal/testutil"
 )
 
 // richSpec exercises every generation feature: two cohorts, skewed
@@ -179,67 +176,3 @@ func TestMillionClientsVirtualTime(t *testing.T) {
 		t.Error("million-client simulation not deterministic across runs")
 	}
 }
-
-// TestLiveModeSharedPath drives the wall-clock executor against a real
-// daemon: same spec, same generation path, real fetches.
-func TestLiveModeSharedPath(t *testing.T) {
-	_, addr := testutil.StartCounterDaemon(t, 32)
-	spec := &Spec{
-		Name:     "live-smoke",
-		Seed:     3,
-		Duration: 300 * simtime.Millisecond,
-		Cohorts: []CohortSpec{{
-			Name: "smoke", Clients: 50, Rate: 200,
-			Size: SizeSpec{Min: 1, Alpha: 1, Max: 16},
-		}},
-	}
-	var tr Trace
-	rep, err := Run(spec, Options{
-		Record: &tr,
-		Live:   &LiveOptions{Factory: loadgen.DialFactory(addr), Workers: 8, MaxPMIDs: 32},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Live {
-		t.Error("report not flagged live")
-	}
-	if rep.Total.Arrivals == 0 {
-		t.Fatal("live run issued no requests")
-	}
-	if rep.Total.Errors != 0 {
-		t.Errorf("%d errors against a healthy daemon", rep.Total.Errors)
-	}
-	if !strings.Contains(rep.Render(), "mode=wall-clock") {
-		t.Errorf("render missing live mode marker:\n%s", rep.Render())
-	}
-	// The recorded trace is sorted back into issue order even though live
-	// completions land out of order.
-	for i := 1; i < len(tr.Rows); i++ {
-		if tr.Rows[i].T < tr.Rows[i-1].T || tr.Rows[i].Seq != tr.Rows[i-1].Seq+1 {
-			t.Fatalf("trace row %d out of issue order", i)
-		}
-	}
-	if int64(len(tr.Rows)) != rep.Total.Arrivals {
-		t.Errorf("trace has %d rows, report %d arrivals", len(tr.Rows), rep.Total.Arrivals)
-	}
-}
-
-func TestLiveModeFactoryError(t *testing.T) {
-	spec := kneeSpec()
-	bad := func() (loadgen.Fetcher, func() error, error) {
-		return nil, nil, errFactory
-	}
-	if _, err := Run(spec, Options{Live: &LiveOptions{Factory: bad}}); err == nil {
-		t.Fatal("factory failure not surfaced")
-	}
-	if _, err := Run(spec, Options{Live: &LiveOptions{}}); err == nil {
-		t.Fatal("nil factory accepted")
-	}
-}
-
-var errFactory = &factoryErr{}
-
-type factoryErr struct{}
-
-func (*factoryErr) Error() string { return "factory down" }

@@ -1,12 +1,13 @@
-// Package workload is the workload-model tier over loadgen, stats and
-// sweep: it turns a declarative spec — client cohorts, per-window rate
-// curves, multi-period diurnal patterns, heavy-tailed request mixes over
+// Package workload is the workload model, in virtual time only: it turns
+// a declarative spec — client cohorts, per-window rate curves,
+// multi-period diurnal patterns, heavy-tailed request mixes over
 // live/proxied/archive/derived queries — into a deterministic stream of
-// requests, runs that stream through a discrete-event virtual-time
-// engine (millions of concurrent clients, faster than real time) or a
-// wall-clock executor, records runs to a compact replayable trace, and
+// requests (Arrivals), runs that stream through a discrete-event engine
+// and a queueing service model (millions of concurrent clients, faster
+// than real time), records runs to a compact replayable trace, and
 // sweeps configurations into a capacity report with knee-point
-// detection.
+// detection. It touches no socket and no wall clock; driving a real tier
+// with the same stream is internal/loadgen's job.
 //
 // Determinism is the sweep package's contract extended to clients: every
 // client draws from its own sweep.Seed2(spec.Seed, cohort, client)

@@ -1,14 +1,10 @@
-// Targets: where the engine's requests go. The virtual-time engine and
-// the wall-clock executor share the whole generation and issue path; a
-// Target is the single point where they diverge — SimTarget computes a
-// deterministic queueing outcome in virtual time, LiveTarget performs a
-// real fetch and measures the wall clock.
+// Targets: where the engine's requests go. A Target is a service model
+// in virtual time — SimTarget, the k-server queue every capacity report
+// stands on, or a test's stand-in. Real fetches against a real tier are
+// internal/loadgen's side of the split.
 package workload
 
 import (
-	"time"
-
-	"papimc/internal/loadgen"
 	"papimc/internal/simtime"
 	"papimc/internal/sweep"
 	"papimc/internal/xrand"
@@ -23,11 +19,13 @@ type Request struct {
 	Size   int // metrics touched
 }
 
-// Outcome is a completed request: latency measured from the scheduled
-// arrival (queueing included — no coordinated omission), and whether the
-// request failed.
+// Outcome is a completed request in the model: the virtual-time latency
+// the Target computed from the scheduled arrival Request.T, time queued
+// behind earlier requests included, and whether the request failed. It
+// is a model's answer, never a measurement — wall-clock latencies come
+// from loadgen, which measures them from the scheduled arrival too.
 type Outcome struct {
-	Lat int64 // nanoseconds
+	Lat int64 // virtual nanoseconds from Request.T to completion
 	Err bool
 }
 
@@ -84,41 +82,4 @@ func (st *SimTarget) Do(req Request) Outcome {
 	done := start + int64(svc)
 	st.busy[best] = done
 	return Outcome{Lat: done - int64(req.T)}
-}
-
-// LiveTarget issues real fetches through a loadgen connection and
-// measures wall-clock latency. The request's Size picks how many PMIDs
-// the fetch covers (clamped to MaxPMIDs), so the heavy-tailed size mix
-// exercises wide fetches against the real tier too.
-type LiveTarget struct {
-	fet      loadgen.Fetcher
-	maxPMIDs int
-	pmids    []uint32
-}
-
-// NewLiveTarget wraps one fetcher connection. maxPMIDs caps the fetch
-// width (0 means 64).
-func NewLiveTarget(fet loadgen.Fetcher, maxPMIDs int) *LiveTarget {
-	if maxPMIDs <= 0 {
-		maxPMIDs = 64
-	}
-	return &LiveTarget{fet: fet, maxPMIDs: maxPMIDs}
-}
-
-// Do implements Target.
-func (lt *LiveTarget) Do(req Request) Outcome {
-	n := req.Size
-	if n > lt.maxPMIDs {
-		n = lt.maxPMIDs
-	}
-	if n < 1 {
-		n = 1
-	}
-	lt.pmids = lt.pmids[:0]
-	for i := 0; i < n; i++ {
-		lt.pmids = append(lt.pmids, uint32(i+1))
-	}
-	start := time.Now()
-	_, err := lt.fet.Fetch(lt.pmids)
-	return Outcome{Lat: time.Since(start).Nanoseconds(), Err: err != nil}
 }

@@ -2,7 +2,7 @@
 // encoded like internal/archive's sample volumes. Arrival timestamps are
 // nondecreasing in issue order, so each row stores only the uvarint
 // delta from the previous row; cohort, class, size, latency and status
-// follow as uvarints. A recorded virtual-time run re-encodes to the same
+// follow as uvarints. A recorded run re-encodes to the same
 // bytes after a read round trip, and Replay over it reproduces the run
 // bit-exact.
 package workload
@@ -34,8 +34,7 @@ const (
 )
 
 // Row is one issued request and its outcome. Seq is the in-memory issue
-// order (live completions arrive out of order and are re-sorted); it is
-// implicit on disk — rows are stored in Seq order.
+// order; it is implicit on disk — rows are stored in Seq order.
 type Row struct {
 	T      int64 // virtual arrival, ns
 	Seq    int64
