@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -169,120 +170,140 @@ func (f *Federator) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 // missing leaf nodes across the batch. All sets share the merged
 // (maximum) timestamp of the single scatter.
 func (f *Federator) FetchBatch(sets [][]uint32) ([]pcp.FetchResult, error) {
-	type backref struct{ set, slot int }
-	type request struct {
-		childPMIDs []uint32
-		refs       []backref
+	// One child's share of the scatter: its PMIDs in request order, its
+	// answer, and a cursor that counts the share while routing and walks
+	// the answer while gathering.
+	type edgeCall struct {
+		pmids []uint32
+		res   pcp.FetchResult
+		err   error
+		down  bool
+		next  int
 	}
-	reqs := make([]request, len(f.children))
+	// Routing is counted, then cut: pass one counts every child's share,
+	// pass two fills the children's PMID lists from one exact-size array.
+	calls := make([]edgeCall, len(f.children))
 	results := make([]pcp.FetchResult, len(sets))
-	routed := false
+	routed := 0
 	for si, pmids := range sets {
-		vals := make([]pcp.FetchValue, len(pmids))
-		results[si].Values = vals
+		results[si].Values = make([]pcp.FetchValue, len(pmids))
 		for slot, id := range pmids {
-			if id == 0 || int(id) > len(f.route) {
-				vals[slot] = pcp.FetchValue{PMID: id, Status: pcp.StatusNoSuchPMID}
+			if !f.owns(id) {
+				results[si].Values[slot] = pcp.FetchValue{PMID: id, Status: pcp.StatusNoSuchPMID}
 				continue
 			}
-			r := f.route[id-1]
-			reqs[r.child].childPMIDs = append(reqs[r.child].childPMIDs, r.childPMID)
-			reqs[r.child].refs = append(reqs[r.child].refs, backref{set: si, slot: slot})
-			routed = true
+			calls[f.route[id-1].child].next++
+			routed++
 		}
 	}
-	if !routed {
+	if routed == 0 {
 		return results, nil
 	}
-
-	type answer struct {
-		res pcp.FetchResult
-		err error
+	ids := make([]uint32, routed)
+	for i := range calls {
+		n := calls[i].next
+		calls[i].pmids, ids, calls[i].next = ids[:0:n], ids[n:], 0
 	}
-	answers := make([]answer, len(f.children))
+	for _, pmids := range sets {
+		for _, id := range pmids {
+			if f.owns(id) {
+				r := f.route[id-1]
+				calls[r.child].pmids = append(calls[r.child].pmids, r.childPMID)
+			}
+		}
+	}
+
+	// Scatter: the last routed edge runs on this goroutine.
 	var wg sync.WaitGroup
-	for i := range f.children {
-		if len(reqs[i].childPMIDs) == 0 {
+	last := -1
+	for i := range calls {
+		if len(calls[i].pmids) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := f.ups[i].Fetch(reqs[i].childPMIDs)
-			answers[i] = answer{res: res, err: err}
-		}(i)
+		if last >= 0 {
+			wg.Add(1)
+			go func(c *edgeCall, u *pmproxy.Upstream) {
+				defer wg.Done()
+				c.res, c.err = u.Fetch(c.pmids)
+			}(&calls[last], f.ups[last])
+		}
+		last = i
 	}
+	calls[last].res, calls[last].err = f.ups[last].Fetch(calls[last].pmids)
 	wg.Wait()
 
 	var ts int64
-	missing := make(map[string]bool)
+	var missing []string // nil unless a node is missing
 	var cause string
 	answered := false
 	var lastErr error
-	for i := range f.children {
-		req := reqs[i]
-		if len(req.childPMIDs) == 0 {
+	for i := range calls {
+		c := &calls[i]
+		if len(c.pmids) == 0 {
 			continue
 		}
-		a := answers[i]
-		var pe *pcp.PartialError
-		failed := a.err != nil && !errors.As(a.err, &pe)
-		if !failed && len(a.res.Values) != len(req.childPMIDs) {
+		var partial *pcp.PartialError
+		if c.err != nil {
+			var pe *pcp.PartialError // scoped here so that only an erring edge allocates it
+			c.down = !errors.As(c.err, &pe)
+			partial = pe
+		}
+		if !c.down && len(c.res.Values) != len(c.pmids) {
 			// A short answer is a protocol violation; treat the edge as down
 			// rather than serve misaligned values.
-			failed = true
-			a.err = fmt.Errorf("cluster: %s: %d values for %d pmids", f.ups[i].Name(), len(a.res.Values), len(req.childPMIDs))
+			c.down = true
+			c.err = fmt.Errorf("cluster: %s: %d values for %d pmids", f.ups[i].Name(), len(c.res.Values), len(c.pmids))
 		}
-		if failed {
-			for _, ref := range req.refs {
-				results[ref.set].Values[ref.slot] = pcp.FetchValue{
-					PMID: sets[ref.set][ref.slot], Status: pcp.StatusNodeDown,
-				}
-			}
-			for _, nd := range f.children[i].Nodes {
-				missing[nd] = true
-			}
+		if c.down {
+			missing = append(missing, f.children[i].Nodes...)
 			if cause == "" {
-				cause = fmt.Sprintf("%s: %v", f.children[i].Name, a.err)
+				cause = fmt.Sprintf("%s: %v", f.children[i].Name, c.err)
 			}
-			lastErr = a.err
+			lastErr = c.err
 			continue
 		}
 		answered = true
-		if a.res.Timestamp > ts {
-			ts = a.res.Timestamp
+		if c.res.Timestamp > ts {
+			ts = c.res.Timestamp
 		}
-		if pe != nil {
-			for _, nd := range pe.Missing {
-				missing[nd] = true
-			}
+		if partial != nil {
+			missing = append(missing, partial.Missing...)
 			if cause == "" {
-				cause = pe.Cause
+				cause = partial.Cause
 			}
-		}
-		for j, v := range a.res.Values {
-			ref := req.refs[j]
-			v.PMID = sets[ref.set][ref.slot] // rewrite to this federator's PMID space
-			results[ref.set].Values[ref.slot] = v
 		}
 	}
-	for i := range results {
-		results[i].Timestamp = ts
+	if !answered && len(missing) > 0 {
+		return nil, fmt.Errorf("cluster: %s: every child failed: %w (%v)", f.name, pmproxy.ErrUpstreamDown, lastErr)
 	}
 
+	// Gather: the sets in routing order meet each child's answers in order.
+	for si, pmids := range sets {
+		out := results[si].Values
+		for slot, id := range pmids {
+			if !f.owns(id) {
+				continue
+			}
+			c := &calls[f.route[id-1].child]
+			if c.down {
+				out[slot] = pcp.FetchValue{PMID: id, Status: pcp.StatusNodeDown}
+				continue
+			}
+			out[slot] = c.res.Values[c.next]
+			out[slot].PMID = id // rewrite to this federator's PMID space
+			c.next++
+		}
+		results[si].Timestamp = ts
+	}
 	if len(missing) == 0 {
 		return results, nil
 	}
-	if !answered {
-		return nil, fmt.Errorf("cluster: %s: every child failed: %w (%v)", f.name, pmproxy.ErrUpstreamDown, lastErr)
-	}
-	names := make([]string, 0, len(missing))
-	for nd := range missing {
-		names = append(names, nd)
-	}
-	sort.Strings(names)
-	return results, &pcp.PartialError{Missing: names, Cause: cause}
+	slices.Sort(missing)
+	return results, &pcp.PartialError{Missing: slices.Compact(missing), Cause: cause}
 }
+
+// owns reports whether id is one of the federator's PMIDs.
+func (f *Federator) owns(id uint32) bool { return id != 0 && int(id) <= len(f.route) }
 
 // FetchAll fetches the federator's entire namespace in PMID order — the
 // batch form the PDU layer's PDUFetchAllReq maps to.

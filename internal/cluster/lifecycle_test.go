@@ -4,6 +4,8 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -128,8 +130,10 @@ func listenLoopback(t *testing.T) net.Listener {
 // spinning and serving resumes once it heals; a started server idles on
 // one goroutine at any GOMAXPROCS; Close is idempotent, drops
 // idle connections of every wire version, and waits for a handler still
-// in flight (on the cluster tier, a request goroutine of the depth-32
-// loop); and the process ends with the goroutines it started with.
+// in flight (on the cluster tier, a worker goroutine of the depth-32
+// loop); a Version3 cluster connection keeps at most 32 workers, busy or
+// idle, and Close ends them; and the process ends with the goroutines
+// it started with.
 func TestServerLifecycle(t *testing.T) {
 	testutil.NoGoroutineLeak(t)
 	for _, name := range []string{"daemon", "proxy", "cluster"} {
@@ -235,4 +239,69 @@ func TestServerLifecycle(t *testing.T) {
 			<-fetched
 		})
 	}
+
+	t.Run("cluster/idle-workers", func(t *testing.T) {
+		tier := newLifecycleTier(t, "cluster")
+		addr := tier.startOn(listenLoopback(t))
+		c, err := pcp.DialMax(addr, pcp.Version3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		// Twice the depth of fetches on one connection: the first blocks in
+		// the gated read, the ones behind it wait for its sample, and the
+		// rest queue for the 32 request slots.
+		tier.stall()
+		var fetches sync.WaitGroup
+		for i := 0; i < 64; i++ {
+			fetches.Add(1)
+			go func() {
+				defer fetches.Done()
+				c.Fetch([]uint32{1})
+			}()
+		}
+		<-tier.g.entered
+		for deadline := time.Now().Add(5 * time.Second); handlerGoroutines() < 32 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := handlerGoroutines(); n != 32 {
+			t.Errorf("%d handler goroutines with 64 requests pending, want the depth, 32", n)
+		}
+		close(tier.g.release)
+		fetches.Wait()
+		if n := handlerGoroutines(); n == 0 || n > 32 {
+			t.Errorf("an idle connection that served 64 requests holds %d handler goroutines, want 1 to 32", n)
+		}
+		if err := tier.close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		// A worker's wg.Done precedes its exit by a few instructions.
+		for deadline := time.Now().Add(2 * time.Second); handlerGoroutines() > 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := handlerGoroutines(); n != 0 {
+			t.Errorf("%d handler goroutines survive Close", n)
+		}
+	})
+}
+
+// handlerGoroutines counts the worker goroutines of concurrent serving
+// loops: goroutines running a function literal of pcp.serveConcurrent.
+func handlerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "pcp.serveConcurrent.func") {
+			count++
+		}
+	}
+	return count
 }

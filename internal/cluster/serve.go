@@ -18,8 +18,8 @@ type Server = pcp.Server
 // stalled on a hedging or dead edge does not head-of-line-block the
 // requests queued behind it — at the federation tier per-request
 // latency is dominated by downstream round trips, not handler CPU, so
-// concurrency is where pipelining pays. The cap keeps a pipelined client
-// from spawning unbounded handler goroutines.
+// concurrency is where pipelining pays. The cap bounds the handler
+// goroutines a pipelined client can make a connection keep.
 const taggedConcurrency = 32
 
 // Serve starts serving f on addr (e.g. "127.0.0.1:0") and returns the
@@ -46,8 +46,8 @@ func newServer(f *Federator) *Server {
 }
 
 // fedHandler adapts a Federator to pcp.Handler. It is stateless — every
-// answer is freshly allocated by the scatter-gather, which dwarfs the
-// allocation cost — so one value serves all connections and their
+// answer is allocated by the scatter-gather, sized once from its
+// routing counts — so one value serves all connections and their
 // concurrent requests.
 type fedHandler struct{ f *Federator }
 

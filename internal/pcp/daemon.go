@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -202,6 +203,7 @@ func (d *Daemon) Fetch(pmids []uint32) FetchResult {
 // published snapshot, so a result is never torn across samples.
 func (d *Daemon) FetchInto(pmids []uint32, vals []FetchValue) FetchResult {
 	s := d.current()
+	vals = slices.Grow(vals, len(pmids))
 	for _, id := range pmids {
 		if id == 0 || int(id) > len(s.values) {
 			vals = append(vals, FetchValue{PMID: id, Status: StatusNoSuchPMID})
@@ -244,7 +246,7 @@ func (d *Daemon) FetchBatchInto(sets [][]uint32, results []FetchResult) []FetchR
 		if i < cap(results) {
 			res = results[:i+1][i]
 		}
-		vals := res.Values[:0]
+		vals := slices.Grow(res.Values[:0], len(pmids))
 		for _, id := range pmids {
 			if id == 0 || int(id) > len(s.values) {
 				vals = append(vals, FetchValue{PMID: id, Status: StatusNoSuchPMID})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -38,6 +39,9 @@ func FuzzReadPDU(f *testing.F) {
 	f.Add([]byte{0, 0})                               // truncated header
 	f.Add(frame(8, PDUFetchResp, bytes.Repeat([]byte{0xFF}, 8)))
 	f.Add(frame(4, PDUNamesResp, []byte{0xFF, 0xFF, 0xFF, 0xFF})) // implausible count
+	for _, p := range hostileCountPayloads(64) {                  // value count past the payload
+		f.Add(frame(uint32(len(p.payload)), PDUFetchResp, p.payload))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := ReadPDUInto(bytes.NewReader(data), nil)
@@ -88,6 +92,57 @@ func TestReadPDUOversizeNoAlloc(t *testing.T) {
 	}
 	if r.n > 5 {
 		t.Fatalf("read %d bytes past the header of an oversize frame", r.n)
+	}
+}
+
+// hostileCount is a response payload whose value count claims one
+// value more than the payload holds.
+type hostileCount struct {
+	name    string
+	payload []byte
+	decode  func([]byte) error
+}
+
+// hostileCountPayloads builds a full, a partial and a batch response
+// carrying n values each, then raises each one's value count to n+1.
+func hostileCountPayloads(n int) []hostileCount {
+	res := FetchResult{Timestamp: 7, Values: make([]FetchValue, n)}
+	lie := func(enc func(FetchResult) []byte) []byte {
+		at := len(enc(FetchResult{})) - 4 // the count is an empty body's last field
+		b := enc(res)
+		binary.BigEndian.PutUint32(b[at:], uint32(n+1))
+		return b
+	}
+	return []hostileCount{
+		{"fetch", lie(func(r FetchResult) []byte { return AppendFetchResp(nil, r) }),
+			func(b []byte) error { return DecodeFetchRespInto(b, new(FetchResult)) }},
+		{"partial", lie(func(r FetchResult) []byte { return AppendPartialResp(nil, r, []string{"node003"}, "down") }),
+			func(b []byte) error { _, err := DecodePartialResp(b, new(FetchResult)); return err }},
+		{"batch", lie(func(r FetchResult) []byte { return AppendFetchBatchResp(nil, []FetchResult{r}, nil, "") }),
+			func(b []byte) error { _, _, err := DecodeFetchBatchRespInto(b, nil); return err }},
+	}
+}
+
+// TestHostileValueCountNoAlloc: a response whose value count exceeds
+// the bytes left in its payload fails with ErrProtocol before it sizes
+// anything by the count — decoding it allocates less than the payload
+// itself, where growing the values as they are read would allocate
+// about twice the payload before finding the lie.
+func TestHostileValueCountNoAlloc(t *testing.T) {
+	for _, h := range hostileCountPayloads(1024) {
+		if err := h.decode(h.payload); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("%s: err = %v, want ErrProtocol", h.name, err)
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			h.decode(h.payload)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > uint64(len(h.payload)) {
+			t.Errorf("%s: a hostile count allocates %d bytes per decode, more than its %d-byte payload", h.name, per, len(h.payload))
+		}
 	}
 }
 

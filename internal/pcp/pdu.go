@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -376,16 +377,19 @@ func DecodeFetchRespInto(b []byte, res *FetchResult) error {
 // from the decoder's position into res, reusing res.Values' backing
 // array. It is the shared sub-parser of the full, partial and batch
 // response decoders; on failure d.err is set and res is unspecified.
+// The values are sized once to the wire count, and only after the count
+// is checked against the bytes that remain, so a lying count fails
+// before it reserves anything.
 func (d *decoder) fetchBody(res *FetchResult) {
 	ts := d.i64()
 	n := d.u32()
-	if d.err == nil && n > MaxPDUBytes/16 {
-		d.err = fmt.Errorf("%w: implausible value count %d", ErrProtocol, n)
+	if d.err == nil && uint64(n)*16 > uint64(len(d.buf)) {
+		d.err = fmt.Errorf("%w: value count %d exceeds the %d remaining bytes", ErrProtocol, n, len(d.buf))
 	}
 	if d.err != nil {
 		return
 	}
-	vals := res.Values[:0]
+	vals := slices.Grow(res.Values[:0], int(n))
 	for i := uint32(0); i < n; i++ {
 		vals = append(vals, FetchValue{
 			PMID:   d.u32(),

@@ -56,9 +56,10 @@ type Server struct {
 // by the constructing tier: at 1 requests are answered in order by the
 // connection's goroutine with write coalescing and fully reused scratch
 // (the daemon and the proxy, whose handlers are CPU-bound and fast);
-// above 1 each request runs in its own goroutine, up to depth of them,
-// so one stalled handler does not head-of-line-block the connection
-// (the cluster federator, whose handlers wait on downstream edges).
+// above 1 requests run on up to depth worker goroutines that the
+// connection keeps until it ends, so one stalled handler does not
+// head-of-line-block the connection (the cluster federator, whose
+// handlers wait on downstream edges).
 func NewServer(depth int, newHandler func() Handler) *Server {
 	return &Server{
 		newHandler: newHandler,
@@ -188,12 +189,15 @@ func negotiateVersion(payload, dst []byte) (respType uint8, resp []byte, version
 }
 
 // reqScratch is the reusable state of one in-flight request: the frame
-// payload, the decoded PMIDs or sets, and the encoded response. An
-// ordered connection owns one for its lifetime and a concurrent one a
-// fixed pool of them, so steady-state serving does not allocate. The
-// server, not the handler, owns resp: every encoder below stores the
-// grown buffer back.
+// (header and payload), the decoded PMIDs or sets, and the encoded
+// response. An ordered connection owns one for its lifetime and a
+// concurrent one a fixed pool of them, so steady-state serving does not
+// allocate. The server, not the handler, owns resp: every encoder below
+// stores the grown buffer back.
 type reqScratch struct {
+	typ     uint8
+	tag     uint32
+	tenant  uint32
 	payload []byte
 	pmids   []uint32
 	sets    [][]uint32
@@ -362,39 +366,35 @@ func serveOrdered(conn net.Conn, br *bufio.Reader, h Handler, wide bool, sc *req
 }
 
 // serveConcurrent is the tagged serving loop with true out-of-order
-// completion: each request runs in its own goroutine, so a fetch whose
-// handler is stalled on a hedging or dead downstream edge does not
+// completion: requests run on up to depth worker goroutines, so a fetch
+// whose handler is stalled on a hedging or dead downstream edge does not
 // head-of-line-block the requests queued behind it. It pays where
 // per-request latency is dominated by downstream round trips, not
-// handler CPU. At most depth requests are in flight — each holds one of
-// depth scratch slots, and with none free the reader blocks, which is
-// exactly TCP backpressure. Responses go out through the same frame
-// encoder as the ordered loop's, serialised by a write mutex, one write
-// each. It returns once every handler has finished.
+// handler CPU. A worker is started when no idle one takes a request and
+// lives as long as the connection, so a request pays neither a goroutine
+// start nor a fresh goroutine's stack growth. At most depth requests are
+// in flight — each holds one of depth scratch slots, and with none free
+// the reader blocks, which is exactly TCP backpressure. Responses go out
+// through the same frame encoder as the ordered loop's, serialised by a
+// write mutex, one write each. It returns once every worker has finished.
 func serveConcurrent(conn net.Conn, br *bufio.Reader, h Handler, wide bool, depth int) {
 	var (
-		wmu sync.Mutex
-		wg  sync.WaitGroup
+		wmu     sync.Mutex
+		wg      sync.WaitGroup
+		workers int
 	)
 	batch := frameBatch{wide: wide}
 	slots := make(chan *reqScratch, depth)
 	for i := 0; i < depth; i++ {
 		slots <- new(reqScratch)
 	}
-	defer wg.Wait()
-	for {
-		sc := <-slots
-		typ, tag, tenant, payload, err := readFrameInto(br, wide, sc.payload)
-		if err != nil {
-			return
-		}
-		sc.payload = payload
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			respType := sc.dispatch(h, typ, tenant, wide)
+	work := make(chan *reqScratch)
+	serve := func(sc *reqScratch) {
+		defer wg.Done()
+		for ; sc != nil; sc = <-work { // nil once the reader closes work
+			respType := sc.dispatch(h, sc.typ, sc.tenant, wide)
 			wmu.Lock()
-			err := batch.append(respType, tag, tenant, sc.resp)
+			err := batch.append(respType, sc.tag, sc.tenant, sc.resp)
 			if err == nil {
 				err = batch.flush(conn)
 			}
@@ -403,6 +403,26 @@ func serveConcurrent(conn net.Conn, br *bufio.Reader, h Handler, wide bool, dept
 				conn.Close() // unblocks the reader; the loop exits on its error
 			}
 			slots <- sc
-		}()
+		}
+	}
+	defer wg.Wait()
+	defer close(work)
+	for {
+		sc := <-slots
+		var err error
+		if sc.typ, sc.tag, sc.tenant, sc.payload, err = readFrameInto(br, wide, sc.payload); err != nil {
+			return
+		}
+		select {
+		case work <- sc: // an idle worker takes it
+		default:
+			if workers < depth {
+				workers++
+				wg.Add(1)
+				go serve(sc)
+			} else {
+				work <- sc // the reader holds a slot, so a worker is about to be idle
+			}
+		}
 	}
 }

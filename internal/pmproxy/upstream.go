@@ -50,10 +50,11 @@ type UpstreamStats struct {
 
 // Upstream is a federation client edge: it fetches from one child of the
 // aggregation tree under an EdgePolicy and accounts for every attempt.
-// It is safe for concurrent use; attempts for one Fetch run on their own
-// goroutines so a stalled child never blocks the caller past the
-// deadline (the abandoned attempt finishes in the background, bounded by
-// the child's own timeout).
+// It is safe for concurrent use. An untimed edge (no Deadline, no
+// HedgeAfter) runs each attempt on the caller's goroutine; a timed edge
+// runs attempts on their own goroutines so a stalled child never blocks
+// the caller past the deadline (the abandoned attempt finishes in the
+// background, bounded by the child's own timeout).
 type Upstream struct {
 	name   string
 	fetch  func(pmids []uint32) (pcp.FetchResult, error)
@@ -99,8 +100,7 @@ func (u *Upstream) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 	u.fetches.Add(1)
 	for round := 0; ; round++ {
 		res, err, hedged := u.round(pmids)
-		var pe *pcp.PartialError
-		if err == nil || errors.As(err, &pe) {
+		if err == nil || isPartial(err) {
 			u.successes.Add(1)
 			if hedged {
 				u.hedgesWon.Add(1)
@@ -126,8 +126,13 @@ type outcome struct {
 // round runs one attempt round: the primary attempt, optionally a hedge,
 // bounded by the deadline. It returns the first success (reporting
 // whether the hedge won), or an error when every in-flight attempt has
-// failed or the deadline fired.
+// failed or the deadline fired. With no timer there is nothing to race
+// the attempt against, so an untimed edge calls the child directly.
 func (u *Upstream) round(pmids []uint32) (pcp.FetchResult, error, bool) {
+	if u.policy.Deadline <= 0 && u.policy.HedgeAfter <= 0 {
+		res, err := u.fetch(pmids)
+		return res, err, false
+	}
 	// Buffered to the maximum attempts in flight, so an abandoned
 	// attempt's late send never blocks its goroutine forever.
 	ch := make(chan outcome, 2)
@@ -157,8 +162,7 @@ func (u *Upstream) round(pmids []uint32) (pcp.FetchResult, error, bool) {
 		select {
 		case o := <-ch:
 			pending--
-			var pe *pcp.PartialError
-			if o.err == nil || errors.As(o.err, &pe) {
+			if o.err == nil || isPartial(o.err) {
 				return o.res, o.err, o.hedge
 			}
 			lastErr = o.err
@@ -178,4 +182,10 @@ func (u *Upstream) round(pmids []uint32) (pcp.FetchResult, error, bool) {
 			return pcp.FetchResult{}, ErrDeadline, false
 		}
 	}
+}
+
+// isPartial reports whether err is a *pcp.PartialError; only a call allocates its target.
+func isPartial(err error) bool {
+	var pe *pcp.PartialError
+	return errors.As(err, &pe)
 }

@@ -3,6 +3,8 @@ package pmproxy
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,4 +171,47 @@ func TestUpstreamStatsConservationConcurrent(t *testing.T) {
 		t.Errorf("Failures=%d but callers observed %d errors", s.Failures, observedErrs.Load())
 	}
 	checkUpstreamLaws(t, s)
+}
+
+// TestUpstreamUntimedRunsOnCaller: an edge with no Deadline and no
+// HedgeAfter has no timer to race, so it calls the child on the
+// caller's goroutine — the child sees the test's own frame on its
+// stack — and keeps every counter law. A timed edge still abandons a
+// child that never answers.
+func TestUpstreamUntimedRunsOnCaller(t *testing.T) {
+	var calls atomic.Int64
+	onCaller := true
+	u := NewUpstream("root->z0", func([]uint32) (pcp.FetchResult, error) {
+		buf := make([]byte, 64<<10)
+		// The test's own frame, not this closure's (…Caller.func1).
+		if !strings.Contains(string(buf[:runtime.Stack(buf, false)]), ".TestUpstreamUntimedRunsOnCaller(") {
+			onCaller = false
+		}
+		if calls.Add(1)%2 == 0 {
+			return pcp.FetchResult{}, errors.New("transient")
+		}
+		return okResult, nil
+	}, EdgePolicy{Retries: 1})
+	for i := 0; i < 6; i++ {
+		u.Fetch([]uint32{1})
+	}
+	if !onCaller {
+		t.Error("an untimed edge ran its child off the calling goroutine")
+	}
+	s := u.Stats()
+	if s.Fetches != 6 || s.Retries == 0 || s.Hedges != 0 || s.DeadlineMisses != 0 {
+		t.Errorf("stats: %+v", s)
+	}
+	checkUpstreamLaws(t, s)
+
+	release := make(chan struct{})
+	defer close(release)
+	timed := NewUpstream("root->z1", func([]uint32) (pcp.FetchResult, error) {
+		<-release // never answers while the edge waits
+		return okResult, nil
+	}, EdgePolicy{Deadline: 10 * time.Millisecond})
+	if _, err := timed.Fetch([]uint32{1}); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("timed edge over a silent child: %v, want ErrDeadline", err)
+	}
+	checkUpstreamLaws(t, timed.Stats())
 }
