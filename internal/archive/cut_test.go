@@ -12,7 +12,7 @@ import (
 // cuts of one block race for its slot in the ring while the block
 // leaves the snapshot. Whatever a reader finds there, a window and a
 // floor must equal a row scan of the closed-form rows its snapshot
-// retained.
+// retained, and so must a window on the rollup tier's grid beside it.
 func TestCutRacesFold(t *testing.T) {
 	const (
 		cadence = int64(8) // as in TestRawWindowMatchesRowScan: every overlap fraction is exact
@@ -74,12 +74,20 @@ func TestCutRacesFold(t *testing.T) {
 					rows = append(rows, rowAt(i))
 				}
 				diff := windowDiff(a, rows, c, t0, t1)
+				// Beside it, a window on the tier's grid, whose interior the
+				// tier's buckets answer.
+				g0 := t0 - t0%(span/2) + span/2
+				grid := windowDiff(a, rows, c, g0, g0+2*span)
 				floor, floorOK := a.Floor(t0)
 				if after, _, _ := a.Span(); after != first {
 					continue // a fold landed in between: which rows were read is not known
 				}
 				if diff != "" {
 					t.Errorf("raw from %d, %s", first, diff)
+					return
+				}
+				if grid != "" {
+					t.Errorf("raw from %d, on the grid, %s", first, grid)
 					return
 				}
 				if want := rowAt(t0 / cadence); !floorOK || floor.Timestamp != want.Timestamp || floor.Values[c] != want.Values[c] {

@@ -18,14 +18,14 @@ import (
 const fuzzFirstChunk = len(fileMagicV2) + 1 + 3*(2+13) + 3
 
 // fuzzArchiveBytes serializes a small valid archive (current format
-// version) to seed the corpus.
-func fuzzArchiveBytes(tb testing.TB, rows int) []byte {
+// version) of bs-row blocks to seed the corpus.
+func fuzzArchiveBytes(tb testing.TB, rows, bs int) []byte {
 	tb.Helper()
 	a, err := New([]pcp.NameEntry{
 		{PMID: 1, Name: "fuzz.metric.a"},
 		{PMID: 2, Name: "fuzz.metric.b"},
 		{PMID: 7, Name: "fuzz.metric.c"},
-	}, Options{BlockSamples: 4, Rollups: []int64{40, 200}})
+	}, Options{BlockSamples: bs, Rollups: []int64{40, 200}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -170,13 +170,14 @@ func checkCursorAgainstReference(t *testing.T, data []byte) {
 //     tiers — that round-trips through WriteTo/Read to identical
 //     samples and identical rollup buckets.
 func FuzzReadArchive(f *testing.F) {
-	empty := fuzzArchiveBytes(f, 0)
-	valid := fuzzArchiveBytes(f, 9)
-	big := fuzzArchiveBytes(f, 23) // several sealed blocks + completed buckets
+	empty := fuzzArchiveBytes(f, 0, 4)
+	valid := fuzzArchiveBytes(f, 9, 4)
+	big := fuzzArchiveBytes(f, 23, 4) // several sealed blocks + completed buckets
 	legacy := fuzzArchiveBytesV1(9)
 	f.Add(empty)
 	f.Add(valid)
 	f.Add(big)
+	f.Add(fuzzArchiveBytes(f, 23, 3)) // 30 ns blocks straddle the 40 ns grid
 	f.Add(legacy)
 	// Truncations at structurally interesting places: inside the magic,
 	// the schema, the chunk table, and the trailing sections.
@@ -279,6 +280,26 @@ func FuzzReadArchive(f *testing.F) {
 			for _, e := range a.Names() {
 				if _, err := a.WindowAt(ResRaw, e.PMID, first+1, last); err != nil {
 					t.Fatalf("accepted archive: raw window failed: %v", err)
+				}
+			}
+		}
+		// A raw window of one bucket on a tier's grid, from the first raw
+		// row on, reads that bucket for its interior: the row scan's
+		// answer, with no block cut.
+		s := a.snap.Load()
+		for k := 0; len(rows) > 0 && k < len(s.tiers); k++ {
+			tier := &s.tiers[k]
+			for x := 0; x < tier.count(); x++ {
+				if t0 := tier.at(x).Start; t0 >= rows[0].Timestamp {
+					parses := a.cutNext.Load()
+					for c := 0; c < width; c++ {
+						if diff := windowDiff(a, rows, c, t0, t0+tier.res); diff != "" {
+							t.Fatalf("accepted archive: grid window on tier %v: %s", Resolution(tier.res), diff)
+						}
+					}
+					if n := a.cutNext.Load() - parses; n != 0 {
+						t.Fatalf("accepted archive: grid window [%d, %d) cut %d blocks", t0, t0+tier.res, n)
+					}
 				}
 			}
 		}

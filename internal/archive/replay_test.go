@@ -1,10 +1,13 @@
 package archive_test
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"papimc/internal/arch"
 	"papimc/internal/archive"
+	"papimc/internal/metricql"
 	"papimc/internal/node"
 	"papimc/internal/papi"
 	"papimc/internal/papi/components/pcpcomp"
@@ -337,4 +340,87 @@ func mustArchive(t *testing.T, src archive.Fetcher) *archive.Archive {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// TestReplayStepAllocs bounds what one panel step allocates over a
+// Replay: bench's four panel expressions — raw windows of 2 s and
+// 200 ms, windows of 30 s and 600 s on the 1 s and 60 s tiers — stepped
+// a second at a time across a 16-column archive whose cuts an earlier
+// refresh of the panel parsed, as bench's refreshes find them (a block
+// of 8 rows 20 ms apart holds at most one window edge, so every cut
+// stays in the ring). A step spends the replay's fetch reply (1), the
+// engine's result slice (1), a values slice for each of the four window
+// nodes (4) and the sum's scalar (1); none of these grows with the
+// columns the glob selects, so 16 columns cost what 2 do.
+func TestReplayStepAllocs(t *testing.T) {
+	const (
+		cols    = 16
+		second  = int64(simtime.Second)
+		rowStep = 20 * int64(simtime.Millisecond)
+		ceiling = 7
+	)
+	names := make([]pcp.NameEntry, cols)
+	for j := range names {
+		names[j] = pcp.NameEntry{PMID: uint32(j + 1), Name: fmt.Sprintf("bench.c%02d", j)}
+	}
+	a, err := archive.New(names, archive.Options{BlockSamples: 8, Rollups: []int64{second, 60 * second}, RawRetention: 300 * second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := archive.Sample{Values: make([]uint64, cols)}
+	for i := int64(0); i*rowStep <= 760*second; i++ {
+		row.Timestamp = i * rowStep
+		for j := range row.Values {
+			row.Values[j] = uint64(i) * 64 * uint64(j+1)
+		}
+		if err := a.AppendSample(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Compact()
+	// newPanel binds the four expressions on a fresh engine and replay
+	// and returns one step of the panel. Column j climbs 64(j+1) a row,
+	// 50 rows a second.
+	newPanel := func(glob string, width int) func() {
+		clock := simtime.NewClock()
+		e := metricql.NewEngine(archive.NewReplay(a, clock))
+		var qs []*metricql.Query
+		for _, expr := range []string{
+			"sum(rate_over(" + glob + ", 2s))",
+			"avg_over(bench.c03, 600s)",
+			"max_over(bench.c07, 30s)",
+			"rate_over(bench.c01, 200ms)",
+		} {
+			q, err := e.Query(expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs = append(qs, q)
+		}
+		wantSum := float64(64*50*width*(width+1)) / 2
+		now := 620 * second
+		return func() {
+			now += second
+			clock.AdvanceTo(simtime.Time(now))
+			vs, err := e.EvalAll(qs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := vs[0].Vals[0]; math.Abs(got-wantSum) > 1e-9*wantSum {
+				t.Fatalf("%s at %d: sum of rates = %v, want %v", glob, now, got, wantSum)
+			}
+		}
+	}
+	warm := newPanel("bench.c*", cols)
+	for i := 0; i < 101; i++ { // AllocsPerRun's warm-up call and its 100 runs
+		warm()
+	}
+	counts := map[string]float64{
+		"bench.c*":     testing.AllocsPerRun(100, newPanel("bench.c*", cols)),
+		"bench.c0[01]": testing.AllocsPerRun(100, newPanel("bench.c0[01]", 2)),
+	}
+	if counts["bench.c*"] != counts["bench.c0[01]"] || counts["bench.c*"] > ceiling {
+		t.Errorf("a panel step allocates %v times over 16 columns and %v over 2, want the same and at most %d",
+			counts["bench.c*"], counts["bench.c0[01]"], ceiling)
+	}
 }

@@ -25,7 +25,8 @@ type Source interface {
 }
 
 // Value is an evaluation result: a scalar (Names == nil, Vals[0]) or a
-// vector with one element per expanded metric instance.
+// vector with one element per expanded metric instance. Names may be
+// shared with other values and with later steps: it is read-only.
 type Value struct {
 	Names []string // nil for a scalar
 	Vals  []float64
@@ -42,16 +43,21 @@ func (v Value) Scalar() (float64, error) {
 
 // selection is one expanded metric instance of a pattern.
 type selection struct {
-	name string // display name (alias if matched through one)
-	pmid uint32
+	name  string // display name (alias if matched through one)
+	pmid  uint32
+	*slot // the engine's one slot for pmid
 }
 
-// counterState tracks the last two observed samples of one PMID, the
-// substrate for rate() and delta().
-type counterState struct {
+// slot is the state of one PMID, shared by every selection of it: the
+// last two distinct samples, the substrate for rate() and delta(), the
+// value of the last fetch, and the fetch epoch at which the PMID's node
+// was last down.
+type slot struct {
 	prev, cur     uint64
 	prevTS, curTS int64
 	seen          int // distinct timestamps observed
+	last          uint64
+	downAt        uint64
 }
 
 // history is a per-node ring of (timestamp, vector) samples for the
@@ -61,24 +67,28 @@ type history struct {
 	vals [][]float64
 }
 
-// Engine evaluates parsed expressions against one Source. It owns the
-// counter state (previous samples per PMID), an alias table, and a
-// per-timestamp memoization cache keyed by canonical subexpression so
-// shared subtrees across queries cost one computation per fetch.
+// Engine evaluates parsed expressions against one Source. Binding
+// interns every subexpression by its canonical bound key — one node
+// per key holding its memoized value and its window ring, so shared
+// subtrees across queries cost one computation per fetch — and points
+// every selection at one slot per PMID. A step walks the fetch answer
+// against the sorted request by position, bumps the fetch epoch and,
+// when the sample is new or the down set moved, the memo generation:
+// it touches no map.
 type Engine struct {
 	mu      sync.Mutex
 	src     Source
 	wp      WindowPlanner     // non-nil if src can answer windows itself
 	aliases map[string]string // alias -> raw metric name
 	byName  map[string]uint32 // raw metric name -> pmid (namespace cache)
-	state   map[uint32]*counterState
-	hists   map[string]*history // canonical key -> shared window ring
-	memo    map[string]Value
+	nodes   map[string]*node  // bound key -> interned node, read at bind only
+	slots   map[uint32]*slot  // pmid -> its slot, read at bind only
 	qs      []*Query          // the query set ids was built from
 	ids     []uint32          // sorted PMIDs of qs, rebuilt only when qs changes
-	byID    map[uint32]uint64 // the last fetch's values, reused across fetches
-	down    map[uint32]bool   // PMIDs whose node was down on the last fetch
-	downKey string            // canonical form of down, the memo invalidator
+	at      []*slot           // the slot of each of ids
+	epoch   uint64            // fetches taken; a slot down on this one has downAt == epoch
+	gen     uint64            // memo generation: a node's val holds while its gen is this
+	ndown   int               // PMIDs down on the last fetch
 	lastTS  int64
 	hasTS   bool
 }
@@ -107,11 +117,8 @@ func NewEngine(src Source) *Engine {
 		src:     src,
 		wp:      wp,
 		aliases: make(map[string]string),
-		state:   make(map[uint32]*counterState),
-		hists:   make(map[string]*history),
-		memo:    make(map[string]Value),
-		byID:    make(map[uint32]uint64),
-		down:    make(map[uint32]bool),
+		nodes:   make(map[string]*node),
+		slots:   make(map[uint32]*slot),
 	}
 }
 
@@ -164,7 +171,7 @@ func NestAliases(names []pcp.NameEntry) map[string]string {
 }
 
 // Query is an expression bound to an engine: patterns expanded to PMIDs,
-// canonical memo keys computed, window histories allocated.
+// the root an interned node of the engine's.
 type Query struct {
 	eng  *Engine
 	root *node
@@ -184,12 +191,12 @@ func (e *Engine) Query(src string) (*Query, error) {
 }
 
 // Bind binds a parsed expression to this engine (see Query). The Expr
-// itself is not modified; the Query holds a bound copy.
+// itself is not modified; the Query holds bound nodes of the engine's.
 func (e *Engine) Bind(ex *Expr) (*Query, error) {
-	root := cloneNode(ex.root)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.bindNode(root); err != nil {
+	root, err := e.bindNode(ex.root)
+	if err != nil {
 		return nil, err
 	}
 	if _, err := staticWidth(root); err != nil {
@@ -198,48 +205,47 @@ func (e *Engine) Bind(ex *Expr) (*Query, error) {
 	return &Query{eng: e, root: root, src: ex.src}, nil
 }
 
-func cloneNode(n *node) *node {
-	c := &node{kind: n.kind, num: n.num, pattern: n.pattern, op: n.op, fn: n.fn, window: n.window, by: n.by}
-	c.args = make([]*node, len(n.args))
-	for i, a := range n.args {
-		c.args[i] = cloneNode(a)
-	}
-	return c
-}
-
-// bindNode resolves metric patterns and computes memo keys bottom-up.
-// Keys incorporate the bound PMIDs (not just the pattern text) so two
-// bindings of the same pattern against a namespace that grew in between
-// never share a memo entry. Windowed nodes share their sample history
-// engine-wide by key, so the ring stays complete no matter which query
-// containing the subexpression is evaluated on a given tick. Callers
-// hold e.mu.
-func (e *Engine) bindNode(n *node) error {
-	for _, a := range n.args {
-		if err := e.bindNode(a); err != nil {
-			return err
+// bindNode returns the engine's bound node for the parsed node x,
+// binding its children first. A node is interned by its bound key, so
+// equal subexpressions across queries are one node: they share its
+// memoized value and its window ring, and the ring stays complete
+// whichever query carried the subexpression on a tick. Keys carry the
+// bound PMIDs (not just the pattern text) so a pattern re-bound after
+// the namespace grew gets a node of its own. A new metric node points
+// each selection at the engine's slot for its PMID and keeps the names
+// its values share. Callers hold e.mu.
+func (e *Engine) bindNode(x *node) (*node, error) {
+	n := &node{kind: x.kind, num: x.num, pattern: x.pattern, op: x.op, fn: x.fn, window: x.window, by: x.by}
+	for _, a := range x.args {
+		b, err := e.bindNode(a)
+		if err != nil {
+			return nil, err
 		}
+		n.args = append(n.args, b)
 	}
 	if n.kind == nodeMetric {
 		sel, err := e.expandPattern(n.pattern)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		n.sel = sel
 	}
 	n.key = boundKey(n)
-	if n.window != 0 {
-		h, ok := e.hists[n.key]
-		if !ok {
-			h = &history{}
-			e.hists[n.key] = h
-		}
-		n.hist = h
+	if b := e.nodes[n.key]; b != nil {
+		return b, nil
 	}
-	return nil
+	for i, s := range n.sel {
+		if e.slots[s.pmid] == nil {
+			e.slots[s.pmid] = &slot{}
+		}
+		n.sel[i].slot = e.slots[s.pmid]
+		n.names = append(n.names, s.name)
+	}
+	e.nodes[n.key] = n
+	return n, nil
 }
 
-// boundKey builds the memoization key from bound children: like the
+// boundKey builds the interning key from bound children: like the
 // canonical String() form, but metric nodes carry their expanded PMIDs.
 func boundKey(n *node) string {
 	switch n.kind {
@@ -468,7 +474,8 @@ func (q *Query) Eval() (Value, error) {
 // (by canonical form) share the memoized result. Re-evaluating within
 // the same daemon sampling interval (same fetch timestamp) advances no
 // state and serves memoized values — the engine's cadence is the
-// daemon's, like every other PCP consumer.
+// daemon's, like every other PCP consumer. The answer must carry the
+// requested PMIDs in the order asked; one that does not is an error.
 //
 // A federated source may answer partially: values carrying
 // StatusNodeDown are dropped from the vectors they would appear in, the
@@ -486,30 +493,30 @@ func (e *Engine) EvalAll(qs ...*Query) ([]Value, error) {
 			}
 			collectPMIDs(q.root, idset)
 		}
-		e.qs, e.ids = append(e.qs[:0], qs...), e.ids[:0]
+		e.qs, e.ids, e.at = append(e.qs[:0], qs...), e.ids[:0], e.at[:0]
 		for id := range idset {
 			e.ids = append(e.ids, id)
 		}
 		slices.Sort(e.ids)
+		for _, id := range e.ids {
+			e.at = append(e.at, e.slots[id])
+		}
 	}
 	res, err := e.src.Fetch(e.ids)
 	var pe *pcp.PartialError
-	if err != nil && !errors.As(err, &pe) {
-		return nil, fmt.Errorf("metricql: fetch: %w", err)
+	if err != nil {
+		if pe = partialOf(err); pe == nil {
+			return nil, fmt.Errorf("metricql: fetch: %w", err)
+		}
 	}
 	if len(res.Values) != len(e.ids) {
 		return nil, fmt.Errorf("metricql: fetch returned %d values for %d pmids", len(res.Values), len(e.ids))
 	}
-	byID, down := e.byID, e.down
-	clear(byID)
-	clear(down)
-	for _, v := range res.Values {
-		switch v.Status {
-		case pcp.StatusOK:
-			byID[v.PMID] = v.Value
-		case pcp.StatusNodeDown:
-			down[v.PMID] = true
-		default:
+	for i, v := range res.Values {
+		if v.PMID != e.ids[i] {
+			return nil, fmt.Errorf("metricql: fetch answered pmid %d where pmid %d was asked", v.PMID, e.ids[i])
+		}
+		if v.Status != pcp.StatusOK && v.Status != pcp.StatusNodeDown {
 			return nil, fmt.Errorf("metricql: pmid %d failed with status %d", v.PMID, v.Status)
 		}
 	}
@@ -518,34 +525,31 @@ func (e *Engine) EvalAll(qs ...*Query) ([]Value, error) {
 		return nil, fmt.Errorf("metricql: fetch timestamp went backwards (%d < %d)", ts, e.lastTS)
 	}
 	fresh := !e.hasTS || ts > e.lastTS
-	if downKey := downSetKey(down); fresh || downKey != e.downKey {
-		// A new daemon sample, or the same one with a different set of
-		// down nodes: memoized vectors embed the old down-set's shape.
-		clear(e.memo)
-		e.downKey = downKey
+	e.epoch++
+	down, kept := 0, 0 // PMIDs down now, and of those the ones down on the last fetch
+	for i, v := range res.Values {
+		s := e.at[i]
+		if v.Status == pcp.StatusNodeDown {
+			if s.downAt == e.epoch-1 {
+				kept++
+			}
+			s.downAt, down = e.epoch, down+1
+			continue
+		}
+		s.last = v.Value
+		if fresh || s.seen == 0 { // a new daemon sample, or this PMID's first
+			s.prev, s.prevTS, s.cur, s.curTS = s.cur, s.curTS, v.Value, ts
+			s.seen++
+		}
 	}
+	if fresh || down != e.ndown || kept != down {
+		// A new daemon sample, or the same one with a different set of
+		// down PMIDs: memoized vectors embed the old down-set's shape.
+		e.gen++
+	}
+	e.ndown = down
 	if fresh {
-		for id, v := range byID {
-			st := e.state[id]
-			if st == nil {
-				st = &counterState{}
-				e.state[id] = st
-			}
-			if st.seen > 0 {
-				st.prev, st.prevTS = st.cur, st.curTS
-			}
-			st.cur, st.curTS = v, ts
-			st.seen++
-		}
 		e.lastTS, e.hasTS = ts, true
-	} else {
-		// Same daemon sample as last time: top up state for PMIDs this
-		// fetch saw for the first time, keep existing memo entries.
-		for id, v := range byID {
-			if e.state[id] == nil {
-				e.state[id] = &counterState{cur: v, curTS: ts, seen: 1}
-			}
-		}
 	}
 	out := make([]Value, len(qs))
 	for i, q := range qs {
@@ -561,24 +565,11 @@ func (e *Engine) EvalAll(qs ...*Query) ([]Value, error) {
 	return out, nil
 }
 
-// downSetKey canonicalizes a down-PMID set for memo invalidation.
-func downSetKey(down map[uint32]bool) string {
-	if len(down) == 0 {
-		return ""
-	}
-	ids := make([]uint32, 0, len(down))
-	for id := range down {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	var b strings.Builder
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatUint(uint64(id), 10))
-	}
-	return b.String()
+// partialOf returns the *pcp.PartialError in err's chain, or nil. Only
+// a call allocates errors.As's target, so a clean fetch allocates none.
+func partialOf(err error) (pe *pcp.PartialError) {
+	errors.As(err, &pe)
+	return pe
 }
 
 // LastTimestamp returns the daemon timestamp of the most recent fetch.
@@ -588,18 +579,35 @@ func (e *Engine) LastTimestamp() (int64, bool) {
 	return e.lastTS, e.hasTS
 }
 
-// evalNode evaluates one bound node, memoizing by canonical key.
-// Callers hold e.mu.
+// evalNode evaluates one bound node, memoized in the node until the
+// engine's generation moves. Callers hold e.mu.
 func (e *Engine) evalNode(n *node, ts int64, fresh bool) (Value, error) {
-	if v, ok := e.memo[n.key]; ok {
-		return v, nil
+	if n.gen == e.gen {
+		return n.val, nil
 	}
 	v, err := e.evalNodeUncached(n, ts, fresh)
 	if err != nil {
 		return Value{}, err
 	}
-	e.memo[n.key] = v
+	n.val, n.gen = v, e.gen
 	return v, nil
+}
+
+// live returns the names of the metric node m's instances whose node
+// answered the last fetch: m's own names, shared and read-only, when
+// nothing is down, else a fresh slice without the down ones. Down
+// instances are dropped rather than served from a different time.
+func (e *Engine) live(m *node) []string {
+	if e.ndown == 0 {
+		return m.names
+	}
+	names := make([]string, 0, len(m.sel))
+	for _, s := range m.sel {
+		if s.downAt != e.epoch {
+			names = append(names, s.name)
+		}
+	}
+	return names
 }
 
 func (e *Engine) evalNodeUncached(n *node, ts int64, fresh bool) (Value, error) {
@@ -608,29 +616,13 @@ func (e *Engine) evalNodeUncached(n *node, ts int64, fresh bool) (Value, error) 
 		return Value{Vals: []float64{n.num}}, nil
 
 	case nodeMetric:
-		names := make([]string, 0, len(n.sel))
 		vals := make([]float64, 0, len(n.sel))
 		for _, s := range n.sel {
-			v, ok := e.byID[s.pmid]
-			if !ok {
-				if e.down[s.pmid] {
-					// The owning node is down this snapshot: partial-result
-					// semantics drop the instance rather than serve a value
-					// from a different time.
-					continue
-				}
-				// PMID referenced by another query binding but not
-				// fetched this round — serve the last observed sample.
-				if st := e.state[s.pmid]; st != nil && st.seen > 0 {
-					v = st.cur
-				} else {
-					return Value{}, fmt.Errorf("metricql: no sample yet for %s", s.name)
-				}
+			if s.downAt != e.epoch {
+				vals = append(vals, float64(s.last))
 			}
-			names = append(names, s.name)
-			vals = append(vals, float64(v))
 		}
-		return Value{Names: names, Vals: vals}, nil
+		return Value{Names: e.live(n), Vals: vals}, nil
 
 	case nodeUnary:
 		v, err := e.evalNode(n.args[0], ts, fresh)
@@ -690,31 +682,21 @@ func (e *Engine) evalNodeUncached(n *node, ts int64, fresh bool) (Value, error) 
 // moved). Callers hold e.mu.
 func (e *Engine) evalCounterFn(n *node, ts int64) (Value, error) {
 	arg := n.args[0]
-	names := make([]string, 0, len(arg.sel))
 	vals := make([]float64, 0, len(arg.sel))
 	for _, s := range arg.sel {
-		if e.down[s.pmid] {
-			continue // node down this snapshot: drop, don't fabricate a 0 rate
-		}
-		names = append(names, s.name)
-		st := e.state[s.pmid]
-		if st == nil || st.seen < 2 {
+		switch {
+		case s.downAt == e.epoch: // node down this snapshot: drop, don't fabricate a 0 rate
+		case s.seen < 2:
 			vals = append(vals, 0)
-			continue
-		}
-		d := float64(pcp.CounterDelta(st.prev, st.cur))
-		if n.fn == "delta" {
-			vals = append(vals, d)
-			continue
-		}
-		dt := float64(st.curTS-st.prevTS) / 1e9
-		if dt <= 0 {
+		case n.fn == "delta":
+			vals = append(vals, float64(pcp.CounterDelta(s.prev, s.cur)))
+		case s.curTS <= s.prevTS:
 			vals = append(vals, 0)
-			continue
+		default:
+			vals = append(vals, float64(pcp.CounterDelta(s.prev, s.cur))/(float64(s.curTS-s.prevTS)/1e9))
 		}
-		vals = append(vals, d/dt)
 	}
-	return Value{Names: names, Vals: vals}, nil
+	return Value{Names: e.live(arg), Vals: vals}, nil
 }
 
 // evalWindow appends the current value of the windowed node's argument
@@ -726,7 +708,7 @@ func (e *Engine) evalCounterFn(n *node, ts int64) (Value, error) {
 // number of samples at the recording cadence, shifted one sample
 // older. Callers hold e.mu.
 func (e *Engine) evalWindow(n *node, cur Value, ts int64, fresh bool) (Value, error) {
-	h := n.hist
+	h := &n.hist
 	if len(h.vals) > 0 && len(h.vals[len(h.vals)-1]) != len(cur.Vals) {
 		// Partial results changed the vector width; old rows can no
 		// longer be reduced elementwise against the new shape.
@@ -802,10 +784,9 @@ func (e *Engine) evalWindowPushdown(n *node, ts int64) (Value, bool, error) {
 	if arg.kind != nodeMetric {
 		return Value{}, false, nil
 	}
-	names := make([]string, 0, len(arg.sel))
 	vals := make([]float64, 0, len(arg.sel))
 	for _, s := range arg.sel {
-		if e.down[s.pmid] {
+		if s.downAt == e.epoch {
 			continue // node down this snapshot: drop, as the ring path does
 		}
 		v, ok, err := e.wp.EvalWindow(n.fn, s.pmid, ts-n.window, ts)
@@ -815,10 +796,9 @@ func (e *Engine) evalWindowPushdown(n *node, ts int64) (Value, bool, error) {
 		if !ok {
 			return Value{}, false, nil
 		}
-		names = append(names, s.name)
 		vals = append(vals, v)
 	}
-	return Value{Names: names, Vals: vals}, true, nil
+	return Value{Names: e.live(arg), Vals: vals}, true, nil
 }
 
 // aggregate collapses a vector to a scalar.

@@ -1,6 +1,7 @@
 package metricql
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,7 +16,9 @@ type fakeSource struct {
 	vals    map[uint32]uint64
 	ts      int64
 	fetches int
-	fail    map[uint32]int32 // pmid -> non-OK status to return
+	windows int                    // EvalWindow calls, when a planSource wraps it
+	fail    map[uint32]int32       // pmid -> non-OK status to return
+	mangle  func([]pcp.FetchValue) // rewrites each reply before it is returned
 }
 
 func (f *fakeSource) Names() ([]pcp.NameEntry, error) { return f.names, nil }
@@ -34,6 +37,9 @@ func (f *fakeSource) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 			st = pcp.StatusNoSuchPMID
 		}
 		res.Values = append(res.Values, pcp.FetchValue{PMID: id, Status: st, Value: v})
+	}
+	if f.mangle != nil {
+		f.mangle(res.Values)
 	}
 	return res, nil
 }
@@ -437,6 +443,114 @@ func TestFetchErrors(t *testing.T) {
 	f.ts = 1_000_000_000
 	if _, err := q.Eval(); err == nil {
 		t.Error("backwards timestamp accepted")
+	}
+}
+
+// TestFetchAnswerMustMatchRequest: the engine reads a fetch answer by
+// position against its sorted request. A reply that answers one PMID
+// twice and another never, or answers them out of order, must fail and
+// name the PMID asked and the one answered — not serve the unanswered
+// PMID's previous sample.
+func TestFetchAnswerMustMatchRequest(t *testing.T) {
+	for name, c := range map[string]struct {
+		mangle          func([]pcp.FetchValue)
+		asked, answered uint32
+	}{
+		"duplicated": {func(v []pcp.FetchValue) { v[1] = v[0] }, 2, 1},
+		"reordered":  {func(v []pcp.FetchValue) { v[0], v[1] = v[1], v[0] }, 1, 2},
+	} {
+		e, src := newEngineFake()
+		q, err := e.Query("nest.mba*.read_bytes") // PMIDs 1 and 2
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.vals[1], src.vals[2] = 10, 20
+		if v, err := q.Eval(); err != nil || len(v.Vals) != 2 || v.Vals[0] != 10 || v.Vals[1] != 20 {
+			t.Fatalf("%s: clean step = %v, %v; want [10 20]", name, v, err)
+		}
+		src.vals[1], src.vals[2], src.ts = 11, 21, 1_000_000_000
+		src.mangle = c.mangle
+		v, err := q.Eval()
+		want := fmt.Sprintf("answered pmid %d where pmid %d was asked", c.answered, c.asked)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s reply: Eval = %v, %v; want an error saying %q", name, v, err, want)
+		}
+	}
+}
+
+// TestBindInternsSubexpressions: binding interns every subexpression by
+// its bound key, so a subtree two queries share is one node — pushed
+// down once per selected PMID a step, one sample ring — even when the
+// second query is bound after the first has been evaluated. A pattern
+// re-bound after the namespace grew selects other PMIDs, so it gets a
+// node of its own.
+func TestBindInternsSubexpressions(t *testing.T) {
+	f := newFake()
+	e := NewEngine(planSource{f})
+	first, err := e.Query("sum(rate_over(perfevent.*, 2s))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.EvalAll(first); err != nil {
+		t.Fatal(err)
+	}
+	second, err := e.Query("2 * sum(rate_over(perfevent.*, 2s))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ts, f.windows = 1_000_000_000, 0
+	vs, err := e.EvalAll(first, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.windows != 4 || second.root.args[1] != first.root {
+		t.Errorf("two queries sharing a window over 4 PMIDs pushed down %d windows a step, want 4 (shared node: %v)",
+			f.windows, second.root.args[1] == first.root)
+	}
+	if vs[0].Vals[0] != 1+2+3+4 || vs[1].Vals[0] != 2*(1+2+3+4) {
+		t.Errorf("shared pushdown = %v, %v; want 10, 20", vs[0], vs[1])
+	}
+
+	// The ring path: the second query, evaluated alone, reduces over
+	// the sample the first one pushed into the shared ring.
+	ring, err := e.Query("min_over(kernel.load + 0, 2s)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.EvalAll(ring); err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := e.Query("min_over(kernel.load + 0, 2s) * 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ts, f.vals[5] = 2_000_000_000, 30
+	v, err := scaled.Eval()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scaled.root.args[0] != ring.root || len(ring.root.hist.ts) != 2 || v.Vals[0] != 10 {
+		t.Errorf("ring after a step of each query: %d samples, min_over = %v; want one ring of 2 samples, min 10",
+			len(ring.root.hist.ts), v.Vals)
+	}
+
+	// An exact-name miss refreshes the namespace; the glob re-bound
+	// after it selects five PMIDs and gets its own node.
+	f.names = append(f.names, pcp.NameEntry{PMID: 6, Name: "perfevent.extra"})
+	f.vals[6] = 0
+	if _, err := e.Query("perfevent.extra"); err != nil {
+		t.Fatal(err)
+	}
+	third, err := e.Query("sum(rate_over(perfevent.*, 2s))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ts, f.windows = 3_000_000_000, 0
+	if vs, err = e.EvalAll(first, third); err != nil {
+		t.Fatal(err)
+	}
+	if third.root == first.root || f.windows != 4+5 || vs[0].Vals[0] != 10 || vs[1].Vals[0] != 10+6 {
+		t.Errorf("re-bound glob: %d windows a step, values %v, %v; want its own node, 9 windows, 10 and 16", f.windows, vs[0], vs[1])
 	}
 }
 

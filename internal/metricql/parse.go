@@ -16,7 +16,8 @@ const (
 )
 
 // node is one AST vertex. Parse produces the pure syntactic fields;
-// Engine.Query fills the bound state (sel, key, hist) in place.
+// Engine.Bind builds the bound copy, interned per engine by key, that
+// also holds the bound state.
 type node struct {
 	kind    nodeKind
 	num     float64 // nodeNum
@@ -27,10 +28,13 @@ type node struct {
 	by      string  // nodeCall aggregate with a "by (label)" clause
 	args    []*node // nodeUnary/nodeBinary operands, nodeCall arguments
 
-	// Bound state (set by Engine.Query):
-	sel  []selection // nodeMetric: expanded instances
-	key  string      // canonical form, the memoization key
-	hist *history    // nodeCall with a window: per-node sample ring
+	// Bound state (set by Engine.Bind):
+	sel   []selection // nodeMetric: expanded instances
+	names []string    // nodeMetric: their names, shared by the values served
+	key   string      // canonical bound form, the interning key
+	val   Value       // the memoized value, current while gen is the engine's
+	gen   uint64
+	hist  history // nodeCall with a window: the sample ring
 }
 
 // funcSpec describes one callable function.
@@ -56,8 +60,8 @@ var funcs = map[string]funcSpec{
 	},
 }
 
-// Expr is a parsed expression. An Expr is immutable after Parse; binding
-// to an Engine happens on the per-Engine Query copy.
+// Expr is a parsed expression. An Expr is immutable after Parse;
+// Engine.Bind builds bound nodes of its own from it.
 type Expr struct {
 	root *node
 	src  string
@@ -85,7 +89,8 @@ func Parse(src string) (*Expr, error) {
 
 // String returns the canonical fully-parenthesized form of the
 // expression. Canonical forms reparse to themselves (asserted by the
-// fuzz target) and serve as memoization keys.
+// fuzz target); with metric PMIDs added they are the keys bound nodes
+// are interned by.
 func (e *Expr) String() string {
 	var b strings.Builder
 	writeNode(&b, e.root)

@@ -201,7 +201,7 @@ func TestRingRateOverAndMinOver(t *testing.T) {
 	// exact — wrapping to zero between steps 2 and 3.
 	top := ^uint64(0) - 6143 // 2^64 - 6144
 	vals := []uint64{top, top + 2048, top + 4096, 0, 2048}
-	// rates per 1s step (uint64-exact in counterState): 0 then 2048.
+	// rates per 1s step (uint64-exact in the PMID's slot): 0 then 2048.
 	wantMin := []float64{0, 0, 2048, 2048, 2048}
 	// rate_over spans the ring's (ts-3s, ts] samples: wrap-corrected
 	// (last-first)/dt.
@@ -254,18 +254,20 @@ func TestParseNewWindowedFuncs(t *testing.T) {
 // panel of windowed functions over bare metrics never reaches the ring.
 type planSource struct{ *fakeSource }
 
-func (planSource) EvalWindow(fn string, pmid uint32, t0, t1 int64) (float64, bool, error) {
+func (p planSource) EvalWindow(fn string, pmid uint32, t0, t1 int64) (float64, bool, error) {
+	p.windows++
 	return float64(pmid), true, nil
 }
 
 // TestEvalAllStepAllocs bounds what the engine allocates for one step
-// of a bound, pushdown-only panel. It keeps its sorted PMID list while
-// the query set is the same and clears its maps instead of remaking
-// them, so a step is left with the result slice (1), a names and a
-// values slice for each of the three window nodes (6), the scalar of
-// the one sum (1) and the partial-error target errors.As may fill (1),
-// beside the 4 the fake's Fetch spends growing its reply: 13. Rebuilding
-// the id set, the list and the three maps every step made it 19.
+// of a bound, pushdown-only panel. The sorted PMID list, the slots and
+// the interned nodes are built at bind; a step reads the answer by
+// position and a window node's vector shares its metric's bound names,
+// so it is left with the result slice (1), a values slice for each of
+// the three window nodes (3) and the scalar of the one sum (1), beside
+// the 4 the fake's Fetch spends growing its reply: 9. Clearing and
+// filling three PMID maps and a string-keyed memo, with fresh names for
+// each window node, made it 13.
 func TestEvalAllStepAllocs(t *testing.T) {
 	src := planSource{newFake()}
 	e := NewEngine(src)
@@ -281,7 +283,7 @@ func TestEvalAllStepAllocs(t *testing.T) {
 		}
 		qs = append(qs, q)
 	}
-	const bound = 13
+	const bound = 9
 	allocs := testing.AllocsPerRun(100, func() {
 		src.ts++ // a new daemon sample every step, as a panel stepping through history sees
 		if vs, err := e.EvalAll(qs...); err != nil || vs[0].Vals[0] != 1+2+3+4 {
