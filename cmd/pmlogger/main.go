@@ -161,8 +161,8 @@ func dumpArchive(path string) error {
 	for _, e := range a.Names() {
 		fmt.Printf("  pmid %3d  %s", e.PMID, e.Name)
 		if last > first {
-			if rate, err := a.Rate(e.PMID, first, last); err == nil {
-				fmt.Printf("  avg %.3g/s", rate)
+			if w, err := a.WindowAt(archive.ResRaw, e.PMID, first, last); err == nil {
+				fmt.Printf("  avg %.3g/s", w.Delta/w.Seconds)
 			}
 		}
 		fmt.Println()

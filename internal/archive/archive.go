@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -191,6 +192,12 @@ func (b *Bucket) addRow(row Sample) {
 	b.Count++
 }
 
+// clone is a copy of the bucket that shares nothing with it.
+func (b Bucket) clone() *Bucket {
+	b.Cols = slices.Clone(b.Cols)
+	return &b
+}
+
 // rowRef is a row read where it is stored: a decoded row's values, or
 // the first or last values of a summary's columns.
 type rowRef struct {
@@ -246,28 +253,51 @@ type blockCut struct {
 // block once per pass, as an archive without the ring would.
 const maxCuts = 1024
 
-// tierSnap is one rollup tier inside a snapshot: completed buckets plus
-// the in-progress one (copy-on-write so published buckets never mutate).
+// tierSnap is one rollup tier inside a snapshot: its completed buckets,
+// never changed once appended, and its in-progress one — a copy taken
+// when the tail last sealed (sealed) or, between seals, that copy
+// extended by the snapshot's tail rows, folded on first read (head).
 type tierSnap struct {
 	res     int64
 	done    []Bucket
-	cur     *Bucket
-	evicted int // buckets dropped by the MaxBuckets cap
+	evicted int      // buckets dropped by the MaxBuckets cap
+	sealed  *Bucket  // the in-progress bucket at the last seal or load
+	tail    []Sample // the snapshot's tail
+	head    atomic.Pointer[Bucket]
 }
 
 func (t *tierSnap) count() int {
-	n := len(t.done)
-	if t.cur != nil {
-		n++
+	if t.sealed == nil && len(t.tail) == 0 {
+		return len(t.done)
 	}
-	return n
+	return len(t.done) + 1
 }
 
 func (t *tierSnap) at(i int) *Bucket {
 	if i < len(t.done) {
 		return &t.done[i]
 	}
-	return t.cur
+	return t.inProgress()
+}
+
+// inProgress is the in-progress bucket: sealed, or folded from it and
+// the tail on first read.
+func (t *tierSnap) inProgress() *Bucket {
+	if len(t.tail) == 0 {
+		return t.sealed
+	}
+	if b := t.head.Load(); b != nil {
+		return b
+	}
+	b := &Bucket{Start: alignDown(t.tail[len(t.tail)-1].Timestamp, t.res)}
+	if t.sealed != nil && t.sealed.Start == b.Start {
+		b = t.sealed.clone()
+	}
+	for _, r := range t.tail[sort.Search(len(t.tail), func(k int) bool { return t.tail[k].Timestamp >= b.Start }):] {
+		b.addRow(r)
+	}
+	t.head.Store(b)
+	return b
 }
 
 // snapshot is the immutable published state: readers load it once and
@@ -277,9 +307,8 @@ type snapshot struct {
 	blocks  []*block // sealed raw blocks, ascending time
 	tail    []Sample // decoded rows newer than the last sealed block
 	tiers   []tierSnap
-	last    *Sample // newest raw row, nil if none retained
-	lastTS  int64   // newest timestamp ever accepted (survives raw eviction)
-	seenAny bool    // any sample ever accepted (or loaded)
+	lastTS  int64 // newest timestamp ever accepted (survives raw eviction)
+	seenAny bool  // any sample ever accepted (or loaded)
 
 	rawSamples  int // retained raw rows
 	sealedBytes int // encoded bytes across sealed blocks
@@ -306,7 +335,9 @@ type Archive struct {
 	cutNext atomic.Uint32
 
 	// Writer-only state, guarded by mu.
-	tailBuf []byte // encoded form of the published tail
+	tailBuf  []byte   // encoded form of the published tail
+	tailVals []uint64 // the tail rows' values
+	open     []Bucket // each tier's in-progress bucket, folded in place
 }
 
 // New builds an empty archive over the given name table. The entries
@@ -340,6 +371,7 @@ func New(names []pcp.NameEntry, opts Options) (*Archive, error) {
 		byName: make(map[string]uint32, len(names)),
 		col:    make(map[uint32]int, len(names)),
 		opts:   opts,
+		open:   make([]Bucket, len(opts.Rollups)),
 	}
 	for i, e := range names {
 		if e.PMID == 0 {
@@ -423,12 +455,18 @@ func (a *Archive) AppendSample(row Sample) error {
 			return fmt.Errorf("%w: %d after %d", ErrOutOfOrder, row.Timestamp, cur.lastTS)
 		}
 	}
-	own := Sample{Timestamp: row.Timestamp, Values: append([]uint64(nil), row.Values...)}
+	tail := cur.tail
+	if len(tail) == 0 { // a block's rows and their values take one allocation each
+		tail, a.tailVals = make([]Sample, 0, a.opts.BlockSamples), make([]uint64, 0, a.opts.BlockSamples*len(row.Values))
+	}
+	a.tailVals = append(a.tailVals, row.Values...)
+	tail = append(tail, Sample{Timestamp: row.Timestamp, Values: slices.Clip(a.tailVals[len(a.tailVals)-len(row.Values):])})
+	own := &tail[len(tail)-1]
 
 	next := &snapshot{
 		blocks:      cur.blocks,
+		tail:        tail,
 		tiers:       make([]tierSnap, len(cur.tiers)),
-		last:        &own,
 		lastTS:      own.Timestamp,
 		seenAny:     true,
 		rawSamples:  cur.rawSamples + 1,
@@ -446,20 +484,14 @@ func (a *Archive) AppendSample(row Sample) error {
 		for _, v := range own.Values {
 			a.tailBuf = binary.AppendUvarint(a.tailBuf, v)
 		}
-		next.tail = append([]Sample(nil), own)
 	} else {
-		a.tailBuf = binary.AppendVarint(a.tailBuf, own.Timestamp-cur.last.Timestamp)
+		prev := &cur.tail[len(cur.tail)-1]
+		a.tailBuf = binary.AppendVarint(a.tailBuf, own.Timestamp-prev.Timestamp)
 		for c, v := range own.Values {
-			a.tailBuf = binary.AppendVarint(a.tailBuf, int64(v-cur.last.Values[c]))
+			a.tailBuf = binary.AppendVarint(a.tailBuf, int64(v-prev.Values[c]))
 		}
-		next.tail = append(cur.tail, own)
 	}
 	next.tailBytes = len(a.tailBuf)
-
-	// Rollup maintenance: fold the row into every tier's current bucket.
-	for i := range cur.tiers {
-		next.tiers[i] = updateTier(&cur.tiers[i], own, a.opts.MaxBuckets)
-	}
 
 	// Seal a full tail into an immutable indexed block.
 	if len(next.tail) >= a.opts.BlockSamples {
@@ -468,6 +500,17 @@ func (a *Archive) AppendSample(row Sample) error {
 		next.sealedBytes += len(blk.buf)
 		next.tail, next.tailBytes = nil, 0
 		a.tailBuf = nil
+	}
+
+	// Rollup maintenance: fold the row into every tier's in-progress
+	// bucket, in place; a seal publishes a copy of it.
+	for i := range cur.tiers {
+		t, nt := &cur.tiers[i], &next.tiers[i]
+		*nt = tierSnap{res: t.res, done: t.done, evicted: t.evicted, sealed: t.sealed, tail: next.tail}
+		a.foldRow(nt, &a.open[i], *own)
+		if next.tail == nil {
+			nt.sealed = a.open[i].clone()
+		}
 	}
 
 	// Ring retention backstop: evict oldest sealed blocks past the byte
@@ -504,27 +547,20 @@ func alignDown(ts, res int64) int64 {
 	return q * res
 }
 
-// updateTier folds one row into a tier, copy-on-write: published buckets
-// are never mutated in place.
-func updateTier(t *tierSnap, row Sample, maxBuckets int) tierSnap {
-	nt := tierSnap{res: t.res, done: t.done, evicted: t.evicted}
-	nb := Bucket{Start: alignDown(row.Timestamp, t.res)}
-	if t.cur != nil && nb.Start == t.cur.Start {
-		// Extend the in-progress bucket. The previous sample is, by
-		// construction, this bucket's Last: steps folded here are
-		// strictly intra-bucket.
-		nb = *t.cur
-		nb.Cols = append([]ColAgg(nil), t.cur.Cols...)
-	} else if t.cur != nil {
-		nt.done = append(t.done, *t.cur)
-		if drop := len(nt.done) - maxBuckets; drop > 0 {
-			nt.done = nt.done[drop:]
-			nt.evicted += drop
+// foldRow folds the next row into tier t's in-progress bucket o, in
+// place. A row in a later bucket first appends o to t.done, past what
+// older snapshots see, evicting past the MaxBuckets cap.
+func (a *Archive) foldRow(t *tierSnap, o *Bucket, row Sample) {
+	if start := alignDown(row.Timestamp, t.res); o.Count == 0 || start != o.Start {
+		if o.Count > 0 {
+			t.done = append(t.done, *o)
+			if drop := len(t.done) - a.opts.MaxBuckets; drop > 0 {
+				t.done, t.evicted = t.done[drop:], t.evicted+drop
+			}
 		}
+		*o = Bucket{Start: start}
 	}
-	nb.addRow(row)
-	nt.cur = &nb
-	return nt
+	o.addRow(row)
 }
 
 // rowCursor streams one chunk's delta-encoded rows, the one decoder of
@@ -620,11 +656,6 @@ func (a *Archive) cutAt(b *block, t int64) (*blockCut, error) {
 	return c, nil
 }
 
-// Len returns the number of retained raw samples.
-func (a *Archive) Len() int {
-	return a.snap.Load().rawSamples
-}
-
 // TierStats describes one rollup tier's storage state.
 type TierStats struct {
 	Resolution Resolution
@@ -672,8 +703,7 @@ func (a *Archive) Stats() Stats {
 // samples. Rollup-only history (raw folded away) is visible through
 // SpanAt instead.
 func (a *Archive) Span() (first, last int64, ok bool) {
-	s := a.snap.Load()
-	return s.rawSpan()
+	return a.snap.Load().rawSpan()
 }
 
 func (s *snapshot) rawSpan() (first, last int64, ok bool) {
@@ -795,32 +825,6 @@ func (a *Archive) floor(t int64) (rowRef, bool) {
 		return rowRef{ts: t, cols: c.after.Cols, first: true}, true
 	}
 	return rowRef{ts: c.before.LastTS, cols: c.before.Cols}, true
-}
-
-// Rate returns the metric's average rate over [t0, t1] in units per
-// second of simulated time — the quantity the paper's bandwidth figures
-// plot. It is deliberately not a difference of two float64 endpoint
-// values: near 2^64 adjacent float64 values are 2048 apart, so that
-// would swallow exactly the small per-interval deltas a rate is made
-// of. Instead each segment's wrap-corrected uint64 delta is summed
-// directly, weighted by its fractional overlap with [t0, t1] (rawWindow).
-func (a *Archive) Rate(pmid uint32, t0, t1 int64) (float64, error) {
-	if t1 <= t0 {
-		return 0, fmt.Errorf("archive: bad rate interval [%d, %d]", t0, t1)
-	}
-	c, ok := a.col[pmid]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoPMID, pmid)
-	}
-	s := a.snap.Load()
-	if s.rawSamples == 0 {
-		return 0, ErrEmpty
-	}
-	f := fold{c: c, t0: t0, t1: t1}
-	if err := a.rawWindow(&f, s); err != nil {
-		return 0, err
-	}
-	return f.delta / (float64(t1-t0) / 1e9), nil
 }
 
 // overlapFrac is the fraction of segment [lo, hi] covered by [t0, t1].

@@ -65,8 +65,8 @@ func TestAppendDedupAndOrder(t *testing.T) {
 	if err := a.Append(row(10, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 1 {
-		t.Errorf("len after dup = %d, want 1", a.Len())
+	if a.Stats().Samples != 1 {
+		t.Errorf("len after dup = %d, want 1", a.Stats().Samples)
 	}
 	if err := a.Append(row(5, 2)); !errors.Is(err, ErrOutOfOrder) {
 		t.Errorf("out-of-order err = %v", err)
@@ -163,7 +163,7 @@ func TestFloorNearestValueAtRate(t *testing.T) {
 		t.Errorf("Floor(300) = %+v, %v", s, ok)
 	}
 	// 4000 counts over 200 ns = 4000 / 200e-9 s.
-	rate, err := a.Rate(1, 100, 300)
+	rate, err := rateAt(a, ResRaw, 1, 100, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestFloorNearestValueAtRate(t *testing.T) {
 	if rate < want*0.999 || rate > want*1.001 {
 		t.Errorf("Rate = %g, want %g", rate, want)
 	}
-	if _, err := a.Rate(999, 100, 300); !errors.Is(err, ErrNoPMID) {
+	if _, err := rateAt(a, ResRaw, 999, 100, 300); !errors.Is(err, ErrNoPMID) {
 		t.Errorf("unknown pmid rate err = %v", err)
 	}
 }
@@ -254,18 +254,18 @@ func TestRateCounterWrap(t *testing.T) {
 		}
 	}
 
-	if rate, err := a.Rate(1, 0, 2_000_000_000); err != nil || rate != 800 {
+	if rate, err := rateAt(a, ResRaw, 1, 0, 2_000_000_000); err != nil || rate != 800 {
 		t.Errorf("Rate across wrap = %v, %v; want exactly 800", rate, err)
 	}
-	if rate, err := a.Rate(1, 1_000_000_000, 2_000_000_000); err != nil || rate != 800 {
+	if rate, err := rateAt(a, ResRaw, 1, 1_000_000_000, 2_000_000_000); err != nil || rate != 800 {
 		t.Errorf("Rate of wrapping segment = %v, %v; want exactly 800", rate, err)
 	}
 	// Partial overlap: half of each segment, still 800/s.
-	if rate, err := a.Rate(1, 500_000_000, 1_500_000_000); err != nil || rate != 800 {
+	if rate, err := rateAt(a, ResRaw, 1, 500_000_000, 1_500_000_000); err != nil || rate != 800 {
 		t.Errorf("Rate over partial window = %v, %v; want exactly 800", rate, err)
 	}
 	// A decreasing instant metric is a real decrease, not a wrap.
-	if rate, err := a.Rate(2, 0, 2_000_000_000); err != nil || rate != -1000 {
+	if rate, err := rateAt(a, ResRaw, 2, 0, 2_000_000_000); err != nil || rate != -1000 {
 		t.Errorf("Rate of decreasing level = %v, %v; want exactly -1000", rate, err)
 	}
 }

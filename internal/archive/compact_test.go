@@ -81,8 +81,8 @@ func TestCompactRefusesUncoveredFolds(t *testing.T) {
 	if folded := a.Compact(); folded != 0 {
 		t.Fatalf("Compact folded %d rows with no rollup coverage", folded)
 	}
-	if a.Len() != 100 {
-		t.Fatalf("raw rows lost: %d", a.Len())
+	if a.Stats().Samples != 100 {
+		t.Fatalf("raw rows lost: %d", a.Stats().Samples)
 	}
 }
 
@@ -219,7 +219,7 @@ func TestCompactorReaderStress(t *testing.T) {
 					wantAt := func(l, h int64) float64 {
 						return float64(uint64((h-l)/cadence)*incr) / (float64(h-l) / 1e9)
 					}
-					if rate, err := a.Rate(1, lo, hi); err == nil && rate != wantAt(lo, hi) {
+					if rate, err := rateAt(a, ResRaw, 1, lo, hi); err == nil && rate != wantAt(lo, hi) {
 						steps := rate * (float64(hi-lo) / 1e9) / float64(incr)
 						k := math.Round(steps)
 						if math.Abs(steps-k) > 1e-6 || k < 0 || int64(k) > (hi-lo)/cadence {

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,8 +33,9 @@ func TestCutRacesFold(t *testing.T) {
 		RawRetention: 24 * span,
 		MaxBuckets:   1 << 20,
 	})
-	var appended atomic.Int64
+	var appended, checked atomic.Int64
 	var wg sync.WaitGroup
+	ready := make(chan struct{}) // closed once the readers have rows to cut
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -43,16 +45,29 @@ func TestCutRacesFold(t *testing.T) {
 				return
 			}
 			appended.Store(i + 1)
+			if i+1 == 40*bs {
+				close(ready)
+			}
+			// Until a fold has landed and an answer was checked, the
+			// writer yields after every row, so that a scheduler running
+			// it alone cannot outrun the compactor and the readers.
+			for i+1 >= 40*bs && (a.snap.Load().folded == 0 || checked.Load() == 0) && !t.Failed() {
+				runtime.Gosched()
+			}
 		}
 	}()
 	stopCompact := a.StartCompactor(50 * time.Microsecond)
 
 	stop := make(chan struct{})
-	var checked atomic.Int64
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(probe int64) {
 			defer wg.Done()
+			select {
+			case <-ready:
+			case <-stop:
+				return
+			}
 			for {
 				select {
 				case <-stop:
@@ -60,7 +75,7 @@ func TestCutRacesFold(t *testing.T) {
 				default:
 				}
 				first, _, ok := a.Span()
-				if !ok || appended.Load() < 40*bs {
+				if !ok {
 					continue
 				}
 				probe = (probe*2862933555777941757 + 3037000493) & (1<<62 - 1)

@@ -380,7 +380,7 @@ func readV2(buf []byte, opts Options) (*Archive, error) {
 		appended:    rawSamples,
 	}
 	if prevLast != nil {
-		s.last, s.lastTS, s.seenAny = prevLast, prevLast.Timestamp, true
+		s.lastTS, s.seenAny = prevLast.Timestamp, true
 	}
 	if sawRollups {
 		// The file's tier set wins: it can hold folded history the raw
@@ -389,15 +389,11 @@ func readV2(buf []byte, opts Options) (*Archive, error) {
 			return nil, err
 		}
 		s.tiers = tiers
+		a.open = make([]Bucket, len(tiers))
 		for i := range tiers {
-			t := &s.tiers[i]
-			if n := len(t.done); n > 0 {
-				last := t.done[n-1]
-				t.done = t.done[: n-1 : n-1]
-				t.cur = &last
-			}
-			if t.cur != nil && (!s.seenAny || t.cur.LastTS > s.lastTS) {
-				s.lastTS, s.seenAny = t.cur.LastTS, true
+			if t := &s.tiers[i]; len(t.done) > 0 {
+				a.open[i] = t.done[len(t.done)-1]
+				t.done = t.done[: len(t.done)-1 : len(t.done)-1]
 			}
 		}
 	} else {
@@ -409,10 +405,18 @@ func readV2(buf []byte, opts Options) (*Archive, error) {
 				if err := rc.next(); err != nil {
 					return nil, err
 				}
-				for ti := range s.tiers {
-					s.tiers[ti] = updateTier(&s.tiers[ti], rc.row(), a.opts.MaxBuckets)
+				for i := range s.tiers {
+					a.foldRow(&s.tiers[i], &a.open[i], rc.row())
 				}
 			}
+		}
+	}
+	// Publish the in-progress buckets as a seal does; appends after the
+	// load fold on from the writer's copies.
+	for i := range s.tiers {
+		if o := a.open[i].clone(); o.Count > 0 {
+			s.tiers[i].sealed = o
+			s.lastTS, s.seenAny = o.LastTS, true // every tier ends at the newest row (validateTiers)
 		}
 	}
 	a.snap.Store(s)
@@ -476,8 +480,8 @@ func parseRollups(payload []byte, width int) ([]tierSnap, error) {
 		if evicted > 1<<40 {
 			return nil, fmt.Errorf("%w: implausible evicted count %d", ErrFormat, evicted)
 		}
-		t := tierSnap{res: int64(res), evicted: int(evicted)}
-		t.done = make([]Bucket, 0, nBuckets)
+		tiers = append(tiers, tierSnap{res: int64(res), evicted: int(evicted), done: make([]Bucket, 0, nBuckets)})
+		t := &tiers[len(tiers)-1]
 		for j := uint64(0); j < nBuckets; j++ {
 			b := Bucket{Cols: make([]ColAgg, width)}
 			b.Start = p.sv()
@@ -522,7 +526,6 @@ func parseRollups(payload []byte, width int) ([]tierSnap, error) {
 			}
 			t.done = append(t.done, b)
 		}
-		tiers = append(tiers, t)
 	}
 	if len(p.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in rollup section", ErrFormat, len(p.buf))

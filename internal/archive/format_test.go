@@ -73,10 +73,10 @@ func TestGoldenV1Interop(t *testing.T) {
 
 	// Query semantics across the recorded wrap are preserved: column 1
 	// gains 400 per 500ms = 800/s, through the wrap, exactly.
-	if rate, err := a.Rate(1, 0, 36*500_000_000); err != nil || rate != 800 {
+	if rate, err := rateAt(a, ResRaw, 1, 0, 36*500_000_000); err != nil || rate != 800 {
 		t.Errorf("Rate over golden archive = %v, %v; want exactly 800", rate, err)
 	}
-	if rate, err := a.Rate(9, 0, 36*500_000_000); err != nil || rate != -200 {
+	if rate, err := rateAt(a, ResRaw, 9, 0, 36*500_000_000); err != nil || rate != -200 {
 		t.Errorf("Rate of golden level = %v, %v; want exactly -200", rate, err)
 	}
 	// Rollups were rebuilt from the raw rows and agree with the raw path.

@@ -345,5 +345,17 @@ func FuzzReadArchive(f *testing.F) {
 				}
 			}
 		}
+		// Appends continue on a loaded archive, folding into tiers seeded
+		// from the file: the next row is the newest at every resolution.
+		if last := b.snap.Load().lastTS; last < math.MaxInt64 {
+			if err := b.AppendSample(Sample{Timestamp: last + 1, Values: make([]uint64, width)}); err != nil {
+				t.Fatalf("append after load: %v", err)
+			}
+			for _, res := range append([]Resolution{ResRaw}, tierResolutions(b)...) {
+				if _, end, ok := b.SpanAt(res); !ok || end != last+1 {
+					t.Fatalf("after an append at %d, SpanAt(%v) ends at %d (%v)", last+1, res, end, ok)
+				}
+			}
+		}
 	})
 }

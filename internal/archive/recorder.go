@@ -73,12 +73,8 @@ func (r *Recorder) Lookup(name string) (uint32, error) { return r.src.Lookup(nam
 // PMIDs in request order.
 func (r *Recorder) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 	req := r.arch.PMIDs()
-	schema := make(map[uint32]bool, len(req))
-	for _, id := range req {
-		schema[id] = true
-	}
 	for _, id := range pmids {
-		if !schema[id] {
+		if _, in := r.arch.col[id]; !in {
 			req = append(req, id)
 		}
 	}
@@ -97,10 +93,9 @@ func (r *Recorder) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 	}
 	out := pcp.FetchResult{Timestamp: res.Timestamp, Values: make([]pcp.FetchValue, len(pmids))}
 	for i, id := range pmids {
+		out.Values[i] = pcp.FetchValue{PMID: id, Status: pcp.StatusNoSuchPMID}
 		if v, ok := byPMID[id]; ok {
 			out.Values[i] = v
-		} else {
-			out.Values[i] = pcp.FetchValue{PMID: id, Status: pcp.StatusNoSuchPMID}
 		}
 	}
 	return out, nil

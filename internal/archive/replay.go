@@ -59,14 +59,10 @@ func (r *Replay) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 		// have sampled on first contact). A rollup tier's earliest row
 		// sits at its first bucket's *last* sample, after the tier span's
 		// start, so floor at that bucket's LastTS, not at the span start.
-		first, _, spanOK := r.arch.SpanAt(r.res)
-		if spanOK && r.res != ResRaw {
-			if bs, err := r.arch.Buckets(r.res, first, first); err == nil && len(bs) > 0 {
-				first = bs[0].LastTS
-			}
-		}
-		if !spanOK {
-			return pcp.FetchResult{}, fmt.Errorf("archive: replay fetch at %d: %w", now, ErrEmpty)
+		// An empty archive or tier floors nowhere.
+		first, _, _ := r.arch.SpanAt(r.res)
+		if t := r.arch.snap.Load().tier(int64(r.res)); t != nil && t.count() > 0 {
+			first = t.at(0).LastTS
 		}
 		if row, ok = r.arch.floorAt(r.res, first); !ok {
 			return pcp.FetchResult{}, fmt.Errorf("archive: replay fetch at %d: %w", now, ErrEmpty)

@@ -82,7 +82,7 @@ func TestReplayProfileMatchesLive(t *testing.T) {
 	if rec.Skipped() != 0 {
 		t.Fatalf("recorder skipped %d rows", rec.Skipped())
 	}
-	if rec.Archive().Len() == 0 {
+	if rec.Archive().Stats().Samples == 0 {
 		t.Fatal("recording is empty")
 	}
 
@@ -164,7 +164,7 @@ func TestRecorderServesLikeClient(t *testing.T) {
 	if res.Values[2].Status != pcp.StatusNoSuchPMID {
 		t.Errorf("off-schema pmid status = %d", res.Values[2].Status)
 	}
-	if rec.Archive().Len() == 0 {
+	if rec.Archive().Stats().Samples == 0 {
 		t.Error("fetch did not record")
 	}
 }

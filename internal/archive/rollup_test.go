@@ -52,7 +52,7 @@ func TestRollupRateMatchesRawExactly(t *testing.T) {
 	}
 	for _, pm := range []uint32{1, 2, 3} {
 		for _, w := range windows {
-			raw, err := a.Rate(pm, w.t0, w.t1)
+			raw, err := rateAt(a, ResRaw, pm, w.t0, w.t1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestRollupUnalignedWindowBound(t *testing.T) {
 	a, _ := New(schema(3), Options{BlockSamples: 16, Rollups: []int64{1000}})
 	fillArchive(t, a, 500, 100, 400)
 	t0, t1 := int64(1550), int64(42_350) // both edges mid-bucket
-	raw, err := a.Rate(2, t0, t1)
+	raw, err := rateAt(a, ResRaw, 2, t0, t1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRollupBucketCap(t *testing.T) {
 		t.Errorf("evicted buckets = %d, want 21", st.Tiers[0].Evicted)
 	}
 	// Rates over the retained bucket range still match raw exactly.
-	raw, _ := a.Rate(2, 22_000, 28_000)
+	raw, _ := rateAt(a, ResRaw, 2, 22_000, 28_000)
 	ru, err := rateAt(a, 1000, 2, 22_000, 28_000)
 	if err != nil || ru != raw {
 		t.Errorf("rate over capped tier = %v, %v; want %v", ru, err, raw)

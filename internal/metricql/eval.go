@@ -733,19 +733,17 @@ func (e *Engine) evalWindow(n *node, cur Value, ts int64, fresh bool) (Value, er
 		var acc float64
 		switch n.fn {
 		case "rate_over":
-			// Wrap-corrected increase across the retained samples over
-			// their time span. The ring only sees the window's first and
-			// last samples, so a counter that wrapped more than once
-			// inside one window under-reports — the archive pushdown
-			// path, which sums per-sample deltas, has no such bound.
-			if len(h.vals) >= 2 {
-				d := h.vals[len(h.vals)-1][i] - h.vals[0][i]
+			// The wrap-corrected steps between consecutive retained
+			// samples, summed, over their time span.
+			for k := 1; k < len(h.vals); k++ {
+				d := h.vals[k][i] - h.vals[k-1][i]
 				if d < 0 {
 					d += twoTo64 // counter wrapped mod 2^64
 				}
-				if dt := float64(h.ts[len(h.ts)-1]-h.ts[0]) / 1e9; dt > 0 {
-					acc = d / dt
-				}
+				acc += d
+			}
+			if dt := float64(h.ts[len(h.ts)-1]-h.ts[0]) / 1e9; dt > 0 {
+				acc /= dt
 			}
 		default:
 			acc = h.vals[0][i]

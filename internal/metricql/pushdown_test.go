@@ -115,8 +115,7 @@ func TestPushdownAvgMatchesArchive(t *testing.T) {
 
 // TestPushdownRateAcrossWrap: the pushdown rate path sums per-sample
 // wrap-corrected deltas, so a counter that wraps inside the window still
-// reports its exact rate — the property the ring path can only
-// approximate from the window's first and last samples.
+// reports its exact rate.
 func TestPushdownRateAcrossWrap(t *testing.T) {
 	r, _, _ := replayFixture(t)
 	e := NewEngine(r)
@@ -184,8 +183,8 @@ func TestPinnedReplayNeverReadsFiner(t *testing.T) {
 
 // TestRingRateOverAndMinOver: the ring fallbacks for the two new
 // windowed functions, pinned on a scriptable live source — min_over
-// reduces the retained samples, rate_over wrap-corrects across the
-// window's first and last samples.
+// reduces the retained samples, rate_over wrap-corrects each step
+// between them.
 func TestRingRateOverAndMinOver(t *testing.T) {
 	e, f := newEngineFake()
 	qMin, err := e.Query("min_over(rate(nest.mba0.read_bytes), 2s)")
@@ -203,8 +202,8 @@ func TestRingRateOverAndMinOver(t *testing.T) {
 	vals := []uint64{top, top + 2048, top + 4096, 0, 2048}
 	// rates per 1s step (uint64-exact in the PMID's slot): 0 then 2048.
 	wantMin := []float64{0, 0, 2048, 2048, 2048}
-	// rate_over spans the ring's (ts-3s, ts] samples: wrap-corrected
-	// (last-first)/dt.
+	// rate_over spans the ring's (ts-3s, ts] samples: their
+	// wrap-corrected steps, summed, over dt.
 	wantRate := []float64{0, 2048, 2048, 2048, 2048}
 	for i, v := range vals {
 		f.vals[1] = v
@@ -293,4 +292,85 @@ func TestEvalAllStepAllocs(t *testing.T) {
 	if allocs > bound {
 		t.Errorf("one panel step allocates %v times, want at most %d", allocs, bound)
 	}
+}
+
+// ringOnly hides a replay's WindowPlanner, so windowed functions over it
+// take the engine's sample ring.
+type ringOnly struct{ rp *archive.Replay }
+
+func (s ringOnly) Names() ([]pcp.NameEntry, error)               { return s.rp.Names() }
+func (s ringOnly) Fetch(pmids []uint32) (pcp.FetchResult, error) { return s.rp.Fetch(pmids) }
+
+// TestRateOverCounterWrappingTwice: a counter climbing 2^57 a second
+// wraps every 128 samples, so a 300 s and a 700 s window hold two wraps
+// or more (a 64-row block's summed steps, 63·2^57, still fit its int64
+// Delta). Stepped across the recording, the ring's rate_over must equal
+// a scan of the samples in (ts−w, ts] — the sum of their wrap-corrected
+// steps over their span — and the pushdown's a scan of the rows in
+// [ts−w, ts) and the step on to ts, over w.
+func TestRateOverCounterWrappingTwice(t *testing.T) {
+	const sec, n, incr = int64(1_000_000_000), 1000, uint64(1) << 57
+	a, err := archive.New([]pcp.NameEntry{{PMID: 1, Name: "bench.counter"}}, archive.Options{Rollups: []int64{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := func(i int64) uint64 { return uint64(i)*incr + 1<<40 } // exact as float64
+	for i := int64(0); i < n; i++ {
+		if err := a.AppendSample(archive.Sample{Timestamp: i * sec, Values: []uint64{val(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock := simtime.NewClock()
+	ring, push := NewEngine(ringOnly{archive.NewReplay(a, clock)}), NewEngine(archive.NewReplay(a, clock))
+	windows := map[int64][2]*Query{}
+	for w, d := range map[int64]string{300: "300s", 700: "700s"} {
+		qr, err := ring.Query("rate_over(bench.counter, " + d + ")")
+		if err != nil {
+			t.Fatal(err)
+		}
+		qp, err := push.Query("rate_over(bench.counter, " + d + ")")
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows[w] = [2]*Query{qr, qp}
+	}
+	for i := int64(0); i < n; i++ {
+		clock.AdvanceTo(simtime.Time(i * sec))
+		for w, q := range windows {
+			// The ring: samples i-w+1 .. i, one step apart each.
+			lo := max(i-w+1, 0)
+			wantRing := 0.0
+			for k := lo + 1; k <= i; k++ {
+				wantRing += float64(pcp.CounterDelta(val(k-1), val(k)))
+			}
+			if i > lo {
+				wantRing /= float64(i - lo)
+			}
+			// The pushdown: rows in [i-w, i), and the step on to row i.
+			wantPush := 0.0
+			for k := max(i-w, 0) + 1; k <= i; k++ {
+				wantPush += float64(int64(pcp.CounterDelta(val(k-1), val(k))))
+			}
+			wantPush /= float64(w)
+			if got := mustScalar(t, q[0]); got != wantRing {
+				t.Errorf("%d s window at %d s, ring: %v, want %v", w, i, got, wantRing)
+			}
+			if got := mustScalar(t, q[1]); i > 0 && got != wantPush {
+				t.Errorf("%d s window at %d s, pushdown: %v, want %v", w, i, got, wantPush)
+			}
+		}
+	}
+}
+
+func mustScalar(t *testing.T, q *Query) float64 {
+	t.Helper()
+	v, err := q.Eval()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := v.Scalar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
