@@ -183,7 +183,7 @@ func TestServerLifecycle(t *testing.T) {
 			tier := newLifecycleTier(t, name)
 			addr := tier.startOn(listenLoopback(t))
 			var clients []*pcp.Client
-			for _, v := range []uint32{pcp.Version1, pcp.Version2, pcp.Version3} {
+			for _, v := range []uint32{pcp.Version1, pcp.Version3} {
 				c, err := pcp.DialMax(addr, v)
 				if err != nil {
 					t.Fatal(err)

@@ -46,16 +46,13 @@ func wireScript() []wireStep {
 }
 
 // wireFrame builds one request frame in the framing of the negotiated
-// version: plain below Version2, tagged at Version2, wide at Version3.
+// version: plain at Version1, tagged at Version3.
 func wireFrame(version uint32, typ uint8, tag, tenant uint32, payload []byte) []byte {
 	var b bytes.Buffer
 	var err error
-	switch {
-	case version >= pcp.Version3:
+	if version >= pcp.Version3 {
 		err = pcp.WriteWidePDU(&b, typ, tag, tenant, payload)
-	case version >= pcp.Version2:
-		err = pcp.WriteTaggedPDU(&b, typ, tag, payload)
-	default:
+	} else {
 		err = pcp.WritePDU(&b, typ, payload)
 	}
 	if err != nil {
@@ -117,11 +114,8 @@ func playWireSession(t *testing.T, addr string, maxVersion uint32) []byte {
 	record("version", reply)
 
 	hdrLen := 5
-	switch {
-	case maxVersion >= pcp.Version3:
+	if maxVersion >= pcp.Version3 {
 		hdrLen = 13
-	case maxVersion >= pcp.Version2:
-		hdrLen = 9
 	}
 	for i, st := range wireScript() {
 		tag, tenant := uint32(0x100+i), uint32(7)
@@ -181,7 +175,7 @@ func TestWireGolden(t *testing.T) {
 		{"cluster", caddr},
 	}
 	for _, tier := range tiers {
-		for _, v := range []uint32{pcp.Version1, pcp.Version2, pcp.Version3} {
+		for _, v := range []uint32{pcp.Version1, pcp.Version3} {
 			name := fmt.Sprintf("%s-v%d", tier.name, v)
 			t.Run(name, func(t *testing.T) {
 				got := playWireSession(t, tier.addr, v)

@@ -71,7 +71,7 @@ func TestServeFetchDoesNotAllocate(t *testing.T) {
 	}
 	h := d.srv.newHandler()
 	sc := reqScratch{payload: AppendFetchReq(nil, pmids)}
-	batch := frameBatch{wide: true}
+	var batch frameBatch
 	cycle := func() {
 		respType := sc.dispatch(h, PDUFetchReq, 7, true)
 		if respType != PDUFetchResp {

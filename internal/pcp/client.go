@@ -15,23 +15,22 @@ import (
 // concurrent use.
 //
 // Every request method is written once over a single round-trip seam
-// (roundTrip) with two transports behind it. Against a Version2 or
-// Version3 peer (negotiated at connection setup) the transport is the
-// pipeline: many requests stay outstanding on the one connection, a
-// writer goroutine coalesces them into tagged (or wide) frames,
-// and a demux reader completes them out of order, each under its own
-// per-request deadline. Against a Version1 peer — or when pinned with
-// DialMax(addr, Version1) — the transport is lockstep: requests are
-// serialized on the connection, one plain frame out and one back,
-// exactly as before the version bump.
+// (roundTrip) with two transports behind it. Against a Version3 peer
+// (negotiated at connection setup) the transport is the pipeline: many
+// requests stay outstanding on the one connection, a writer goroutine
+// coalesces them into tagged frames, and a demux reader completes them
+// out of order, each under its own per-request deadline. Against a
+// Version1 peer — or when capped below Version3 with DialMax — the
+// transport is lockstep: requests are serialized on the connection, one
+// plain frame out and one back, exactly as before the version bump.
 type Client struct {
 	mu      sync.Mutex    // guards timeout and names
 	timeout time.Duration // per-round-trip wall deadline; 0 = none
 	names   map[string]uint32
 
 	version uint32        // negotiated wire version (read-only after setup)
-	tr      transport     // lockstep below Version2, pipeline from there up
-	tenant  atomic.Uint32 // stamped on outgoing wide frames (Version3)
+	tr      transport     // lockstep at Version1, pipeline at Version3
+	tenant  atomic.Uint32 // stamped on outgoing tagged frames (Version3)
 }
 
 // transport carries one request to the server and its reply back:
@@ -128,8 +127,8 @@ func newClientConn(conn net.Conn, magic string, maxVersion uint32) (*Client, err
 		conn.Close()
 		return nil, err
 	}
-	if c.version >= Version2 {
-		c.tr = newPipeline(conn, ls.br, c.version >= Version3)
+	if c.version == Version3 {
+		c.tr = newPipeline(conn, ls.br)
 	}
 	return c, nil
 }
@@ -165,24 +164,26 @@ func DialTenant(addr string, tenant uint32) (*Client, error) {
 	return c, nil
 }
 
-// SetTenant sets the tenant stamped on every subsequent request's wide
-// frame. It only has wire effect on a Version3 (or later) connection;
-// on older connections it is a no-op. Safe for concurrent use; requests
+// SetTenant sets the tenant stamped on every subsequent request's
+// tagged frame. It only has wire effect on a Version3 connection; on a
+// lockstep one it is a no-op. Safe for concurrent use; requests
 // already enqueued keep the tenant they were issued with.
 func (c *Client) SetTenant(tenant uint32) {
-	if c.version >= Version3 {
+	if c.version == Version3 {
 		c.tenant.Store(tenant)
 	}
 }
 
 // Tenant returns the tenant currently stamped on outgoing requests
-// (zero — the default tenant — on connections below Version3).
+// (zero — the default tenant — on lockstep connections).
 func (c *Client) Tenant() uint32 { return c.tenant.Load() }
 
 // negotiate runs the version exchange on the fresh lockstep connection.
 // A Version1-only server does not know PDUVersionReq and answers with
 // PDUError; that is the fallback signal — the connection is still in
-// lockstep protocol state, so the client simply stays at Version1.
+// lockstep protocol state, so the client simply stays at Version1. Any
+// answer other than 1 or 3 fails the dial: a server that answers 2 (the
+// retired 9-byte tagged framing) has already switched framings.
 func (c *Client) negotiate(maxVersion uint32) error {
 	call := getCall()
 	call.typ = PDUVersionReq
@@ -197,8 +198,8 @@ func (c *Client) negotiate(maxVersion uint32) error {
 		if err != nil {
 			return err
 		}
-		if v > maxVersion {
-			return fmt.Errorf("%w: server negotiated version %d above our %d", ErrProtocol, v, maxVersion)
+		if v > maxVersion || (v != Version1 && v != Version3) {
+			return fmt.Errorf("%w: server negotiated version %d (we offered %d)", ErrProtocol, v, maxVersion)
 		}
 		c.version = v
 	case PDUError:
@@ -362,7 +363,7 @@ func (c *Client) fetchRoundTrip(call *pcall, res *FetchResult) error {
 }
 
 // FetchBatch fetches multiple PMID sets in one round trip: the answer
-// to sets[i] is results[i], and on a Version2 connection every set is
+// to sets[i] is results[i], and on a Version3 connection every set is
 // served from one snapshot — the network analogue of a whole
 // multi-component EventSet read. Partial federated answers return both
 // valid results and one *PartialError covering the batch.
@@ -377,7 +378,7 @@ func (c *Client) FetchBatch(sets [][]uint32) ([]FetchResult, error) {
 // FetchBatchInto is FetchBatch decoding into results, reusing its outer
 // array and each element's Values backing array.
 func (c *Client) FetchBatchInto(sets [][]uint32, results []FetchResult) ([]FetchResult, error) {
-	if c.version < Version2 {
+	if c.version == Version1 {
 		return c.fetchBatchPerSet(sets, results)
 	}
 	call := getCall()

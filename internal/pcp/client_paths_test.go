@@ -12,14 +12,15 @@ import (
 	"papimc/internal/testutil"
 )
 
-// TestClientPathsAgree drives the client's one round-trip seam over all
-// three wire versions — lockstep, tagged, wide — against the server
+// TestClientPathsAgree drives the client's one round-trip seam over both
+// wire versions — lockstep and tagged — against the server
 // replies that are not plain successes (TestVersionNegotiationMatrix
 // covers those): an error PDU, an admission shed, and partial results
 // from a federator with a node down. Values, error types and
 // errors.Is/As classification must not depend on the transport, except
 // where the protocol says so: a typed PDUStatusError only exists on
-// Version3, so older wires carry the same rejection as a plain error.
+// Version3, so the lockstep wire carries the same rejection as a plain
+// error.
 func TestClientPathsAgree(t *testing.T) {
 	_, daddr := testutil.StartSyntheticDaemon(t, 4)
 	shedder := pmproxy.New(pmproxy.Config{
@@ -70,7 +71,7 @@ func TestClientPathsAgree(t *testing.T) {
 		batch      []pcp.FetchResult
 	}
 	var first *partials
-	for _, v := range []uint32{pcp.Version1, pcp.Version2, pcp.MaxVersion} {
+	for _, v := range []uint32{pcp.Version1, pcp.MaxVersion} {
 		dial := func(addr string) *pcp.Client {
 			c, err := pcp.DialMax(addr, v)
 			if err != nil {

@@ -7,73 +7,53 @@ import (
 	"sync"
 )
 
-// Tagged framing (wire protocol Version2 and up). Once a PDUVersionReq /
-// PDUVersionResp exchange negotiates Version2 or higher, both sides
-// switch from the plain 5-byte frame to one header layout:
+// Tagged framing (wire protocol Version3). Once a PDUVersionReq /
+// PDUVersionResp exchange negotiates Version3, both sides switch from
+// the plain 5-byte frame to one 13-byte header layout:
 //
-//	u32 payload length | u8 type | u32 tag | [u32 tenant] | payload
+//	u32 payload length | u8 type | u32 tag | u32 tenant | payload
 //
 // The tag is chosen by the requester and echoed verbatim in the
 // response, which is what lets a connection carry many outstanding
 // requests with out-of-order completion: the reader demultiplexes
-// responses by tag instead of assuming lockstep order. The tenant field
-// is present only on wide frames — the framing of Version3 and above —
-// and identifies the requesting principal for admission control and
+// responses by tag instead of assuming lockstep order. The tenant
+// identifies the requesting principal for admission control and
 // per-tenant accounting at a proxy; servers echo it verbatim so
 // middleboxes can attribute both directions of a stream without
 // per-connection state. Any 32-bit tenant is structurally valid: policy
 // about unknown tenants belongs to the admission layer, not the
-// framing. Version1 peers never see a tagged frame, Version2 peers
-// never see a wide one.
+// framing. Version1 peers never see a tagged frame.
 
-// Frame header sizes: 9 bytes tagged, 13 wide (tagged plus the tenant).
-const (
-	TaggedHdrLen = 9
-	WideHdrLen   = TaggedHdrLen + 4
-)
+// WideHdrLen is the tagged frame header size.
+const WideHdrLen = 13
 
-// frameHdrLen returns the header size of the connection's framing.
-func frameHdrLen(wide bool) int {
-	if wide {
-		return WideHdrLen
-	}
-	return TaggedHdrLen
-}
-
-// frameHdrPool recycles frame headers, like hdrPool for plain ones; a
-// tagged header uses the first TaggedHdrLen bytes.
+// frameHdrPool recycles frame headers, like hdrPool for plain ones.
 var frameHdrPool = sync.Pool{
 	New: func() any { return new([WideHdrLen]byte) },
 }
 
-// putFrameHdr encodes a frame header into hdr, whose length
-// (frameHdrLen) says whether the tenant field is present.
-func putFrameHdr(hdr []byte, typ uint8, tag, tenant uint32, payloadLen int) {
-	binary.BigEndian.PutUint32(hdr[:4], uint32(payloadLen))
-	hdr[4] = typ
-	binary.BigEndian.PutUint32(hdr[5:9], tag)
-	if len(hdr) == WideHdrLen {
-		binary.BigEndian.PutUint32(hdr[9:13], tenant)
-	}
+// appendFrameHdr appends one frame header to dst.
+func appendFrameHdr(dst []byte, typ uint8, tag, tenant uint32, payloadLen int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(payloadLen))
+	dst = append(dst, typ)
+	dst = binary.BigEndian.AppendUint32(dst, tag)
+	return binary.BigEndian.AppendUint32(dst, tenant)
 }
 
-// readFrameHdr reads one frame header (tenant is zero unless wide) and
-// validates the length prefix against MaxPDUBytes before anything is
-// allocated, so a hostile tag/length combination can fail with
-// ErrProtocol but never force an oversized allocation. The payload (n
-// bytes) is left unread: a demux reader that finds no waiter for the tag
-// discards it with br.Discard instead of reading it into memory.
-func readFrameHdr(r io.Reader, wide bool) (typ uint8, tag, tenant, n uint32, err error) {
-	hp := frameHdrPool.Get().(*[WideHdrLen]byte)
-	hdr := hp[:frameHdrLen(wide)]
-	_, err = io.ReadFull(r, hdr)
+// readFrameHdr reads one frame header and validates the length prefix
+// against MaxPDUBytes before anything is allocated, so a hostile
+// tag/length combination can fail with ErrProtocol but never force an
+// oversized allocation. The payload (n bytes) is left unread: a demux
+// reader that finds no waiter for the tag discards it with br.Discard
+// instead of reading it into memory.
+func readFrameHdr(r io.Reader) (typ uint8, tag, tenant, n uint32, err error) {
+	hdr := frameHdrPool.Get().(*[WideHdrLen]byte)
+	_, err = io.ReadFull(r, hdr[:])
 	n = binary.BigEndian.Uint32(hdr[:4])
 	typ = hdr[4]
 	tag = binary.BigEndian.Uint32(hdr[5:9])
-	if wide {
-		tenant = binary.BigEndian.Uint32(hdr[9:13])
-	}
-	frameHdrPool.Put(hp)
+	tenant = binary.BigEndian.Uint32(hdr[9:13])
+	frameHdrPool.Put(hdr)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -83,11 +63,11 @@ func readFrameHdr(r io.Reader, wide bool) (typ uint8, tag, tenant, n uint32, err
 	return typ, tag, tenant, n, nil
 }
 
-// readFrameInto reads one whole frame, reading the payload into buf and
-// growing it if needed — the tagged analogue of ReadPDUInto, with the
-// same aliasing contract.
-func readFrameInto(r io.Reader, wide bool, buf []byte) (typ uint8, tag, tenant uint32, payload []byte, err error) {
-	typ, tag, tenant, n, err := readFrameHdr(r, wide)
+// ReadWidePDUInto reads one whole tagged (Version3) PDU, reading the
+// payload into buf and growing it if needed — the tagged analogue of
+// ReadPDUInto, with the same aliasing contract.
+func ReadWidePDUInto(r io.Reader, buf []byte) (typ uint8, tag, tenant uint32, payload []byte, err error) {
+	typ, tag, tenant, n, err := readFrameHdr(r)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
@@ -101,16 +81,14 @@ func readFrameInto(r io.Reader, wide bool, buf []byte) (typ uint8, tag, tenant u
 	return typ, tag, tenant, payload, nil
 }
 
-// writeFrame frames and writes one PDU. Like WritePDU it does not
-// allocate in the steady state.
-func writeFrame(w io.Writer, wide bool, typ uint8, tag, tenant uint32, payload []byte) error {
+// WriteWidePDU frames and writes one tagged (Version3) PDU. Like
+// WritePDU it does not allocate in the steady state.
+func WriteWidePDU(w io.Writer, typ uint8, tag, tenant uint32, payload []byte) error {
 	if len(payload) > MaxPDUBytes {
 		return fmt.Errorf("%w (writing %d bytes)", ErrPDUTooLarge, len(payload))
 	}
 	hp := frameHdrPool.Get().(*[WideHdrLen]byte)
-	hdr := hp[:frameHdrLen(wide)]
-	putFrameHdr(hdr, typ, tag, tenant, len(payload))
-	_, err := w.Write(hdr)
+	_, err := w.Write(appendFrameHdr(hp[:0], typ, tag, tenant, len(payload)))
 	frameHdrPool.Put(hp)
 	if err != nil {
 		return err
@@ -119,35 +97,24 @@ func writeFrame(w io.Writer, wide bool, typ uint8, tag, tenant uint32, payload [
 	return err
 }
 
-// WriteTaggedPDU frames and writes one tagged (Version2) PDU.
+// WriteTaggedPDU is WriteWidePDU for the default tenant.
 func WriteTaggedPDU(w io.Writer, typ uint8, tag uint32, payload []byte) error {
-	return writeFrame(w, false, typ, tag, 0, payload)
+	return WriteWidePDU(w, typ, tag, 0, payload)
 }
 
-// ReadTaggedPDUInto reads one whole tagged (Version2) PDU into buf.
+// ReadTaggedPDUInto is ReadWidePDUInto without the tenant.
 func ReadTaggedPDUInto(r io.Reader, buf []byte) (typ uint8, tag uint32, payload []byte, err error) {
-	typ, tag, _, payload, err = readFrameInto(r, false, buf)
+	typ, tag, _, payload, err = ReadWidePDUInto(r, buf)
 	return typ, tag, payload, err
 }
 
-// WriteWidePDU frames and writes one wide (Version3) PDU.
-func WriteWidePDU(w io.Writer, typ uint8, tag, tenant uint32, payload []byte) error {
-	return writeFrame(w, true, typ, tag, tenant, payload)
-}
-
-// ReadWidePDUInto reads one whole wide (Version3) PDU into buf.
-func ReadWidePDUInto(r io.Reader, buf []byte) (typ uint8, tag, tenant uint32, payload []byte, err error) {
-	return readFrameInto(r, true, buf)
-}
-
-// frameBatch accumulates frames of one connection's framing in one
-// contiguous buffer and writes them with a single Write, so a burst of
-// pipelined requests or responses costs one syscall. Every payload is
-// copied in: the batch never references caller memory, so a caller may
-// reuse its encode buffer as soon as append returns.
+// frameBatch accumulates tagged frames in one contiguous buffer and
+// writes them with a single Write, so a burst of pipelined requests or
+// responses costs one syscall. Every payload is copied in: the batch
+// never references caller memory, so a caller may reuse its encode
+// buffer as soon as append returns.
 type frameBatch struct {
-	wide bool   // frames carry the tenant field (Version3)
-	buf  []byte // pending frames, header + payload each
+	buf []byte // pending frames, header + payload each
 }
 
 // append copies one frame into the batch.
@@ -155,10 +122,7 @@ func (b *frameBatch) append(typ uint8, tag, tenant uint32, payload []byte) error
 	if len(payload) > MaxPDUBytes {
 		return fmt.Errorf("%w (writing %d bytes)", ErrPDUTooLarge, len(payload))
 	}
-	var hdr [WideHdrLen]byte
-	n := frameHdrLen(b.wide)
-	putFrameHdr(hdr[:n], typ, tag, tenant, len(payload))
-	b.buf = append(b.buf, hdr[:n]...)
+	b.buf = appendFrameHdr(b.buf, typ, tag, tenant, len(payload))
 	b.buf = append(b.buf, payload...)
 	return nil
 }

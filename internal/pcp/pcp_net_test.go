@@ -6,7 +6,11 @@ package pcp_test
 // tests stay in pcp_test.go.
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 
@@ -273,5 +277,63 @@ func TestDaemonFanOutRace(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestDialRefusesVersion2Answer: a server from before Version2 was
+// retired answers a negotiating client with version 2 and switches to
+// 9-byte tagged frames. The client speaks no such framing, so the dial
+// must fail with ErrProtocol and close the connection rather than carry
+// on in a framing the server has already left. The hand-rolled server
+// answers the version request with 2 and then waits for the client to
+// hang up.
+func TestDialRefusesVersion2Answer(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hungUp := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			hungUp <- err
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		magic := make([]byte, len(pcp.Magic))
+		if _, err := io.ReadFull(br, magic); err != nil {
+			hungUp <- err
+			return
+		}
+		if _, err := conn.Write(magic); err != nil {
+			hungUp <- err
+			return
+		}
+		typ, _, err := pcp.ReadPDUInto(br, nil)
+		if err != nil || typ != pcp.PDUVersionReq {
+			hungUp <- fmt.Errorf("version request: type %d, %v", typ, err)
+			return
+		}
+		if err := pcp.WritePDU(conn, pcp.PDUVersionResp, pcp.AppendVersion(nil, 2)); err != nil {
+			hungUp <- err
+			return
+		}
+		_, err = br.ReadByte()
+		hungUp <- err
+	}()
+
+	c, err := pcp.DialMax(ln.Addr().String(), pcp.MaxVersion)
+	if err == nil {
+		c.Close()
+		t.Fatal("dial accepted a server that answered version 2")
+	}
+	if !errors.Is(err, pcp.ErrProtocol) {
+		t.Fatalf("dial err = %v, want ErrProtocol", err)
+	}
+	if err := <-hungUp; !errors.Is(err, io.EOF) {
+		t.Fatalf("server saw %v after the refused answer, want EOF (the client hangs up)", err)
 	}
 }

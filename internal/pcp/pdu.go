@@ -41,11 +41,12 @@ const (
 	PDUFetchAllReq uint8 = 6
 	// PDUVersionReq negotiates the wire protocol version after the magic
 	// handshake: the payload is the sender's maximum version, the reply
-	// (PDUVersionResp) is min(client max, server max). A Version1-only
+	// (PDUVersionResp) is the version the connection speaks — Version3 to
+	// a sender offering 3 or more, Version1 otherwise. A Version1-only
 	// server answers it with PDUError instead — which is exactly the
 	// fallback signal, since the connection stays usable in lockstep
-	// framing. At Version2 and above both sides switch to tagged frames
-	// (see WriteTaggedPDU) immediately after the version exchange.
+	// framing. At Version3 both sides switch to tagged frames (see
+	// WriteWidePDU) immediately after the version exchange.
 	PDUVersionReq  uint8 = 7
 	PDUVersionResp uint8 = 8
 	// PDUFetchBatchReq carries multiple PMID sets so one round trip
@@ -57,9 +58,9 @@ const (
 	// PDUStatusError is the typed error PDU introduced at Version3: an
 	// i32 status code plus a message, so a client can classify a
 	// server-side rejection (overload shed, quota) programmatically
-	// instead of string-matching a PDUError. Servers only send it to
-	// peers that negotiated Version3 or higher; older peers get a plain
-	// PDUError with the same message.
+	// instead of string-matching a PDUError. Servers only send it on
+	// Version3 connections; lockstep peers get a plain PDUError with the
+	// same message.
 	PDUStatusError uint8 = 254
 	PDUError       uint8 = 255
 )
@@ -69,13 +70,11 @@ const (
 	// Version1 is the original lockstep protocol: plain 5-byte frames,
 	// one request outstanding per connection.
 	Version1 uint32 = 1
-	// Version2 adds tagged 9-byte frames (pipelining with out-of-order
-	// completion) and the batch fetch PDUs.
-	Version2 uint32 = 2
-	// Version3 widens the tagged frame header with a tenant field (see
-	// WriteWidePDU) so multi-tenant QoS travels in-band, and adds
-	// PDUStatusError for typed server-side rejections. Version1 and
-	// Version2 peers negotiate down and never see either.
+	// Version3 adds tagged 13-byte frames carrying a tenant (see
+	// WriteWidePDU): pipelining with out-of-order completion, the batch
+	// fetch PDUs, multi-tenant QoS in-band, and PDUStatusError for typed
+	// server-side rejections. A peer offering 2 — the retired 9-byte
+	// tagged framing — negotiates Version1 and sees none of these.
 	Version3 uint32 = 3
 	// MaxVersion is the newest version this package speaks.
 	MaxVersion = Version3

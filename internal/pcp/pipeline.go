@@ -30,7 +30,7 @@ var ErrRequestTimeout = fmt.Errorf("pcp: request timed out: %w", os.ErrDeadlineE
 type pcall struct {
 	typ     uint8
 	tag     uint32
-	tenant  uint32 // stamped on the request's wide frame (Version3)
+	tenant  uint32 // stamped on the request's frame
 	req     []byte // encoded request payload (owned, reused)
 	resp    []byte // response payload (owned, reused)
 	respTyp uint8
@@ -77,17 +77,16 @@ func (c *pcall) wait(d time.Duration) error {
 	}
 }
 
-// pipeline is the Version2+ transport of a Client: a writer goroutine
-// that drains a request queue into coalesced frames (tagged,
-// or wide at Version3), and a demux reader that completes calls by tag
-// — many requests outstanding per connection, out-of-order completion,
-// per-request deadlines. Any transport error is sticky: it fails every
-// pending and future request and closes the connection.
+// pipeline is the Version3 transport of a Client: a writer goroutine
+// that drains a request queue into coalesced tagged frames, and a demux
+// reader that completes calls by tag — many requests outstanding per
+// connection, out-of-order completion, per-request deadlines. Any
+// transport error is sticky: it fails every pending and future request
+// and closes the connection.
 type pipeline struct {
 	conn net.Conn
 	wq   chan *pcall
 	quit chan struct{} // closed by fail; unblocks enqueue and the writer
-	wide bool          // Version3 framing; set once, before the loops start
 
 	mu      sync.Mutex
 	pending map[uint32]*pcall
@@ -102,12 +101,11 @@ type pipeline struct {
 // backpressure by blocking enqueue until the writer drains.
 const pipelineQueueDepth = 256
 
-func newPipeline(conn net.Conn, br *bufio.Reader, wide bool) *pipeline {
+func newPipeline(conn net.Conn, br *bufio.Reader) *pipeline {
 	p := &pipeline{
 		conn:       conn,
 		wq:         make(chan *pcall, pipelineQueueDepth),
 		quit:       make(chan struct{}),
-		wide:       wide,
 		pending:    make(map[uint32]*pcall),
 		readerDone: make(chan struct{}),
 		writerDone: make(chan struct{}),
@@ -154,7 +152,7 @@ func (p *pipeline) enqueue(call *pcall) error {
 // burst of concurrent requests coalesces into one syscall.
 func (p *pipeline) writeLoop() {
 	defer close(p.writerDone)
-	batch := frameBatch{wide: p.wide}
+	var batch frameBatch
 	for {
 		select {
 		case call := <-p.wq:
@@ -181,13 +179,13 @@ func (p *pipeline) writeLoop() {
 	}
 }
 
-// readLoop demultiplexes responses by tag (a wide frame's echoed tenant
-// is informational). A tag with no pending call belongs to an abandoned
+// readLoop demultiplexes responses by tag (the echoed tenant is
+// informational). A tag with no pending call belongs to an abandoned
 // (timed-out) request; its payload is discarded without allocating.
 func (p *pipeline) readLoop(br *bufio.Reader) {
 	defer close(p.readerDone)
 	for {
-		typ, tag, _, n, err := readFrameHdr(br, p.wide)
+		typ, tag, _, n, err := readFrameHdr(br)
 		if err != nil {
 			p.fail(err)
 			return

@@ -39,7 +39,7 @@ func startPipelineDaemon(t *testing.T, n int) (*Daemon, *simtime.Clock, string) 
 	return d, clock, addr
 }
 
-// startV1OnlyServer hand-rolls a pre-Version2 daemon: correct magic
+// startV1OnlyServer hand-rolls a pre-negotiation daemon: correct magic
 // handshake and lockstep serving, but PDUVersionReq — like any unknown
 // type — gets a PDUError. A negotiating client must fall back to
 // Version1 against it.
@@ -102,15 +102,15 @@ func startV1OnlyServer(t *testing.T, names []NameEntry, res FetchResult) string 
 }
 
 // TestVersionNegotiationMatrix covers every pairing of negotiating and
-// older peers: new<->new lands on Version3 wide frames, a Version2-capped
-// client gets tagged frames, while a capped (old) client against a new
-// daemon and a new client against a v1-only daemon both fall back to
-// Version1 lockstep — with results identical to the upgraded pairing's.
+// older peers: new<->new lands on Version3 tagged frames, while a client
+// capped at 2 (the retired 9-byte framing) or at 1 against a new daemon,
+// and a new client against a v1-only daemon, all fall back to Version1
+// lockstep — with results identical to the upgraded pairing's.
 func TestVersionNegotiationMatrix(t *testing.T) {
 	_, _, addr := startPipelineDaemon(t, 4)
 	pmids := []uint32{1, 2, 3, 4}
 
-	// New client, new daemon: Version3 pipelined wide frames.
+	// New client, new daemon: Version3 pipelined tagged frames.
 	cNew, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -128,14 +128,14 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Version2-capped client, new daemon: tagged frames, same answers.
-	cV2, err := DialMax(addr, Version2)
+	// Client capped at 2, new daemon: lockstep, same answers.
+	cV2, err := DialMax(addr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cV2.Close()
-	if v := cV2.Version(); v != Version2 {
-		t.Fatalf("v2-capped client negotiated version %d, want %d", v, Version2)
+	if v := cV2.Version(); v != Version1 {
+		t.Fatalf("client capped at 2 negotiated version %d, want %d", v, Version1)
 	}
 	namesV2, err := cV2.Names()
 	if err != nil {
@@ -146,10 +146,10 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(namesNew, namesV2) {
-		t.Fatalf("namespaces differ across versions:\nv3: %v\nv2: %v", namesNew, namesV2)
+		t.Fatalf("namespaces differ across versions:\nv3: %v\ncapped at 2: %v", namesNew, namesV2)
 	}
 	if !reflect.DeepEqual(resNew, resV2) {
-		t.Fatalf("fetch results differ across versions:\nv3: %+v\nv2: %+v", resNew, resV2)
+		t.Fatalf("fetch results differ across versions:\nv3: %+v\ncapped at 2: %+v", resNew, resV2)
 	}
 
 	// Old client (capped at Version1), new daemon: lockstep fallback.
@@ -170,15 +170,15 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(namesNew, namesOld) {
-		t.Fatalf("namespaces differ across versions:\nv2: %v\nv1: %v", namesNew, namesOld)
+		t.Fatalf("namespaces differ across versions:\nv3: %v\nv1: %v", namesNew, namesOld)
 	}
 	if !reflect.DeepEqual(resNew, resOld) {
-		t.Fatalf("fetch results differ across versions:\nv2: %+v\nv1: %+v", resNew, resOld)
+		t.Fatalf("fetch results differ across versions:\nv3: %+v\nv1: %+v", resNew, resOld)
 	}
 
 	// The whole-namespace and batch fetches go through the same seam: the
-	// lockstep client (whose batch is one round trip per set) and both
-	// pipelined framings return what the Version3 client does.
+	// lockstep clients (whose batch is one round trip per set) return what
+	// the Version3 client does.
 	sets := [][]uint32{{1, 2}, {4}, {1, 2}}
 	allNew, err := cNew.FetchAll()
 	if err != nil {
@@ -439,7 +439,7 @@ func TestPipelineConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() < Version2 {
+	if c.Version() < Version3 {
 		t.Fatalf("negotiated version %d, want pipelined", c.Version())
 	}
 
@@ -698,10 +698,10 @@ func TestOrderedServingLargeResponses(t *testing.T) {
 			br := bufio.NewReader(far)
 			var buf []byte
 			for {
-				typ, tag, tenant, payload, err := readFrameInto(br, true, buf)
+				typ, tag, tenant, payload, err := ReadWidePDUInto(br, buf)
 				if err == nil {
 					buf = payload
-					err = writeFrame(far, true, typ, tag, tenant, payload)
+					err = WriteWidePDU(far, typ, tag, tenant, payload)
 				}
 				if err != nil {
 					echoed <- err
@@ -709,7 +709,7 @@ func TestOrderedServingLargeResponses(t *testing.T) {
 				}
 			}
 		}()
-		p := newPipeline(near, bufio.NewReader(near), true)
+		p := newPipeline(near, bufio.NewReader(near))
 		var wg sync.WaitGroup
 		for g := 0; g < callers; g++ {
 			wg.Add(1)

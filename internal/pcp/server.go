@@ -20,10 +20,10 @@ import (
 // above 1 the handler is called from concurrent goroutines and must
 // return results the calls do not share.
 //
-// tenant is the requester's in-band identity from a wide frame, zero
-// (the default tenant) below Version3. A returned error becomes an error
-// PDU, except that a *PartialError travels with the (partial) results it
-// accompanies; see reqScratch.fail and answerFetch.
+// tenant is the requester's in-band identity from a tagged frame, zero
+// (the default tenant) on a lockstep connection. A returned error
+// becomes an error PDU, except that a *PartialError travels with the
+// (partial) results it accompanies; see reqScratch.fail and answerFetch.
 type Handler interface {
 	Names() ([]NameEntry, error)
 	Fetch(tenant uint32, pmids []uint32) (FetchResult, error)
@@ -52,7 +52,7 @@ type Server struct {
 
 // NewServer builds a server that asks newHandler for a Handler per
 // accepted connection. depth is how many requests of one tagged
-// (Version2+) connection may be in their handler at once, fixed in code
+// (Version3) connection may be in their handler at once, fixed in code
 // by the constructing tier: at 1 requests are answered in order by the
 // connection's goroutine with write coalescing and fully reused scratch
 // (the daemon and the proxy, whose handlers are CPU-bound and fast);
@@ -171,19 +171,20 @@ func serverHandshake(br *bufio.Reader, bw *bufio.Writer) error {
 }
 
 // negotiateVersion answers a PDUVersionReq payload, appending the
-// response to dst: the reply carries min(client max, server max). The
-// returned version is 0 on a malformed request (the response is then a
-// PDUError), Version1 and up otherwise. At Version2 the connection
-// switches to tagged frames after the response is flushed; at Version3
-// and above, to wide (tenant-carrying) frames.
+// response to dst: Version3 to a peer that offers 3 or more, Version1 to
+// one that offers 1 or 2 (version 2, the retired 9-byte tagged framing,
+// is answered with lockstep). The returned version is 0 on a malformed
+// request (the response is then a PDUError). At Version3 the connection
+// switches to tagged frames after the response is flushed; at Version1
+// it stays in lockstep.
 func negotiateVersion(payload, dst []byte) (respType uint8, resp []byte, version uint32) {
 	peerMax, err := DecodeVersion(payload)
 	if err != nil {
 		return PDUError, AppendError(dst, err.Error()), 0
 	}
-	v := MaxVersion
-	if peerMax < v {
-		v = peerMax
+	v := Version1
+	if peerMax >= Version3 {
+		v = Version3
 	}
 	return PDUVersionResp, AppendVersion(dst, v), v
 }
@@ -206,8 +207,8 @@ type reqScratch struct {
 
 // dispatch serves the request PDU held in sc.payload — decode, call the
 // handler, encode the answer into sc.resp — and returns the response
-// type. typed says the peer negotiated Version3 and understands
-// PDUStatusError. It is the one request switch of every tier and every
+// type. typed says the connection is tagged (Version3), whose peer
+// understands PDUStatusError. It is the one request switch of every tier and every
 // serving loop.
 func (sc *reqScratch) dispatch(h Handler, typ uint8, tenant uint32, typed bool) uint8 {
 	switch typ {
@@ -270,10 +271,10 @@ func (sc *reqScratch) answerFetch(res FetchResult, err error, typed bool) uint8 
 	return PDUFetchPartialResp
 }
 
-// fail encodes a serving error: a typed PDUStatusError for peers that
-// negotiated Version3 (typed) when the error is a recognised overload, a
-// plain PDUError otherwise — so Version1/Version2 clients see exactly
-// the messages they always did.
+// fail encodes a serving error: a typed PDUStatusError on a tagged
+// connection (typed) when the error is a recognised overload, a plain
+// PDUError otherwise — so Version1 clients see exactly the messages they
+// always did.
 func (sc *reqScratch) fail(err error, typed bool) uint8 {
 	if typed && errors.Is(err, ErrOverload) {
 		sc.resp = AppendStatusError(sc.resp[:0], StatusOverload, err.Error())
@@ -284,9 +285,9 @@ func (sc *reqScratch) fail(err error, typed bool) uint8 {
 }
 
 // serveConn handles one client connection: handshake, then a lockstep
-// request/response loop. A PDUVersionReq negotiating Version2 or higher
-// hands the connection to a tagged loop; Version1 clients never send
-// one and stay in lockstep.
+// request/response loop. A PDUVersionReq negotiating Version3 hands the
+// connection to a tagged loop; every other connection stays in
+// lockstep.
 func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
@@ -314,11 +315,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := bw.Flush(); err != nil {
 			return
 		}
-		if version >= Version2 {
+		if version == Version3 {
 			if s.depth > 1 {
-				serveConcurrent(conn, br, h, version >= Version3, s.depth)
+				serveConcurrent(conn, br, h, s.depth)
 			} else {
-				serveOrdered(conn, br, h, version >= Version3, &sc)
+				serveOrdered(conn, br, h, &sc)
 			}
 			return
 		}
@@ -330,14 +331,13 @@ func (s *Server) serveConn(conn net.Conn) {
 const serveFlushBytes = 64 << 10
 
 // serveOrdered is the depth-1 tagged serving loop: frames in, frames
-// out in request order (wide selects Version3 framing, with each
-// request's tenant passed to the handler and echoed on the response),
-// with writer-side coalescing — responses accumulate in a frameBatch and
+// out in request order (each request's tenant passed to the handler
+// and echoed on the response), with writer-side coalescing — responses accumulate in a frameBatch and
 // are flushed with one write when no further request is already
 // buffered, so a pipelined burst of n requests costs one read wakeup and
 // one write syscall instead of n of each.
-func serveOrdered(conn net.Conn, br *bufio.Reader, h Handler, wide bool, sc *reqScratch) {
-	batch := frameBatch{wide: wide}
+func serveOrdered(conn net.Conn, br *bufio.Reader, h Handler, sc *reqScratch) {
+	var batch frameBatch
 	for {
 		if batch.empty() || br.Buffered() > 0 {
 			// More input already buffered (or nothing pending): read
@@ -345,12 +345,12 @@ func serveOrdered(conn net.Conn, br *bufio.Reader, h Handler, wide bool, sc *req
 		} else if err := batch.flush(conn); err != nil {
 			return
 		}
-		typ, tag, tenant, payload, err := readFrameInto(br, wide, sc.payload)
+		typ, tag, tenant, payload, err := ReadWidePDUInto(br, sc.payload)
 		if err != nil {
 			return
 		}
 		sc.payload = payload
-		respType := sc.dispatch(h, typ, tenant, wide)
+		respType := sc.dispatch(h, typ, tenant, true)
 		if err := batch.append(respType, tag, tenant, sc.resp); err != nil {
 			return
 		}
@@ -377,13 +377,13 @@ func serveOrdered(conn net.Conn, br *bufio.Reader, h Handler, wide bool, sc *req
 // the reader blocks, which is exactly TCP backpressure. Responses go out
 // through the same frame encoder as the ordered loop's, serialised by a
 // write mutex, one write each. It returns once every worker has finished.
-func serveConcurrent(conn net.Conn, br *bufio.Reader, h Handler, wide bool, depth int) {
+func serveConcurrent(conn net.Conn, br *bufio.Reader, h Handler, depth int) {
 	var (
 		wmu     sync.Mutex
 		wg      sync.WaitGroup
 		workers int
 	)
-	batch := frameBatch{wide: wide}
+	var batch frameBatch
 	slots := make(chan *reqScratch, depth)
 	for i := 0; i < depth; i++ {
 		slots <- new(reqScratch)
@@ -392,7 +392,7 @@ func serveConcurrent(conn net.Conn, br *bufio.Reader, h Handler, wide bool, dept
 	serve := func(sc *reqScratch) {
 		defer wg.Done()
 		for ; sc != nil; sc = <-work { // nil once the reader closes work
-			respType := sc.dispatch(h, sc.typ, sc.tenant, wide)
+			respType := sc.dispatch(h, sc.typ, sc.tenant, true)
 			wmu.Lock()
 			err := batch.append(respType, sc.tag, sc.tenant, sc.resp)
 			if err == nil {
@@ -410,7 +410,7 @@ func serveConcurrent(conn net.Conn, br *bufio.Reader, h Handler, wide bool, dept
 	for {
 		sc := <-slots
 		var err error
-		if sc.typ, sc.tag, sc.tenant, sc.payload, err = readFrameInto(br, wide, sc.payload); err != nil {
+		if sc.typ, sc.tag, sc.tenant, sc.payload, err = ReadWidePDUInto(br, sc.payload); err != nil {
 			return
 		}
 		select {

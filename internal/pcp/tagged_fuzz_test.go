@@ -8,18 +8,9 @@ import (
 	"testing"
 )
 
-// tframe builds a tagged wire frame with an arbitrary (possibly lying)
-// length prefix for seeding the fuzzer.
-func tframe(length uint32, typ uint8, tag uint32, payload []byte) []byte {
-	b := make([]byte, TaggedHdrLen, TaggedHdrLen+len(payload))
-	binary.BigEndian.PutUint32(b, length)
-	b[4] = typ
-	binary.BigEndian.PutUint32(b[5:9], tag)
-	return append(b, payload...)
-}
-
-// wframe is tframe for the Version3 wide frame format: the same lying
-// length prefix plus an arbitrary (possibly hostile) tenant field.
+// wframe builds a tagged wire frame with an arbitrary (possibly lying)
+// length prefix and an arbitrary (possibly hostile) tenant field for
+// seeding the fuzzer.
 func wframe(length uint32, typ uint8, tag, tenant uint32, payload []byte) []byte {
 	b := make([]byte, WideHdrLen, WideHdrLen+len(payload))
 	binary.BigEndian.PutUint32(b, length)
@@ -30,7 +21,7 @@ func wframe(length uint32, typ uint8, tag, tenant uint32, payload []byte) []byte
 }
 
 // recordedPipelinedSession reproduces the byte stream of a realistic
-// Version2 exchange — interleaved requests and out-of-order responses,
+// Version3 exchange — interleaved requests and out-of-order responses,
 // including a batch — as seed material: the frames a demux reader
 // actually sees, in an order lockstep framing never produces.
 func recordedPipelinedSession(t interface{ Fatal(args ...any) }) []byte {
@@ -54,49 +45,49 @@ func recordedPipelinedSession(t interface{ Fatal(args ...any) }) []byte {
 }
 
 // FuzzReadTaggedPDU extends FuzzReadPDU's robustness contract to the
-// Version2 tagged frame format: hostile tag/length combinations fail
-// with ErrProtocol (never a panic, never an allocation past
-// MaxPDUBytes), accepted frames round-trip bytewise through
-// WriteTaggedPDU with type and tag preserved, and the Version2 payload
-// decoders (version, batch request, batch response) are total on
-// arbitrary accepted payloads.
+// tagged frame format: hostile tag/tenant/length combinations fail with
+// ErrProtocol (never a panic, never an allocation past MaxPDUBytes),
+// accepted frames round-trip bytewise through WriteWidePDU with type,
+// tag and tenant preserved, ReadTaggedPDUInto agrees with
+// ReadWidePDUInto, and the tagged-only payload decoders (version, batch
+// request, batch response, status error) are total on every accepted
+// payload.
 func FuzzReadTaggedPDU(f *testing.F) {
-	// Well-formed frames of each Version2 PDU type.
-	f.Add(tframe(4, PDUVersionReq, 0, AppendVersion(nil, Version2)))
-	f.Add(tframe(4, PDUVersionResp, 0, AppendVersion(nil, Version1)))
-	f.Add(tframe(uint32(len(AppendFetchReq(nil, []uint32{1, 2}))), PDUFetchReq, 7, AppendFetchReq(nil, []uint32{1, 2})))
+	// Well-formed frames of each tagged PDU type.
+	f.Add(wframe(4, PDUVersionReq, 0, 0, AppendVersion(nil, Version3)))
+	f.Add(wframe(4, PDUVersionResp, 0, 0, AppendVersion(nil, Version1)))
+	f.Add(wframe(uint32(len(AppendFetchReq(nil, []uint32{1, 2}))), PDUFetchReq, 7, 0, AppendFetchReq(nil, []uint32{1, 2})))
 	br := AppendFetchBatchReq(nil, [][]uint32{{1, 2, 3}, {4}, {}})
-	f.Add(tframe(uint32(len(br)), PDUFetchBatchReq, 9, br))
+	f.Add(wframe(uint32(len(br)), PDUFetchBatchReq, 9, 0, br))
 	bresp := AppendFetchBatchResp(nil, []FetchResult{
 		{Timestamp: 1, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 1}}},
 	}, nil, "")
-	f.Add(tframe(uint32(len(bresp)), PDUFetchBatchResp, 9, bresp))
-	f.Add(tframe(uint32(len(AppendError(nil, "boom"))), PDUError, 0xDEADBEEF, AppendError(nil, "boom")))
+	f.Add(wframe(uint32(len(bresp)), PDUFetchBatchResp, 9, 0, bresp))
+	f.Add(wframe(uint32(len(AppendError(nil, "boom"))), PDUError, 0xDEADBEEF, 0, AppendError(nil, "boom")))
+	se := AppendStatusError(nil, StatusOverload, "shed: tenant over quota")
+	f.Add(wframe(uint32(len(se)), PDUStatusError, 11, 3, se))
+	partial := AppendPartialResp(nil, FetchResult{Timestamp: 2, Values: []FetchValue{{PMID: 4, Status: StatusNodeDown}}}, []string{"node3"}, "edge down")
+	f.Add(wframe(uint32(len(partial)), PDUFetchPartialResp, 12, 5, partial))
 	// A recorded pipelined session: interleaved tags, out-of-order
 	// completion, a partial batch. The fuzzer reads the first frame and
 	// mutates from there into mid-stream corruption.
 	f.Add(recordedPipelinedSession(f))
-	f.Add(recordedPipelinedSession(f)[9:]) // session cut mid-stream at a frame boundary
-	// Hostile tag/length combinations.
-	f.Add(tframe(0xFFFFFFFF, PDUFetchResp, 0xFFFFFFFF, nil)) // oversize claim, hostile tag
-	f.Add(tframe(MaxPDUBytes+1, PDUFetchBatchResp, 1, nil))  // just over the cap
-	f.Add(tframe(100, PDUFetchBatchReq, 2, []byte{1, 2, 3})) // claims more than present
-	f.Add(tframe(2, PDUVersionResp, 3, []byte{0, 0, 0, 2}))  // claims less than present
-	f.Add([]byte{0, 0, 0, 1, 9, 0})                          // truncated header
-	f.Add(tframe(8, PDUFetchBatchReq, 0, bytes.Repeat([]byte{0xFF}, 8)))
-	// Version3 wide frames, including hostile tenant tags: the extra
-	// tenant word must never confuse either reader, and any 32-bit tenant
-	// value must be structurally accepted (policy is the admission
-	// layer's job, not the framing's).
-	se := AppendStatusError(nil, StatusOverload, "shed: tenant over quota")
-	f.Add(wframe(uint32(len(se)), PDUStatusError, 11, 3, se))
-	f.Add(wframe(uint32(len(AppendFetchReq(nil, []uint32{1}))), PDUFetchReq, 1, 0xFFFFFFFF, AppendFetchReq(nil, []uint32{1})))
-	f.Add(wframe(4, PDUVersionReq, 0, 0xDEADBEEF, AppendVersion(nil, Version3)))
+	f.Add(recordedPipelinedSession(f)[WideHdrLen:]) // session cut mid-stream at a frame boundary
+	// Hostile tag/tenant/length combinations: any 32-bit tenant must be
+	// structurally accepted (policy is the admission layer's job, not the
+	// framing's).
+	f.Add(wframe(0xFFFFFFFF, PDUFetchResp, 0xFFFFFFFF, 0, nil)) // oversize claim, hostile tag
 	f.Add(wframe(0xFFFFFFFF, PDUFetchResp, 2, 0x41414141, nil)) // oversize claim, hostile tenant
-	f.Add(wframe(100, PDUFetchReq, 3, 0, []byte{1, 2}))         // claims more than present
+	f.Add(wframe(MaxPDUBytes+1, PDUFetchBatchResp, 1, 0, nil))  // just over the cap
+	f.Add(wframe(100, PDUFetchBatchReq, 2, 0, []byte{1, 2, 3})) // claims more than present
+	f.Add(wframe(2, PDUVersionResp, 3, 0, []byte{0, 0, 0, 2}))  // claims less than present
+	f.Add(wframe(4, PDUVersionReq, 0, 0xDEADBEEF, AppendVersion(nil, Version3)))
+	f.Add(wframe(uint32(len(AppendFetchReq(nil, []uint32{1}))), PDUFetchReq, 1, 0xFFFFFFFF, AppendFetchReq(nil, []uint32{1})))
+	f.Add([]byte{0, 0, 0, 1, 9, 0, 0, 0, 0}) // truncated header
+	f.Add(wframe(8, PDUFetchBatchReq, 0, 0, bytes.Repeat([]byte{0xFF}, 8)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, tag, payload, err := ReadTaggedPDUInto(bufio.NewReader(bytes.NewReader(data)), nil)
+		typ, tag, tenant, payload, err := ReadWidePDUInto(bufio.NewReader(bytes.NewReader(data)), nil)
 		if err != nil {
 			if errors.Is(err, ErrPDUTooLarge) && !errors.Is(err, ErrProtocol) {
 				t.Fatal("ErrPDUTooLarge must wrap ErrProtocol")
@@ -106,32 +97,33 @@ func FuzzReadTaggedPDU(f *testing.F) {
 		if len(payload) > MaxPDUBytes {
 			t.Fatalf("accepted %d-byte payload beyond MaxPDUBytes", len(payload))
 		}
-		// An accepted frame round-trips bytewise, tag included.
-		var buf bytes.Buffer
-		if err := WriteTaggedPDU(&buf, typ, tag, payload); err != nil {
-			t.Fatalf("WriteTaggedPDU of accepted frame: %v", err)
+		ttyp, ttag, tpayload, err := ReadTaggedPDUInto(bufio.NewReader(bytes.NewReader(data)), nil)
+		if err != nil || ttyp != typ || ttag != tag || !bytes.Equal(tpayload, payload) {
+			t.Fatalf("ReadTaggedPDUInto disagrees with ReadWidePDUInto: type %d/%d, tag %d/%d, err %v",
+				ttyp, typ, ttag, tag, err)
 		}
-		typ2, tag2, payload2, err := ReadTaggedPDUInto(bufio.NewReader(&buf), nil)
+		// An accepted frame round-trips bytewise, tag and tenant included.
+		var buf bytes.Buffer
+		if err := WriteWidePDU(&buf, typ, tag, tenant, payload); err != nil {
+			t.Fatalf("WriteWidePDU of accepted frame: %v", err)
+		}
+		typ2, tag2, tenant2, payload2, err := ReadWidePDUInto(bufio.NewReader(bytes.NewReader(buf.Bytes())), nil)
 		if err != nil {
 			t.Fatalf("re-read of written frame: %v", err)
 		}
-		if typ2 != typ || tag2 != tag || !bytes.Equal(payload2, payload) {
-			t.Fatalf("round trip changed frame: type %d->%d, tag %d->%d, %d->%d bytes",
-				typ, typ2, tag, tag2, len(payload), len(payload2))
+		if typ2 != typ || tag2 != tag || tenant2 != tenant || !bytes.Equal(payload2, payload) {
+			t.Fatalf("round trip changed frame: type %d->%d, tag %d->%d, tenant %d->%d, %d->%d bytes",
+				typ, typ2, tag, tag2, tenant, tenant2, len(payload), len(payload2))
 		}
 		// Header-only reads must leave the payload unread so a demux
-		// reader can discard unknown tags without buffering them. (buf
-		// was drained by the re-read above; rebuild the frame.)
-		if err := WriteTaggedPDU(&buf, typ, tag, payload); err != nil {
-			t.Fatal(err)
-		}
+		// reader can discard unknown tags without buffering them.
 		hr := bytes.NewReader(buf.Bytes())
-		if _, _, _, n, err := readFrameHdr(hr, false); err != nil {
+		if _, _, _, n, err := readFrameHdr(hr); err != nil {
 			t.Fatalf("readFrameHdr on accepted frame: %v", err)
 		} else if hr.Len() != int(n) {
 			t.Fatalf("readFrameHdr consumed payload bytes: %d left, want %d", hr.Len(), n)
 		}
-		// Version2 decoders must be total on arbitrary accepted payloads.
+		// Tagged-only decoders must be total on arbitrary accepted payloads.
 		if v, err := DecodeVersion(payload); err == nil && v == 0 {
 			t.Fatal("DecodeVersion accepted version 0")
 		}
@@ -156,36 +148,6 @@ func FuzzReadTaggedPDU(f *testing.F) {
 			if errors.Is(se, ErrOverload) != (se.Status == StatusOverload) {
 				t.Fatalf("StatusError{%d} overload classification inconsistent", se.Status)
 			}
-		}
-		// The same bytes through the wide reader: same robustness contract,
-		// and accepted wide frames round-trip with the tenant preserved.
-		wtyp, wtag, wtenant, wpayload, err := ReadWidePDUInto(bufio.NewReader(bytes.NewReader(data)), nil)
-		if err != nil {
-			if errors.Is(err, ErrPDUTooLarge) && !errors.Is(err, ErrProtocol) {
-				t.Fatal("wide ErrPDUTooLarge must wrap ErrProtocol")
-			}
-			return
-		}
-		if len(wpayload) > MaxPDUBytes {
-			t.Fatalf("wide reader accepted %d-byte payload beyond MaxPDUBytes", len(wpayload))
-		}
-		var wbuf bytes.Buffer
-		if err := WriteWidePDU(&wbuf, wtyp, wtag, wtenant, wpayload); err != nil {
-			t.Fatalf("WriteWidePDU of accepted frame: %v", err)
-		}
-		wtyp2, wtag2, wtenant2, wpayload2, err := ReadWidePDUInto(bufio.NewReader(bytes.NewReader(wbuf.Bytes())), nil)
-		if err != nil {
-			t.Fatalf("re-read of written wide frame: %v", err)
-		}
-		if wtyp2 != wtyp || wtag2 != wtag || wtenant2 != wtenant || !bytes.Equal(wpayload2, wpayload) {
-			t.Fatalf("wide round trip changed frame: type %d->%d, tag %d->%d, tenant %d->%d",
-				wtyp, wtyp2, wtag, wtag2, wtenant, wtenant2)
-		}
-		whr := bytes.NewReader(wbuf.Bytes())
-		if _, _, _, n, err := readFrameHdr(whr, true); err != nil {
-			t.Fatalf("wide readFrameHdr on accepted frame: %v", err)
-		} else if whr.Len() != int(n) {
-			t.Fatalf("wide readFrameHdr consumed payload bytes: %d left, want %d", whr.Len(), n)
 		}
 	})
 }

@@ -38,9 +38,30 @@ func TestStatusErrorCodec(t *testing.T) {
 	}
 }
 
-// TestWideFrameRoundTrip covers the Version3 frame format directly:
+// TestNegotiateVersion pins the server's answer to every offer, which
+// the hand-rolled servers of TestTenantTravelsInBand and
+// TestPipelinedTimeoutKeepsConnectionUsable rely on: Version3 to a peer
+// offering 3 or more, Version1 lockstep to one offering 1 or 2 (the
+// retired 9-byte framing), and an error PDU for a malformed offer.
+func TestNegotiateVersion(t *testing.T) {
+	for _, tc := range []struct{ peerMax, want uint32 }{
+		{1, Version1}, {2, Version1}, {3, Version3}, {4, Version3}, {0xFFFFFFFF, Version3},
+	} {
+		respType, resp, v := negotiateVersion(AppendVersion(nil, tc.peerMax), nil)
+		got, err := DecodeVersion(resp)
+		if respType != PDUVersionResp || err != nil || got != tc.want || v != tc.want {
+			t.Errorf("peer offering %d: answer type %d, version %d (%v), connection at %d; want %d",
+				tc.peerMax, respType, got, err, v, tc.want)
+		}
+	}
+	if respType, _, v := negotiateVersion([]byte{0, 0, 0, 0}, nil); respType != PDUError || v != 0 {
+		t.Errorf("offer of version 0: answer type %d, connection at %d; want an error PDU and 0", respType, v)
+	}
+}
+
+// TestWideFrameRoundTrip covers the tagged frame format directly:
 // write/read round trip with tenant preserved, header-only reads
-// leaving the payload unread, and batch coalescing of wide frames.
+// leaving the payload unread, and batch coalescing of tagged frames.
 func TestWideFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello wide world")
@@ -55,7 +76,7 @@ func TestWideFrameRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: type=%d tag=%d tenant=%d payload=%q", typ, tag, tenant, got)
 	}
 	hr := bytes.NewReader(buf.Bytes())
-	if _, _, _, n, err := readFrameHdr(hr, true); err != nil {
+	if _, _, _, n, err := readFrameHdr(hr); err != nil {
 		t.Fatal(err)
 	} else if hr.Len() != int(n) {
 		t.Fatalf("header read consumed payload: %d left, want %d", hr.Len(), n)
@@ -64,11 +85,11 @@ func TestWideFrameRoundTrip(t *testing.T) {
 	// Oversize claims are rejected before any allocation.
 	big := wframe(MaxPDUBytes+1, PDUFetchResp, 1, 2, nil)
 	if _, _, _, _, err := ReadWidePDUInto(bufio.NewReader(bytes.NewReader(big)), nil); !errors.Is(err, ErrPDUTooLarge) {
-		t.Fatalf("oversize wide frame: err = %v, want ErrPDUTooLarge", err)
+		t.Fatalf("oversize tagged frame: err = %v, want ErrPDUTooLarge", err)
 	}
 
-	// A batch of wide frames coalesces and decodes frame by frame.
-	batch := frameBatch{wide: true}
+	// A batch of tagged frames coalesces and decodes frame by frame.
+	var batch frameBatch
 	for i := uint32(1); i <= 3; i++ {
 		if err := batch.append(PDUFetchResp, i, i*10, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -105,7 +126,7 @@ func (tenantEcho) Fetch(tenant uint32, _ []uint32) (FetchResult, error) {
 }
 
 // TestTenantTravelsInBand proves SetTenant reaches a Version3 server's
-// handler in-band: a hand-rolled server running the wide serving loop
+// handler in-band: a hand-rolled server running the tagged serving loop
 // answers every fetch with the tenant it saw, and typed status errors
 // travel back as errors.Is(..., ErrOverload).
 func TestTenantTravelsInBand(t *testing.T) {
@@ -138,7 +159,7 @@ func TestTenantTravelsInBand(t *testing.T) {
 				if version < Version3 {
 					return
 				}
-				serveOrdered(conn, br, tenantEcho{}, true, new(reqScratch))
+				serveOrdered(conn, br, tenantEcho{}, new(reqScratch))
 			}(conn)
 		}
 	}()

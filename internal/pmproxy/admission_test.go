@@ -341,8 +341,8 @@ func TestTenantConservation(t *testing.T) {
 // TestTenantWirePath proves the QoS surface end to end over the wire:
 // a Version3 client's tenant tag selects its quota, sheds come back as
 // typed pcp.ErrOverload, a degradable tenant silently gets stale data,
-// and Version1/Version2 peers see exactly the plain errors they always
-// did.
+// and lockstep peers — a Version1 client, or one capped at 2 — see
+// exactly the plain errors they always did.
 func TestTenantWirePath(t *testing.T) {
 	bed, p, addr := startQoSBed(t)
 	setA := []uint32{1}
@@ -390,10 +390,11 @@ func TestTenantWirePath(t *testing.T) {
 		t.Errorf("tenant 2 stats = %+v, want StaleServed 1", got)
 	}
 
-	// Version2 and Version1 peers carry no tenant: they account to the
-	// quota-less default tenant and see a plain error PDU — no typed
-	// status, no behaviour change on old wires.
-	for _, maxV := range []uint32{pcp.Version2, pcp.Version1} {
+	// A client capped at 2 lands on Version1 lockstep, like a Version1
+	// client: neither carries a tenant, so both account to the quota-less
+	// default tenant and see a plain error PDU — no typed status, no
+	// behaviour change on old wires.
+	for _, maxV := range []uint32{2, pcp.Version1} {
 		c, err := pcp.DialMax(addr, maxV)
 		if err != nil {
 			t.Fatal(err)
