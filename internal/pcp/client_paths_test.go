@@ -16,7 +16,8 @@ import (
 // wire versions — lockstep and tagged — against the server
 // replies that are not plain successes (TestVersionNegotiationMatrix
 // covers those): an error PDU, an admission shed, and partial results
-// from a federator with a node down. Values, error types and
+// from a federator with a node down — and the proxy's FetchAll, which
+// must equal the daemon's. Values, error types and
 // errors.Is/As classification must not depend on the transport, except
 // where the protocol says so: a typed PDUStatusError only exists on
 // Version3, so the lockstep wire carries the same rejection as a plain
@@ -32,6 +33,20 @@ func TestClientPathsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { shedder.Close() })
+	relay := pmproxy.New(pmproxy.Config{Upstream: daddr})
+	raddr, err := relay.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relay.Close() })
+	dead := pmproxy.New(pmproxy.Config{
+		Dial: func() (*pcp.Client, error) { return nil, errors.New("no upstream") },
+	})
+	xaddr, err := dead.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dead.Close() })
 
 	tr, err := cluster.Assemble(cluster.Config{Nodes: 4, FanOut: 2, Seed: 3})
 	if err != nil {
@@ -84,15 +99,26 @@ func TestClientPathsAgree(t *testing.T) {
 			return c
 		}
 
-		// A plain error PDU: the proxy does not serve FetchAll.
-		pc := dial(paddr)
-		_, err := pc.FetchAll()
-		if err == nil || err.Error() != "pcp: daemon error: unknown PDU type 6" {
-			t.Errorf("v%d: proxy FetchAll err = %v, want the unknown-PDU error", v, err)
+		// A plain error PDU: a proxy with no upstream and nothing cached.
+		_, err := dial(xaddr).Fetch([]uint32{1, 2})
+		if want := "pcp: daemon error: pmproxy: upstream unavailable: no upstream"; err == nil || err.Error() != want {
+			t.Errorf("v%d: dead proxy Fetch err = %v, want %q", v, err, want)
 		}
 		if errors.Is(err, pcp.ErrOverload) || errors.Is(err, pcp.ErrProtocol) {
 			t.Errorf("v%d: a plain error PDU classified as %v", v, err)
 		}
+
+		// The proxy serves FetchAll as its fetch of the whole name table:
+		// within one sampling interval, the daemon's own answer.
+		direct, err := dial(daddr).FetchAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all, err := dial(raddr).FetchAll(); err != nil || !reflect.DeepEqual(all, direct) {
+			t.Errorf("v%d: proxy FetchAll = %+v, %v; want the daemon's %+v", v, all, err, direct)
+		}
+
+		pc := dial(paddr)
 
 		// An admission shed, single and batched.
 		_, ferr := pc.Fetch([]uint32{1, 2})

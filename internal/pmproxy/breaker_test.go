@@ -109,9 +109,8 @@ func TestBreakerStateMachine(t *testing.T) {
 			}
 			return pcp.NewClientConn(conn)
 		},
-		Clock:        bed.Clock,
-		DisableStale: true,
-		Breaker:      BreakerConfig{Threshold: 2, ProbeDelay: 100 * time.Millisecond},
+		Clock:   bed.Clock,
+		Breaker: BreakerConfig{Threshold: 2, ProbeDelay: 100 * time.Millisecond},
 	})
 	defer p.Close()
 	pmids := []uint32{1}

@@ -6,7 +6,9 @@
 // refreshes its counter view once per sampling interval, so identical
 // fetch requests landing within one interval are served from a single
 // upstream round trip — M clients cost O(1) upstream fetches per
-// interval instead of M. The serving path is built to scale with cores:
+// interval instead of M. Every fetch takes one path: a single fetch is
+// the one-set batch, and FetchAll is the fetch of the cached name
+// table's PMIDs. That path is built to scale with cores:
 //
 //   - The coalescing cache is sharded by request hash, so distinct
 //     pmid-sets never contend on one lock.
@@ -17,9 +19,9 @@
 //   - Only refreshes serialize, per entry (single-flight): one goroutine
 //     performs the upstream round trip while identical concurrent
 //     requests queue behind it and then hit the freshened cache.
-//   - Cache-miss round trips for different entries pipeline through a
-//     small upstream connection pool instead of queueing on a single
-//     connection.
+//   - A request's misses share one upstream round trip, and round trips
+//     of different requests pipeline through a small upstream
+//     connection pool instead of queueing on a single connection.
 //
 // The name table is cached behind an atomic pointer, upstream round
 // trips carry a wall-clock deadline with bounded retry/backoff, and when
@@ -29,9 +31,11 @@
 package pmproxy
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,7 +47,7 @@ import (
 )
 
 // ErrUpstreamDown is returned when the upstream is unreachable after
-// retries and no cached answer is available (or stale serving is off).
+// retries and no cached answer is available.
 var ErrUpstreamDown = errors.New("pmproxy: upstream unavailable")
 
 // Config tunes a Proxy.
@@ -76,9 +80,6 @@ type Config struct {
 	// Seed seeds the backoff jitter RNG, keeping retry timing
 	// deterministic under the chaos suite. Zero is a valid seed.
 	Seed uint64
-	// DisableStale makes the proxy fail requests when the upstream is
-	// down instead of serving the last good (timestamped) answer.
-	DisableStale bool
 	// PoolSize caps the number of concurrent upstream connections.
 	// Cache misses for distinct pmid-sets pipeline across the pool
 	// instead of queueing on one connection. Zero means 4.
@@ -101,15 +102,16 @@ type Config struct {
 // dashboards ask for, small enough not to crowd the daemon.
 const defaultPoolSize = 4
 
-// Stats is a snapshot of the proxy's counters. A batch fetch of n sets
-// counts as n ClientFetches, and each of its sets as one CoalescedHit,
-// UpstreamFetch or StaleServe — so the existing ratios keep their
-// meaning — while UpstreamBatchRTs separately counts the actual
-// upstream round trips batches were grouped into.
+// Stats is a snapshot of the proxy's counters, the same for single and
+// batch fetches. A fetch of n sets (a single fetch is one set) counts n
+// ClientFetches; a set answered from cache counts one CoalescedHit or
+// StaleServe, a shed set one Shed, and each distinct missing set one
+// UpstreamFetch. UpstreamBatchRTs counts the upstream round trips that
+// carried two or more sets (a lone miss set goes as a plain Fetch).
 type Stats struct {
 	ClientFetches        int64 // fetch (or batch-set) requests received from clients
 	UpstreamFetches      int64 // fetch sets that reached the daemon
-	UpstreamBatchRTs     int64 // grouped upstream round trips serving batch misses
+	UpstreamBatchRTs     int64 // upstream round trips carrying two or more miss sets
 	CoalescedHits        int64 // client fetches answered from the interval cache
 	StaleServes          int64 // fetch answers served from cache because upstream was down
 	StaleNameServes      int64 // name tables served from cache because upstream was down
@@ -545,106 +547,21 @@ func (p *Proxy) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 	return p.FetchTenant(DefaultTenant, pmids)
 }
 
-// shedOrStale resolves a typed admission rejection for one fetch set:
-// a degradable tenant with a cached answer is served stale (preferring
-// degraded service over rejection), anything else is a counted shed
-// failing with the typed error.
-func (p *Proxy) shedOrStale(tenant uint32, tc *tenantCounter, e *entry, aerr error) (pcp.FetchResult, error) {
-	if c := e.cur.Load(); c != nil && p.degradable(tenant) && !p.cfg.DisableStale {
-		p.staleServes.Add(1)
-		tc.staleServed.Add(1)
-		return c.res, nil
-	}
-	p.shed.Add(1)
-	tc.shed.Add(1)
-	return pcp.FetchResult{}, aerr
-}
-
 // FetchTenant is Fetch accounted to (and admission-controlled as) the
-// given tenant.
+// given tenant: the one-set case of FetchBatchTenant.
 func (p *Proxy) FetchTenant(tenant uint32, pmids []uint32) (pcp.FetchResult, error) {
-	p.clientFetches.Add(1)
-	tc := p.tenantCounter(tenant)
-	tc.issued.Add(1)
-	bp := keyBufPool.Get().(*[]byte)
-	key := pcp.AppendFetchReq((*bp)[:0], pmids)
-	e := p.lookup(key)
-	*bp = key
-	keyBufPool.Put(bp)
-
-	// Lock-free fast path: a published answer younger than the sampling
-	// interval is the coalesced hit. Cache hits are never gated: quotas
-	// meter upstream work, and a hit costs none.
-	if c := e.cur.Load(); c != nil && p.fresh(c.fetchedAt, p.now()) {
-		p.coalescedHits.Add(1)
-		tc.admitted.Add(1)
-		return c.res, nil
-	}
-
-	// Refresh path: single-flight per entry. Concurrent identical
-	// requests queue here while one goroutine does the round trip, then
-	// re-check and count as coalesced hits.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c := e.cur.Load(); c != nil && p.fresh(c.fetchedAt, p.now()) {
-		p.coalescedHits.Add(1)
-		tc.admitted.Add(1)
-		return c.res, nil
-	}
-	// Admission gate: only work that would cost an upstream round trip
-	// is policed.
-	if p.admit != nil {
-		if aerr := p.admit.Admit(p.admitReq(tenant, 1)); aerr != nil {
-			return p.shedOrStale(tenant, tc, e, aerr)
-		}
-	}
-	var res pcp.FetchResult
-	err := p.withUpstreamTenant(tenant, func(c *pcp.Client) error {
-		var ferr error
-		res, ferr = c.Fetch(pmids)
-		return ferr
-	})
-	if err != nil {
-		if IsShed(err) {
-			// Fair-queue overflow or shutdown: same degrade-or-shed
-			// resolution as a policy rejection.
-			return p.shedOrStale(tenant, tc, e, err)
-		}
-		if c := e.cur.Load(); c != nil && !p.cfg.DisableStale {
-			// Graceful degradation: the answer is stale but carries its
-			// original daemon timestamp, so the client can tell.
-			p.staleServes.Add(1)
-			tc.staleServed.Add(1)
-			return c.res, nil
-		}
-		// Admitted past the gate; the upstream failed with nothing to
-		// degrade to. The failure stays visible in UpstreamErrors.
-		tc.admitted.Add(1)
-		return pcp.FetchResult{}, err
-	}
-	p.upstreamFetches.Add(1)
-	tc.admitted.Add(1)
-	e.cur.Store(&cached{res: res, fetchedAt: p.now()})
-	return res, nil
+	var res [1]pcp.FetchResult
+	err := p.serve(tenant, [][]uint32{pmids}, res[:])
+	return res[0], err
 }
 
 // FetchBatch serves a multi-set fetch through the coalescing cache:
-// sets that hit are answered from their entries, and all the misses are
-// grouped into ONE upstream batch round trip (the whole point of the
-// batch PDU — a cold multi-component EventSet costs one upstream RT,
-// not one per component). Results alias cache entries and must be
-// treated as read-only.
+// hits are answered from their entries and all the misses share ONE
+// upstream round trip — a cold multi-component EventSet costs one
+// upstream RT, not one per component. Results alias cache entries and
+// must be treated as read-only.
 func (p *Proxy) FetchBatch(sets [][]uint32) ([]pcp.FetchResult, error) {
 	return p.FetchBatchTenant(DefaultTenant, sets)
-}
-
-// missGroup is one distinct stale pmid-set of a batch: its cache entry
-// and every batch index asking for it.
-type missGroup struct {
-	key     string
-	e       *entry
-	pmids   []uint32
-	indices []int
 }
 
 // FetchBatchTenant is FetchBatch accounted to (and admission-controlled
@@ -652,161 +569,172 @@ type missGroup struct {
 // batch counts every miss set as shed (hit sets stay admitted), so the
 // per-tenant conservation law holds set-exactly.
 func (p *Proxy) FetchBatchTenant(tenant uint32, sets [][]uint32) ([]pcp.FetchResult, error) {
-	p.clientFetches.Add(int64(len(sets)))
-	tc := p.tenantCounter(tenant)
-	tc.issued.Add(int64(len(sets)))
 	results := make([]pcp.FetchResult, len(sets))
-	var (
-		misses []*missGroup
-		byKey  map[string]*missGroup
-	)
-	bp := keyBufPool.Get().(*[]byte)
-	key := (*bp)[:0]
-	for i, pmids := range sets {
-		key = pcp.AppendFetchReq(key[:0], pmids)
-		e := p.lookup(key)
-		if c := e.cur.Load(); c != nil && p.fresh(c.fetchedAt, p.now()) {
-			p.coalescedHits.Add(1)
-			tc.admitted.Add(1)
-			results[i] = c.res
-			continue
-		}
-		if byKey == nil {
-			byKey = make(map[string]*missGroup)
-		}
-		g := byKey[string(key)]
-		if g == nil {
-			g = &missGroup{key: string(key), e: e, pmids: pmids}
-			byKey[g.key] = g
-			misses = append(misses, g)
-		}
-		g.indices = append(g.indices, i)
-	}
-	*bp = key
-	keyBufPool.Put(bp)
-	if len(misses) == 0 {
-		return results, nil
-	}
-
-	// Single-flight across multiple entries: lock the distinct miss
-	// entries in sorted key order — the one total order every batch
-	// agrees on, so two overlapping batches can never deadlock (the
-	// single-set path never holds more than one entry lock, so it
-	// cannot complete a cycle either).
-	sort.Slice(misses, func(a, b int) bool { return misses[a].key < misses[b].key })
-	held := misses[:0]
-	for _, g := range misses {
-		g.e.mu.Lock()
-		if c := g.e.cur.Load(); c != nil && p.fresh(c.fetchedAt, p.now()) {
-			g.e.mu.Unlock()
-			p.coalescedHits.Add(int64(len(g.indices)))
-			tc.admitted.Add(int64(len(g.indices)))
-			for _, i := range g.indices {
-				results[i] = c.res
-			}
-			continue
-		}
-		held = append(held, g)
-	}
-	if len(held) == 0 {
-		return results, nil
-	}
-	defer func() {
-		for j := len(held) - 1; j >= 0; j-- {
-			held[j].e.mu.Unlock()
-		}
-	}()
-	heldSets := 0
-	for _, g := range held {
-		heldSets += len(g.indices)
-	}
-
-	// Admission gate: the batch's upstream cost is its distinct miss
-	// groups (one grouped round trip of len(held) sets).
-	if p.admit != nil {
-		if aerr := p.admit.Admit(p.admitReq(tenant, len(held))); aerr != nil {
-			return p.shedOrStaleBatch(tenant, tc, held, heldSets, results, aerr)
-		}
-	}
-	missSets := make([][]uint32, len(held))
-	for j, g := range held {
-		missSets[j] = g.pmids
-	}
-	var out []pcp.FetchResult
-	err := p.withUpstreamTenant(tenant, func(c *pcp.Client) error {
-		var ferr error
-		out, ferr = c.FetchBatch(missSets)
-		return ferr
-	})
-	if err != nil {
-		if IsShed(err) {
-			return p.shedOrStaleBatch(tenant, tc, held, heldSets, results, err)
-		}
-		// Degrade to stale only when every miss group has a cached
-		// answer (all-or-nothing, so the accounting matches what the
-		// client actually received).
-		stale := !p.cfg.DisableStale
-		for _, g := range held {
-			if g.e.cur.Load() == nil {
-				stale = false
-				break
-			}
-		}
-		if !stale {
-			tc.admitted.Add(int64(heldSets))
-			return nil, err
-		}
-		for _, g := range held {
-			c := g.e.cur.Load()
-			p.staleServes.Add(int64(len(g.indices)))
-			tc.staleServed.Add(int64(len(g.indices)))
-			for _, i := range g.indices {
-				results[i] = c.res
-			}
-		}
-		return results, nil
-	}
-	p.upstreamFetches.Add(int64(len(held)))
-	p.upstreamBatchRTs.Add(1)
-	tc.admitted.Add(int64(heldSets))
-	now := p.now()
-	for j, g := range held {
-		g.e.cur.Store(&cached{res: out[j], fetchedAt: now})
-		for _, i := range g.indices {
-			results[i] = out[j]
-		}
+	if err := p.serve(tenant, sets, results); err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
-// shedOrStaleBatch resolves a typed admission rejection for a batch's
-// miss groups: when the tenant is degradable and every miss group has a
-// cached answer, the whole batch degrades to stale; otherwise every
-// miss set counts shed and the batch fails with the typed error.
-func (p *Proxy) shedOrStaleBatch(tenant uint32, tc *tenantCounter, held []*missGroup, heldSets int, results []pcp.FetchResult, aerr error) ([]pcp.FetchResult, error) {
-	if p.degradable(tenant) && !p.cfg.DisableStale {
-		stale := true
-		for _, g := range held {
-			if g.e.cur.Load() == nil {
-				stale = false
-				break
+// miss is one set that missed the lock-free fast path: its index in the
+// request, its cache entry, and its key's span in the request's key
+// buffer. Sorted by key, a run of equal keys is one miss group sharing
+// the run's first entry; that first miss records the run length n.
+type miss struct {
+	i, lo, hi, n int
+	e            *entry
+}
+
+// serve is the proxy's one fetch path: it answers sets into results
+// (same length) through the coalescing cache as the given tenant. Hits
+// are answered lock-free; the distinct missing sets are refreshed
+// single-flight under their entry locks, admitted at a cost of one per
+// distinct set, and fetched in one upstream round trip. On error the
+// unanswered results are left untouched.
+func (p *Proxy) serve(tenant uint32, sets [][]uint32, results []pcp.FetchResult) error {
+	p.clientFetches.Add(int64(len(sets)))
+	tc := p.tenantCounter(tenant)
+	tc.issued.Add(int64(len(sets)))
+
+	// Lock-free fast path: a published answer younger than the sampling
+	// interval is the coalesced hit. Cache hits are never gated: quotas
+	// meter upstream work, and a hit costs none.
+	var first [1]miss // a single fetch's miss list needs no allocation
+	ms := first[:0]
+	bp := keyBufPool.Get().(*[]byte)
+	keys := (*bp)[:0]
+	for i, pmids := range sets {
+		lo := len(keys)
+		keys = pcp.AppendFetchReq(keys, pmids)
+		e := p.lookup(keys[lo:])
+		if c := e.cur.Load(); c != nil && p.fresh(c.fetchedAt, p.now()) {
+			p.coalescedHits.Add(1)
+			tc.admitted.Add(1)
+			results[i] = c.res
+			keys = keys[:lo]
+			continue
+		}
+		ms = append(ms, miss{i: i, lo: lo, hi: len(keys), e: e})
+	}
+	// Misses go in key order — the one lock order every request agrees
+	// on, so two overlapping batches can never deadlock — and a run of
+	// equal keys is one miss group, served through its first entry.
+	// Single-flight: each group's entry lock is held across its refresh;
+	// a request queued behind another's round trip re-checks and counts
+	// as a coalesced hit.
+	slices.SortStableFunc(ms, func(a, b miss) int {
+		return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi])
+	})
+	held, groups := ms[:0], 0
+	for j, k := 0, 0; j < len(ms); j = k {
+		e := ms[j].e
+		for k = j; k < len(ms) && bytes.Equal(keys[ms[k].lo:ms[k].hi], keys[ms[j].lo:ms[j].hi]); k++ {
+			ms[k].e = e
+		}
+		e.mu.Lock()
+		if c := e.cur.Load(); c != nil && p.fresh(c.fetchedAt, p.now()) {
+			e.mu.Unlock()
+			p.coalescedHits.Add(int64(k - j))
+			tc.admitted.Add(int64(k - j))
+			for _, m := range ms[j:k] {
+				results[m.i] = c.res
+			}
+			continue
+		}
+		ms[j].n = k - j
+		held = append(held, ms[j:k]...)
+		groups++
+	}
+	*bp = keys
+	keyBufPool.Put(bp)
+	if groups == 0 {
+		return nil
+	}
+	defer func() {
+		for _, m := range held {
+			if m.n > 0 {
+				m.e.mu.Unlock()
 			}
 		}
-		if stale {
-			for _, g := range held {
-				c := g.e.cur.Load()
-				p.staleServes.Add(int64(len(g.indices)))
-				tc.staleServed.Add(int64(len(g.indices)))
-				for _, i := range g.indices {
-					results[i] = c.res
-				}
-			}
-			return results, nil
+	}()
+
+	// Admission gate: only work that would cost an upstream round trip
+	// is policed, and its cost is the distinct miss groups.
+	if p.admit != nil {
+		if err := p.admit.Admit(p.admitReq(tenant, groups)); err != nil {
+			return p.degrade(tenant, tc, held, results, err)
 		}
 	}
-	p.shed.Add(int64(heldSets))
-	tc.shed.Add(int64(heldSets))
-	return nil, aerr
+	// One group goes upstream as a plain Fetch, what a lone set costs on
+	// the wire; two or more share one FetchBatch round trip.
+	var one [1]pcp.FetchResult // nor does its upstream answer's slot
+	out := one[:]
+	var missSets [][]uint32
+	if groups > 1 {
+		missSets = make([][]uint32, 0, groups)
+		for _, m := range held {
+			if m.n > 0 {
+				missSets = append(missSets, sets[m.i])
+			}
+		}
+	}
+	err := p.withUpstreamTenant(tenant, func(c *pcp.Client) (err error) {
+		if missSets == nil {
+			out[0], err = c.Fetch(sets[held[0].i])
+		} else {
+			out, err = c.FetchBatch(missSets)
+		}
+		return err
+	})
+	if err != nil {
+		return p.degrade(tenant, tc, held, results, err)
+	}
+	p.upstreamFetches.Add(int64(groups))
+	if groups > 1 {
+		p.upstreamBatchRTs.Add(1)
+	}
+	tc.admitted.Add(int64(len(held)))
+	now, g := p.now(), -1
+	for _, m := range held {
+		if m.n > 0 {
+			g++
+			m.e.cur.Store(&cached{res: out[g], fetchedAt: now})
+		}
+		results[m.i] = out[g]
+	}
+	return nil
+}
+
+// degrade resolves held miss sets that get no fresh answer. A shed (err
+// wraps ErrAdmissionRejected: a policy rejection or fair-queue overflow)
+// degrades to stale only for a degradable tenant, an upstream failure
+// for any tenant; either way only if every held group has a cached
+// answer, so the accounting matches what the client received. A stale
+// answer keeps its original daemon timestamp, so the client can tell.
+// Otherwise the sets count shed, or admitted with the failure visible
+// in UpstreamErrors, and the request fails with err.
+func (p *Proxy) degrade(tenant uint32, tc *tenantCounter, held []miss, results []pcp.FetchResult, err error) error {
+	shed := IsShed(err)
+	stale := !shed || p.degradable(tenant)
+	for _, m := range held {
+		stale = stale && m.e.cur.Load() != nil
+	}
+	n := int64(len(held))
+	switch {
+	case stale:
+		for _, m := range held {
+			results[m.i] = m.e.cur.Load().res
+		}
+		p.staleServes.Add(n)
+		tc.staleServed.Add(n)
+		return nil
+	case shed:
+		p.shed.Add(n)
+		tc.shed.Add(n)
+	default:
+		tc.admitted.Add(n)
+	}
+	return err
 }
 
 // Names serves the upstream name table through the proxy's cache. Reads
@@ -821,13 +749,12 @@ func (p *Proxy) Names() ([]pcp.NameEntry, error) {
 		return t.entries, nil
 	}
 	var entries []pcp.NameEntry
-	err := p.withUpstream(func(c *pcp.Client) error {
-		var nerr error
-		entries, nerr = c.Names()
-		return nerr
+	err := p.withUpstream(func(c *pcp.Client) (err error) {
+		entries, err = c.Names()
+		return err
 	})
 	if err != nil {
-		if t := p.names.Load(); t != nil && !p.cfg.DisableStale {
+		if t := p.names.Load(); t != nil {
 			p.staleNameServes.Add(1)
 			return t.entries, nil
 		}
@@ -857,10 +784,19 @@ func (h proxyHandler) Fetch(tenant uint32, pmids []uint32) (pcp.FetchResult, err
 	return h.p.FetchTenant(tenant, pmids)
 }
 
-// FetchAll is not served by the proxy: the request is answered like any
-// PDU type it does not know.
-func (proxyHandler) FetchAll(uint32) (pcp.FetchResult, error) {
-	return pcp.FetchResult{}, fmt.Errorf("unknown PDU type %d", pcp.PDUFetchAllReq)
+// FetchAll is the tenant's fetch of every PMID in the cached name table,
+// in PMID order: one client fetch, answered from one upstream snapshot.
+func (h proxyHandler) FetchAll(tenant uint32) (pcp.FetchResult, error) {
+	names, err := h.p.Names()
+	if err != nil {
+		return pcp.FetchResult{}, err
+	}
+	pmids := make([]uint32, len(names))
+	for i, n := range names {
+		pmids[i] = n.PMID
+	}
+	slices.Sort(pmids)
+	return h.p.FetchTenant(tenant, pmids)
 }
 
 func (h proxyHandler) FetchBatch(tenant uint32, sets [][]uint32) ([]pcp.FetchResult, error) {

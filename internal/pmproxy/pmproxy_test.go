@@ -165,7 +165,7 @@ func TestProxyValuesMatchDirect(t *testing.T) {
 
 // TestStaleServingWhenUpstreamDown: once the upstream daemon dies, the
 // proxy keeps answering with the last good result, carrying its original
-// timestamp so clients can detect staleness; with DisableStale it fails.
+// timestamp so clients can detect staleness.
 func TestStaleServingWhenUpstreamDown(t *testing.T) {
 	_, clock, d, p, addr := rig(t, func(c *Config) {
 		c.MaxRetries = 0
@@ -202,24 +202,25 @@ func TestStaleServingWhenUpstreamDown(t *testing.T) {
 	}
 }
 
-func TestDisableStaleFailsFast(t *testing.T) {
-	_, clock, d, _, addr := rig(t, func(c *Config) {
-		c.DisableStale = true
-		c.MaxRetries = 0
-		c.Timeout = 200 * time.Millisecond
-	})
+// TestProxyFetchAll: the proxy answers FetchAll as one client fetch of
+// its cached name table's PMIDs — one upstream round trip, so one
+// snapshot — equal to the daemon's own FetchAll within the interval.
+func TestProxyFetchAll(t *testing.T) {
+	_, _, d, p, addr := rig(t, nil)
 	c, err := pcp.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Fetch([]uint32{1}); err != nil {
+	got, err := c.FetchAll()
+	if err != nil {
 		t.Fatal(err)
 	}
-	d.Close()
-	clock.Advance(sampleInterval + simtime.Millisecond)
-	if _, err := c.Fetch([]uint32{1}); err == nil {
-		t.Error("expected failure with DisableStale")
+	if want := d.FetchAll(); !reflect.DeepEqual(got, want) {
+		t.Errorf("proxy FetchAll = %+v\nwant the daemon's %+v", got, want)
+	}
+	if st := p.Stats(); st.ClientFetches != 1 || st.UpstreamFetches != 1 || st.UpstreamBatchRTs != 0 {
+		t.Errorf("stats = %+v, want one client fetch served by one plain upstream fetch", st)
 	}
 }
 
