@@ -11,10 +11,10 @@
 //	pmlogger -dump run.pmlog
 //
 // With -rollup the archive maintains multi-resolution rollup tiers
-// alongside the raw samples; -raw-retention additionally lets a
-// background compactor fold raw blocks older than the retention into
-// the tiers, bounding the raw footprint of a long recording while
-// keeping its full history queryable at rollup resolution.
+// alongside the raw samples; with -raw-retention each append also folds
+// the raw blocks older than the retention into the tiers, bounding the
+// raw footprint of a long recording while keeping its full history
+// queryable at rollup resolution.
 package main
 
 import (
@@ -37,7 +37,7 @@ func main() {
 	duration := flag.Duration("duration", 0, "stop after this long (0 = until Ctrl-C)")
 	maxBytes := flag.Int("max-bytes", archive.DefaultMaxBytes, "ring retention budget for encoded samples")
 	rollup := flag.String("rollup", "", "comma-separated rollup tier widths, finest first (e.g. 10s,5m)")
-	rawRetention := flag.Duration("raw-retention", 0, "fold raw blocks older than this into the rollup tiers (0 = keep all raw)")
+	rawRetention := flag.Duration("raw-retention", 0, "on each append, fold raw blocks older than this that the rollup tiers cover (0 = keep all raw)")
 	dump := flag.String("dump", "", "print the given archive file and exit")
 	flag.Parse()
 
@@ -85,10 +85,6 @@ func record(addr, out string, interval, duration time.Duration, opts archive.Opt
 	rec, err := archive.NewRecorderFromUpstream(client, opts)
 	if err != nil {
 		return err
-	}
-	if opts.RawRetention > 0 {
-		stop := rec.Archive().StartCompactor(time.Second)
-		defer stop()
 	}
 	fmt.Printf("pmlogger: recording %d metrics from %s every %v\n",
 		len(rec.Archive().Names()), addr, interval)

@@ -2,7 +2,7 @@
 // time-series archive of PCP fetch results, so profiles and figures can
 // be replayed from a recording instead of a live daemon — grown here
 // into a small TSDB: multi-resolution rollup tiers, an indexed block
-// store with lock-free snapshot reads, and a background compactor.
+// store with lock-free snapshot reads, and bounded retention.
 //
 // Raw samples are stored varint-delta encoded — each row is the zigzag
 // varint of the timestamp delta followed by one zigzag varint per
@@ -24,14 +24,16 @@
 // recoverable exactly as pcp.CounterDelta(prev.Last, next.First) —
 // adjacent buckets always hold adjacent samples at their facing edges —
 // so rates over rollups are exact for wrapped counters on bucket-aligned
-// windows. Compact (or the background compactor) folds aged raw blocks
-// out of the raw tier once the rollups cover them, the production
-// retention pattern: raw for hours, 10s for days, 5m for months.
+// windows. Every append retires the raw blocks that have aged past
+// RawRetention once the rollups cover them (and those past the MaxBytes
+// budget), the production retention pattern: raw for hours, 10s for
+// days, 5m for months. The raw tier is bounded by construction, not by
+// how often anything else runs.
 //
-// All writers (Append, Compact) serialize on a mutex and publish an
-// immutable snapshot through an atomic pointer; readers load the pointer
-// once and never block — the same publication pattern the PMCD daemon
-// uses for its metric snapshots.
+// Appends serialize on a mutex and publish an immutable snapshot
+// through an atomic pointer; readers load the pointer once and never
+// block — the same publication pattern the PMCD daemon uses for its
+// metric snapshots.
 //
 // The schema (the PMID set and the name table) is fixed when the
 // archive is created, exactly like a real pmlogger archive's metadata
@@ -91,11 +93,11 @@ type Options struct {
 	// MaxBuckets bounds each rollup tier's retained buckets (oldest
 	// evicted past it). 0 means DefaultMaxBuckets.
 	MaxBuckets int
-	// RawRetention is how much full-resolution history Compact keeps,
-	// in nanoseconds: raw blocks wholly older than newest-RawRetention
-	// are folded out of the raw tier once every rollup tier covers
-	// them. 0 disables age-based folding (raw is evicted only by the
-	// MaxBytes ring budget).
+	// RawRetention is how much full-resolution history the raw tier
+	// keeps, in nanoseconds: each append folds out the raw blocks
+	// wholly older than newest-RawRetention that every rollup tier
+	// covers with a completed bucket. 0 disables age-based folding
+	// (raw is evicted only by the MaxBytes ring budget).
 	RawRetention int64
 }
 
@@ -315,14 +317,13 @@ type snapshot struct {
 	tailBytes   int // encoded bytes of the tail
 	appended    int // rows ever accepted
 	evicted     int // rows dropped by the ring budget
-	folded      int // rows folded out of raw by Compact after rollup handoff
-	compactions int
+	folded      int // rows retired from raw by an append once aged and covered by every tier
 }
 
 // Archive is an append-only recording. It is safe for concurrent use:
 // reads are lock-free against the published snapshot.
 type Archive struct {
-	mu     sync.Mutex // serializes writers: Append, Compact, WriteTo capture
+	mu     sync.Mutex // serializes writers: Append and WriteTo capture
 	names  []pcp.NameEntry
 	byName map[string]uint32
 	col    map[uint32]int // PMID -> column index
@@ -333,6 +334,8 @@ type Archive struct {
 	// The cut ring: readers put and find block cuts without a lock.
 	cuts    [maxCuts]atomic.Pointer[blockCut]
 	cutNext atomic.Uint32
+
+	compactions atomic.Int64 // Compact passes that ran
 
 	// Writer-only state, guarded by mu.
 	tailBuf  []byte   // encoded form of the published tail
@@ -474,7 +477,6 @@ func (a *Archive) AppendSample(row Sample) error {
 		appended:    cur.appended + 1,
 		evicted:     cur.evicted,
 		folded:      cur.folded,
-		compactions: cur.compactions,
 	}
 
 	// Encode the row into the writer's tail buffer: a keyframe when the
@@ -513,18 +515,52 @@ func (a *Archive) AppendSample(row Sample) error {
 		}
 	}
 
-	// Ring retention backstop: evict oldest sealed blocks past the byte
-	// budget, always keeping the tail being written.
-	for next.sealedBytes+next.tailBytes > a.opts.MaxBytes && len(next.blocks) > 0 {
-		old := next.blocks[0]
-		next.blocks = next.blocks[1:]
-		next.sealedBytes -= len(old.buf)
-		next.rawSamples -= old.Count
-		next.evicted += old.Count
-	}
-
+	a.retire(next)
 	a.snap.Store(next)
 	return nil
+}
+
+// retire drops the oldest sealed blocks that have left the raw tier's
+// retention, always keeping the tail being written. A block wholly older
+// than lastTS-RawRetention and covered by a completed bucket of every
+// tier folds (its history stays in the rollups); past the MaxBytes
+// budget a block is evicted. The cutoff and the coverage only move
+// forward and blocks leave only from the front, so one step per append
+// keeps the tier exactly as one pass over the finished archive would.
+func (a *Archive) retire(s *snapshot) {
+	limit := int64(math.MinInt64) // newest LastTS a block may have and fold
+	if a.opts.RawRetention > 0 && len(s.tiers) > 0 {
+		limit = s.lastTS - a.opts.RawRetention
+		for i := range s.tiers {
+			done := s.tiers[i].done
+			if len(done) == 0 {
+				limit = math.MinInt64
+				break
+			}
+			limit = min(limit, done[len(done)-1].LastTS)
+		}
+	}
+	drop := 0
+	for ; drop < len(s.blocks); drop++ {
+		b := s.blocks[drop]
+		if b.LastTS <= limit {
+			s.folded += b.Count
+		} else if s.sealedBytes+s.tailBytes > a.opts.MaxBytes {
+			s.evicted += b.Count
+		} else {
+			break
+		}
+		s.sealedBytes -= len(b.buf)
+		s.rawSamples -= b.Count
+	}
+	// Re-slicing keeps the dropped blocks reachable through the shared
+	// array until append next reallocates it: fine for the one block a
+	// steady state drops, not for a lagging tier's minutes of them.
+	if drop > 0 && drop >= len(s.blocks)-drop {
+		s.blocks = slices.Clone(s.blocks[drop:])
+	} else {
+		s.blocks = s.blocks[drop:]
+	}
 }
 
 // sealBlock builds the immutable block for a finished tail: the encoded
@@ -668,7 +704,7 @@ type Stats struct {
 	Samples      int // retained raw rows
 	Appended     int // rows ever accepted
 	Evicted      int // rows dropped by ring retention
-	Folded       int // rows folded out of raw by compaction after rollup handoff
+	Folded       int // rows retired from raw by appends once every rollup tier covers them
 	Compactions  int // Compact passes that ran
 	EncodedBytes int // current encoded raw size
 	RawBytes     int // what the retained raw rows would cost un-encoded
@@ -684,7 +720,7 @@ func (a *Archive) Stats() Stats {
 		Appended:     s.appended,
 		Evicted:      s.evicted,
 		Folded:       s.folded,
-		Compactions:  s.compactions,
+		Compactions:  int(a.compactions.Load()),
 		EncodedBytes: s.sealedBytes + s.tailBytes,
 	}
 	st.RawBytes = st.Samples * (8 + 8*len(a.names))

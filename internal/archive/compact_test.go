@@ -2,16 +2,18 @@ package archive
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestCompactFoldsAgedRaw: blocks older than RawRetention fold out of
-// the raw tier once every rollup tier covers them; their history stays
-// queryable through the rollups; newer raw blocks survive.
-func TestCompactFoldsAgedRaw(t *testing.T) {
+// TestRetentionFoldsAgedRaw: blocks older than RawRetention fold out
+// of the raw tier as rows are appended, once every rollup tier covers
+// them; their history stays queryable through the rollups; newer raw
+// blocks survive.
+func TestRetentionFoldsAgedRaw(t *testing.T) {
 	a, _ := New(schema(1), Options{
 		BlockSamples: 10,
 		Rollups:      []int64{1000},
@@ -22,17 +24,12 @@ func TestCompactFoldsAgedRaw(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := a.Stats()
-	folded := a.Compact()
-	if folded == 0 {
-		t.Fatal("Compact folded nothing")
-	}
 	st := a.Stats()
-	if st.Folded != folded || st.Compactions != 1 {
-		t.Errorf("stats after compact = %+v", st)
+	if st.Folded == 0 {
+		t.Fatal("appends folded nothing")
 	}
-	if st.Samples != before.Samples-folded {
-		t.Errorf("samples %d, want %d - %d", st.Samples, before.Samples, folded)
+	if st.Samples != st.Appended-st.Folded || st.Appended != 200 || st.Evicted != 0 {
+		t.Errorf("stats after appends = %+v", st)
 	}
 	// Raw retention honored: remaining raw covers at least the window.
 	first, last, ok := a.Span()
@@ -58,16 +55,17 @@ func TestCompactFoldsAgedRaw(t *testing.T) {
 	if len(rows) != 0 {
 		t.Errorf("folded raw rows still served: %d", len(rows))
 	}
-	// Idempotent without new appends.
-	if again := a.Compact(); again != 0 {
-		t.Errorf("second compact folded %d more", again)
+	// Compact folds nothing more: it only counts its pass.
+	a.Compact()
+	if again := a.Stats(); again.Folded != st.Folded || again.Samples != st.Samples || again.Compactions != 1 {
+		t.Errorf("stats after compact = %+v, want %+v with one compaction", again, st)
 	}
 }
 
-// TestCompactRefusesUncoveredFolds: without a completed rollup bucket
-// run covering the aged blocks — rollups disabled — Compact must not
+// TestRetentionRefusesUncoveredFolds: without a completed rollup bucket
+// run covering the aged blocks — rollups disabled — appends must not
 // fold anything, no matter how old the raw blocks are.
-func TestCompactRefusesUncoveredFolds(t *testing.T) {
+func TestRetentionRefusesUncoveredFolds(t *testing.T) {
 	a, _ := New(schema(1), Options{
 		BlockSamples: 10,
 		Rollups:      []int64{}, // explicitly disabled
@@ -78,43 +76,158 @@ func TestCompactRefusesUncoveredFolds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if folded := a.Compact(); folded != 0 {
-		t.Fatalf("Compact folded %d rows with no rollup coverage", folded)
+	if folded := a.Stats().Folded; folded != 0 {
+		t.Fatalf("appends folded %d rows with no rollup coverage", folded)
 	}
 	if a.Stats().Samples != 100 {
 		t.Fatalf("raw rows lost: %d", a.Stats().Samples)
 	}
 }
 
-// TestStartCompactor: the background compactor folds on its own and
-// stops cleanly (idempotent stop).
-func TestStartCompactor(t *testing.T) {
-	a, _ := New(schema(1), Options{
-		BlockSamples: 10,
-		Rollups:      []int64{1000},
-		RawRetention: 2000,
+// TestRetentionHoldsAtEveryAppend: with no Compact at all, after every
+// append no retained block is both wholly older than the retention
+// cutoff and covered by a completed bucket of every tier, every row
+// ever accepted is retained, folded or evicted, and the folded history
+// still answers exact rates through both tiers.
+func TestRetentionHoldsAtEveryAppend(t *testing.T) {
+	const (
+		cadence   = int64(100)
+		incr      = uint64(7)
+		retention = 32 * cadence
+		rows      = 20 * retention / cadence
+	)
+	v0 := ^uint64(0) - incr*300 // column 2 wraps inside the folded history
+	a, _ := New(schema(2), Options{
+		BlockSamples: 8,
+		Rollups:      []int64{8 * cadence, 64 * cadence},
+		RawRetention: retention,
 	})
+	for i := int64(0); i < rows; i++ {
+		u := uint64(i)
+		if err := a.Append(row(i*cadence, u*incr, v0+u*incr)); err != nil {
+			t.Fatal(err)
+		}
+		s := a.snap.Load()
+		covered := s.lastTS - retention
+		for k := range s.tiers {
+			if done := s.tiers[k].done; len(done) == 0 {
+				covered = math.MinInt64
+			} else {
+				covered = min(covered, done[len(done)-1].LastTS)
+			}
+		}
+		for _, b := range s.blocks {
+			if b.LastTS <= covered {
+				t.Fatalf("after row %d: block [%d, %d] is older than %d and covered, yet retained", i, b.FirstTS, b.LastTS, covered)
+			}
+		}
+		if st := a.Stats(); st.Samples+st.Folded+st.Evicted != st.Appended {
+			t.Fatalf("after row %d: %d samples + %d folded + %d evicted != %d appended", i, st.Samples, st.Folded, st.Evicted, st.Appended)
+		}
+	}
+	st := a.Stats()
+	first, _, _ := a.Span()
+	const t1 = 8 * 64 * cadence // eight coarse buckets of folded history
+	if st.Folded == 0 || st.Compactions != 0 || first <= t1 {
+		t.Fatalf("stats %+v, raw from %d: the history up to %d was not folded", st, first, t1)
+	}
+	want := float64(uint64(t1/cadence)*incr) / (float64(t1) / 1e9)
+	for _, res := range []Resolution{Resolution(8 * cadence), Resolution(64 * cadence)} {
+		for pmid := uint32(1); pmid <= 2; pmid++ {
+			if rate, err := rateAt(a, res, pmid, 0, t1); err != nil || rate != want {
+				t.Errorf("tier %v pmid %d: rate over folded [0, %d) = %v, %v; want exactly %v", res, pmid, t1, rate, err, want)
+			}
+		}
+	}
+}
+
+// TestRetiredBlockIsReleased: a lagging coarse tier retires minutes of
+// blocks in one append; the first of them must become garbage then,
+// not stay reachable through the block list's shared array.
+func TestRetiredBlockIsReleased(t *testing.T) {
+	const sec = int64(1_000_000_000)
+	a, _ := New(schema(1), Options{
+		BlockSamples: 8,
+		Rollups:      []int64{10 * sec, 300 * sec},
+		RawRetention: 60 * sec,
+	})
+	i := int64(0)
+	for ; len(a.snap.Load().blocks) == 0; i++ {
+		if err := a.Append(row(i*sec, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	released := make(chan struct{})
+	firstTS := func() int64 { // keeps no pointer to the block on this stack
+		b := a.snap.Load().blocks[0]
+		runtime.SetFinalizer(b, func(*block) { close(released) })
+		return b.FirstTS
+	}()
+	for ; ; i++ {
+		if s := a.snap.Load(); len(s.blocks) > 0 && s.blocks[0].FirstTS != firstTS {
+			break
+		}
+		if i > 3600 {
+			t.Fatal("an hour of appends never retired the first block")
+		}
+		if err := a.Append(row(i*sec, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Compact()
+	defer runtime.KeepAlive(a) // only the block may become garbage, not the archive
+	deadline := time.After(2 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-deadline:
+			t.Fatalf("first block, retired by row %d, still reachable 2 s later", i)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestStartCompactor: the background compactor trims a cold block's
+// decoded cache on its own and stops cleanly (idempotent stop).
+func TestStartCompactor(t *testing.T) {
+	a, _ := New(schema(1), Options{BlockSamples: 10})
 	for i := 0; i < 200; i++ {
 		if err := a.Append(row(int64(i)*100, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if _, err := a.All(); err != nil { // decodes and caches every block
+		t.Fatal(err)
+	}
+	blocks := a.snap.Load().blocks
+	cold, hot := blocks[0], blocks[len(blocks)-1]
+	if cold.dec.Load() == nil {
+		t.Fatal("All left the cold block undecoded")
+	}
 	stop := a.StartCompactor(time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
-	for a.Stats().Folded == 0 && time.Now().Before(deadline) {
+	for cold.dec.Load() != nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	stop()
 	stop() // idempotent
-	if a.Stats().Folded == 0 {
-		t.Fatal("background compactor never folded")
+	if cold.dec.Load() != nil {
+		t.Fatal("background compactor never trimmed the cold block's cache")
+	}
+	if hot.dec.Load() == nil {
+		t.Error("compactor trimmed the newest block's cache")
+	}
+	if a.Stats().Compactions == 0 {
+		t.Error("no compaction pass counted")
 	}
 }
 
-// TestCompactorReaderStress is the -race proof that compaction never
-// blocks or tears readers. A deterministic appender (fixed cadence,
-// fixed increment) races an aggressive compactor against concurrent
-// readers; the oracle: *any* consistent snapshot yields monotonic
+// TestCompactorReaderStress is the -race proof that neither folding
+// nor cache trimming blocks or tears readers. A deterministic appender
+// (fixed cadence, fixed increment), folding as it goes, and an
+// aggressive compactor race concurrent readers; the oracle: *any* consistent snapshot yields monotonic
 // cadence-spaced Samples with value == 7·(ts/cadence), every
 // whole-segment Rate is exactly incr/cadence, and a raw window's count,
 // extrema and delta describe the same rows — no matter how the block

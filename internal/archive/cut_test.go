@@ -9,7 +9,7 @@ import (
 )
 
 // TestCutRacesFold: readers cut the oldest raw blocks — the ones the
-// compactor is about to fold away — at times of their own, so several
+// writer is about to fold away — at times of their own, so several
 // cuts of one block race for its slot in the ring while the block
 // leaves the snapshot. Whatever a reader finds there, a window and a
 // floor must equal a row scan of the closed-form rows its snapshot
@@ -48,10 +48,11 @@ func TestCutRacesFold(t *testing.T) {
 			if i+1 == 40*bs {
 				close(ready)
 			}
-			// Until a fold has landed and an answer was checked, the
-			// writer yields after every row, so that a scheduler running
-			// it alone cannot outrun the compactor and the readers.
-			for i+1 >= 40*bs && (a.snap.Load().folded == 0 || checked.Load() == 0) && !t.Failed() {
+			// Folds have landed by then (the writer folds as it
+			// appends); until an answer was checked, the writer yields
+			// after every row, so that a scheduler running it alone
+			// cannot outrun the readers.
+			for i+1 >= 40*bs && checked.Load() == 0 && !t.Failed() {
 				runtime.Gosched()
 			}
 		}

@@ -41,8 +41,8 @@ import (
 //	    uvarint lastTS-firstTS, then per column uvarint first,
 //	    varint last-first, varint min-first, varint max-first,
 //	    8-byte LE float64 sum, varint delta. Rollups carry history
-//	    that may extend past the retained raw rows (raw folded by the
-//	    compactor), so they are stored, not re-derived.
+//	    that may extend past the retained raw rows (raw folded by
+//	    retention), so they are stored, not re-derived.
 
 const (
 	fileMagicV1 = "PMLG1\n"

@@ -124,8 +124,8 @@ func TestV2RoundTripTiers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.Compact() == 0 {
-		t.Fatal("compaction folded nothing; retention config broken")
+	if a.Stats().Folded == 0 {
+		t.Fatal("appends folded nothing; retention config broken")
 	}
 	rawFirst, _, _ := a.Span()
 	tFirst, _, _ := a.SpanAt(Resolution(100))
@@ -195,7 +195,7 @@ func TestV2RejectsBucketContradictingRows(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if a.Compact() == 0 {
+		if a.Stats().Folded == 0 {
 			t.Fatal("nothing folded: the folded history is not exercised")
 		}
 		s := a.snap.Load()

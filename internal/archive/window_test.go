@@ -76,7 +76,7 @@ func TestRawWindowMatchesRowScan(t *testing.T) {
 	// exact in float64 whatever order its terms are added in.
 	const cadence, nRows, incr, res = int64(8), 395, uint64(40), int64(256)
 	for _, bs := range []int{1, 2, 64} {
-		// Compacted, raw starts where folding stopped (mid-bucket at bs 1
+		// Folded, raw starts where folding stopped (mid-bucket at bs 1
 		// and 2); evicted, the tier keeps its newest five buckets while raw
 		// keeps every row, so the tier starts past the raw start.
 		for _, evict := range []bool{false, true} {
@@ -95,7 +95,7 @@ func TestRawWindowMatchesRowScan(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if folded := a.Compact(); (folded == 0) != evict {
+			if folded := a.Stats().Folded; (folded == 0) != evict {
 				t.Fatalf("bs %d evict %v: %d rows folded", bs, evict, folded)
 			}
 			rows, err := a.All()
