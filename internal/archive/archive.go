@@ -263,6 +263,7 @@ type tierSnap struct {
 	res     int64
 	done    []Bucket
 	evicted int      // buckets dropped by the MaxBuckets cap
+	held    int      // evicted buckets done's backing array still holds (writer only)
 	sealed  *Bucket  // the in-progress bucket at the last seal or load
 	tail    []Sample // the snapshot's tail
 	head    atomic.Pointer[Bucket]
@@ -273,6 +274,30 @@ func (t *tierSnap) count() int {
 		return len(t.done)
 	}
 	return len(t.done) + 1
+}
+
+// search is the index of the first bucket with Start+w > x (Start >= x
+// for w 1, ending past x for w res): ceil((x-w+1-start0)/res) on a tier
+// without gaps, whose starts are consecutive multiples of res.
+// That guess is checked against its neighbours; a gap falls back to a
+// binary search.
+func (t *tierSnap) search(x, w int64) int {
+	n := t.count()
+	past := func(i int) bool { // Start+w > x, without overflow
+		st := t.at(i).Start
+		return st > x || uint64(x-st) < uint64(w)
+	}
+	switch {
+	case n == 0 || past(0):
+		return 0
+	case !past(n - 1): // a window at the head
+		return n
+	}
+	d := uint64(x) - uint64(t.at(0).Start) - uint64(w) + 1 // >= 1, exact as uint64
+	if i := int(min((d-1)/uint64(t.res)+1, uint64(n))); (i == n || past(i)) && !past(i-1) {
+		return i
+	}
+	return sort.Search(n, past)
 }
 
 func (t *tierSnap) at(i int) *Bucket {
@@ -508,7 +533,7 @@ func (a *Archive) AppendSample(row Sample) error {
 	// bucket, in place; a seal publishes a copy of it.
 	for i := range cur.tiers {
 		t, nt := &cur.tiers[i], &next.tiers[i]
-		*nt = tierSnap{res: t.res, done: t.done, evicted: t.evicted, sealed: t.sealed, tail: next.tail}
+		*nt = tierSnap{res: t.res, done: t.done, evicted: t.evicted, held: t.held, sealed: t.sealed, tail: next.tail}
 		a.foldRow(nt, &a.open[i], *own)
 		if next.tail == nil {
 			nt.sealed = a.open[i].clone()
@@ -585,13 +610,18 @@ func alignDown(ts, res int64) int64 {
 
 // foldRow folds the next row into tier t's in-progress bucket o, in
 // place. A row in a later bucket first appends o to t.done, past what
-// older snapshots see, evicting past the MaxBuckets cap.
+// older snapshots see, evicting past the MaxBuckets cap. Once the shared
+// array holds evicted buckets an eighth of the live ones, the survivors
+// move to a fresh one: an amortised O(1) copy per completed bucket.
 func (a *Archive) foldRow(t *tierSnap, o *Bucket, row Sample) {
 	if start := alignDown(row.Timestamp, t.res); o.Count == 0 || start != o.Start {
 		if o.Count > 0 {
 			t.done = append(t.done, *o)
 			if drop := len(t.done) - a.opts.MaxBuckets; drop > 0 {
-				t.done, t.evicted = t.done[drop:], t.evicted+drop
+				t.done, t.evicted, t.held = t.done[drop:], t.evicted+drop, t.held+drop
+				if n := len(t.done); t.held*8 >= n {
+					t.done, t.held = append(make([]Bucket, 0, n+n/8+1), t.done...), 0
+				}
 			}
 		}
 		*o = Bucket{Start: start}
@@ -865,8 +895,11 @@ func (a *Archive) floor(t int64) (rowRef, bool) {
 
 // overlapFrac is the fraction of segment [lo, hi] covered by [t0, t1].
 func overlapFrac(lo, hi, t0, t1 int64) float64 {
-	if hi <= lo {
+	switch {
+	case hi <= lo:
 		return 0
+	case t0 <= lo && hi <= t1:
+		return 1
 	}
 	s, e := max(t0, lo), min(t1, hi)
 	if e <= s {
@@ -917,23 +950,10 @@ func (f *fold) take(b *Bucket) {
 	f.at(b.LastTS, g.Last)
 }
 
-// run folds the next run of a raw edge [lo, hi): a run before lo gives
-// the previous row, a run inside is taken, and the first from hi on is
-// the row the edge steps on to last. It reports whether the edge goes on.
-func (f *fold) run(b *Bucket, lo, hi int64) bool {
-	switch {
-	case b.LastTS < lo:
-		f.at(b.LastTS, b.Cols[f.c].Last)
-	case b.FirstTS >= hi:
-		f.to(b.FirstTS, b.Cols[f.c].First)
-		return false
-	default:
-		f.take(b)
-	}
-	return true
-}
-
-// row is run for one decoded row.
+// row folds the next decoded row of a raw edge [lo, hi): a row before
+// lo is the previous row, one inside is added, and the first from hi
+// on is the row the edge steps on to last. It reports whether the edge
+// goes on.
 func (f *fold) row(ts int64, v uint64, lo, hi int64) bool {
 	if ts < lo {
 		f.at(ts, v)
@@ -948,100 +968,179 @@ func (f *fold) row(ts int64, v uint64, lo, hi int64) bool {
 	return true
 }
 
-// rawWindow folds the raw rows of the window [f.t0, f.t1) on one
-// snapshot into f. Its interior is the whole buckets [Start, Start+res)
-// inside it of the coarsest tier that has one, from the first retained
-// raw row on: every row they summarise is a retained raw row and, as
-// rows and buckets are dropped only from the front, every retained row
-// from the first one's Start to the last one's end is in one of them,
-// so they stand for those rows and only the edges around them read raw
-// blocks (rawEdge). On the tier's grid the edges are empty — the rows
-// around the interior are the facing rows of the buckets beside it —
-// and no block is cut.
-func (a *Archive) rawWindow(f *fold, s *snapshot) error {
-	first, _, ok := s.rawSpan()
-	if !ok {
-		return nil
-	}
-	lo := max(f.t0, first)
-	for k := len(s.tiers) - 1; k >= 0; k-- {
-		t := &s.tiers[k]
-		n := t.count()
-		i := sort.Search(n, func(x int) bool { return t.at(x).Start >= lo })
-		j := i + sort.Search(n-i, func(x int) bool { // the first bucket ending past t1
-			st := t.at(i + x).Start
-			return st > f.t1 || uint64(f.t1-st) < uint64(t.res) // as uint64, t1-st cannot overflow
-		})
-		if i == j {
-			continue
-		}
-		if start := t.at(i).Start; start > f.t0 || i == 0 {
-			if err := a.rawEdge(f, s, f.t0, start); err != nil {
-				return err
-			}
-		} else if b := t.at(i - 1); b.LastTS >= first { // the row before the window is retained
-			f.at(b.LastTS, b.Cols[f.c].Last)
-		}
-		for x := i; x < j; x++ {
-			f.take(t.at(x))
-		}
-		if end := t.at(j-1).Start + t.res; end < f.t1 {
-			return a.rawEdge(f, s, end, f.t1)
-		}
-		if j < n { // the row after the window
-			f.to(t.at(j).FirstTS, t.at(j).Cols[f.c].First)
-		}
-		return nil
-	}
-	return a.rawEdge(f, s, f.t0, f.t1)
+// A plan is a window read on one snapshot with the column left out: the
+// runs a fold takes, in time order. Planning does the searches and the
+// block cuts; fold reads any column over the plan, so the PMIDs of one
+// selector can share one walk of the index (Replay.EvalWindow).
+type plan struct {
+	snap   *snapshot
+	res    Resolution
+	t0, t1 int64
+	tier   *tierSnap // the tier of runBuckets
+	n      int
+	runs   [maxRuns]run
 }
 
-// rawEdge folds the raw rows with lo <= Timestamp < hi into f, stepping
-// in from the row before lo and on to the first row from hi. A block
-// the edge covers merges its summary; a block lo or hi splits is read
-// through its cut there (cutAt), whose halves are runs as blocks are.
-// Rows are walked only in the tail, in place, and in a block holding
-// both lo and hi — its two cuts could not be composed — through one
-// cursor.
-func (a *Archive) rawEdge(f *fold, s *snapshot, lo, hi int64) error {
-	blocks := s.blocks
-	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].LastTS >= lo })
-	for i = max(i-1, 0); i < len(blocks); i++ {
-		b := blocks[i]
-		splitLo, splitHi := b.FirstTS < lo && lo <= b.LastTS, b.FirstTS < hi && hi <= b.LastTS
-		switch {
-		case splitLo && splitHi:
-			for rc := newRowCursor(b.buf, len(a.names)); rc.n < b.Count; {
-				if err := rc.next(); err != nil {
-					return err
-				}
-				if !f.row(rc.ts, rc.vals[f.c], lo, hi) {
+// maxRuns is a plan's capacity: a raw window's buckets between two edges
+// of five runs (the row before, a cut half, blocks, a cut's halves).
+const maxRuns = 11
+
+const (
+	runAt      = iota // b's last row is the row before what follows
+	runTo             // b's first row is the row after the edge or window
+	runTake           // b, whole: a bucket, a block's summary or a cut half
+	runBuckets        // the tier's buckets [lo, hi), whole
+	runBlocks         // snap.blocks[lo:hi], whole
+	runRows           // snap.tail, folded as rows of the edge [lo, hi)
+	runWalk           // the rows of the block holding lo, folded as rows of the edge [lo, hi)
+)
+
+type run struct {
+	kind   int
+	b      *Bucket
+	lo, hi int64
+}
+
+func (p *plan) add(r run) { // a row before what follows replaces one just added
+	if r.kind == runAt && p.n > 0 && p.runs[p.n-1].kind == runAt {
+		p.n--
+	}
+	p.runs[p.n] = r
+	p.n++
+}
+
+// fold is the one executor of a plan: it folds column c over the runs.
+func (p *plan) fold(c int) (WindowAgg, error) {
+	f := fold{c: c, t0: p.t0, t1: p.t1}
+	for k := range p.runs[:p.n] {
+		r := &p.runs[k]
+		switch r.kind {
+		case runAt:
+			f.at(r.b.LastTS, r.b.Cols[c].Last)
+		case runTo:
+			f.to(r.b.FirstTS, r.b.Cols[c].First)
+		case runTake:
+			f.take(r.b)
+		case runBuckets:
+			for x := r.lo; x < r.hi; x++ {
+				f.take(p.tier.at(int(x)))
+			}
+		case runBlocks:
+			for _, b := range p.snap.blocks[r.lo:r.hi] {
+				f.take(&b.Bucket)
+			}
+		case runRows:
+			for _, row := range p.snap.tail {
+				if !f.row(row.Timestamp, row.Values[c], r.lo, r.hi) {
 					break
 				}
 			}
-			return nil
-		case splitLo || splitHi:
-			at := lo
-			if splitHi {
-				at = hi
-			}
-			cut, err := a.cutAt(b, at)
-			if err != nil {
-				return err
-			}
-			if !f.run(&cut.before, lo, hi) || !f.run(&cut.after, lo, hi) {
-				return nil
-			}
-		default:
-			if !f.run(&b.Bucket, lo, hi) {
-				return nil
+		case runWalk:
+			blocks := p.snap.blocks
+			b := blocks[sort.Search(len(blocks), func(i int) bool { return blocks[i].LastTS >= r.lo })]
+			for rc := newRowCursor(b.buf, len(b.Cols)); rc.n < b.Count; {
+				if err := rc.next(); err != nil {
+					return WindowAgg{}, err
+				}
+				if !f.row(rc.ts, rc.vals[c], r.lo, r.hi) {
+					break
+				}
 			}
 		}
 	}
-	for _, r := range s.tail {
-		if !f.row(r.Timestamp, r.Values[f.c], lo, hi) {
-			break
+	out := WindowAgg{Resolution: p.res, Count: f.n, Seconds: float64(p.t1-p.t0) / 1e9}
+	if f.n > 0 {
+		out.Sum, out.Min, out.Max, out.Delta = f.agg.Sum, f.agg.Min, f.agg.Max, f.delta
+	}
+	return out, nil
+}
+
+// rawWindow plans the raw rows of the window [p.t0, p.t1) on p's
+// snapshot. Its interior is the whole buckets [Start, Start+res) inside
+// it of the coarsest tier that has one, from the first retained raw row
+// on: every row they summarise is a retained raw row and, as rows and
+// buckets are dropped only from the front, every retained row from the
+// first one's Start to the last one's end is in one of them, so they
+// stand for those rows and only the edges around them read raw blocks
+// (rawEdge). On the tier's grid the edges are empty — the rows around
+// the interior are the facing rows of the buckets beside it — and no
+// block is cut.
+func (a *Archive) rawWindow(p *plan) error {
+	first, _, ok := p.snap.rawSpan()
+	if !ok {
+		return nil
+	}
+	lo := max(p.t0, first)
+	for k := len(p.snap.tiers) - 1; k >= 0; k-- {
+		t := &p.snap.tiers[k]
+		if lo > p.t1 || uint64(p.t1-lo) < uint64(t.res) { // no whole bucket fits
+			continue
 		}
+		i, j := t.search(lo, 1), t.search(p.t1, t.res)
+		if i >= j {
+			continue
+		}
+		if start := t.at(i).Start; start > p.t0 || i == 0 {
+			if err := a.rawEdge(p, p.t0, start); err != nil {
+				return err
+			}
+		} else if b := t.at(i - 1); b.LastTS >= first { // the row before the window is retained
+			p.add(run{kind: runAt, b: b})
+		}
+		p.tier = t
+		p.add(run{kind: runBuckets, lo: int64(i), hi: int64(j)})
+		if end := t.at(j-1).Start + t.res; end < p.t1 {
+			return a.rawEdge(p, end, p.t1)
+		}
+		if j < t.count() { // the row after the window
+			p.add(run{kind: runTo, b: t.at(j)})
+		}
+		return nil
+	}
+	return a.rawEdge(p, p.t0, p.t1)
+}
+
+// rawEdge plans the raw rows with lo <= Timestamp < hi, stepping in
+// from the row before lo and on to the first row from hi. The blocks
+// the edge covers are one run; a block lo or hi splits is read through
+// its cut there (cutAt), whose halves are runs. Rows are walked only in
+// the tail, in place, and in a block holding both lo and hi — its two
+// cuts could not be composed — through one cursor.
+func (a *Archive) rawEdge(p *plan, lo, hi int64) error {
+	blocks := p.snap.blocks
+	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].LastTS >= lo })
+	if i > 0 {
+		p.add(run{kind: runAt, b: &blocks[i-1].Bucket})
+	}
+	if i < len(blocks) && blocks[i].FirstTS < lo { // lo splits block i
+		if hi <= blocks[i].LastTS {
+			p.add(run{kind: runWalk, lo: lo, hi: hi})
+			return nil
+		}
+		cut, err := a.cutAt(blocks[i], lo)
+		if err != nil {
+			return err
+		}
+		p.add(run{kind: runAt, b: &cut.before})
+		p.add(run{kind: runTake, b: &cut.after})
+		i++
+	}
+	j := i + sort.Search(len(blocks)-i, func(x int) bool { return blocks[i+x].LastTS >= hi })
+	if i < j {
+		p.add(run{kind: runBlocks, lo: int64(i), hi: int64(j)})
+	}
+	switch {
+	case j == len(blocks): // the edge runs on into the tail
+		p.add(run{kind: runRows, lo: lo, hi: hi})
+	case blocks[j].FirstTS >= hi:
+		p.add(run{kind: runTo, b: &blocks[j].Bucket})
+	default: // hi splits block j
+		cut, err := a.cutAt(blocks[j], hi)
+		if err != nil {
+			return err
+		}
+		p.add(run{kind: runTake, b: &cut.before})
+		p.add(run{kind: runTo, b: &cut.after})
 	}
 	return nil
 }

@@ -147,11 +147,11 @@ func TestV2RoundTripTiers(t *testing.T) {
 		t.Fatal("raw rows changed over round trip")
 	}
 	for _, res := range []Resolution{100, 1000} {
-		ba, err := a.Buckets(res, -1<<60, 1<<60)
+		ba, err := tierBuckets(a, res, -1<<60, 1<<60)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := b.Buckets(res, -1<<60, 1<<60)
+		bb, err := tierBuckets(b, res, -1<<60, 1<<60)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -308,7 +308,7 @@ func FuzzReadArchive(f *testing.F) {
 			if _, _, ok := a.SpanAt(res); !ok {
 				continue
 			}
-			if _, err := a.Buckets(res, math.MinInt64/2, math.MaxInt64/2); err != nil {
+			if _, err := tierBuckets(a, res, math.MinInt64/2, math.MaxInt64/2); err != nil {
 				t.Fatalf("accepted archive: Buckets(%v) failed: %v", res, err)
 			}
 			a.FloorAt(res, 0)
@@ -334,8 +334,8 @@ func FuzzReadArchive(f *testing.F) {
 		// Rollup tiers must survive the round trip bucket-for-bucket.
 		for _, ts := range a.Stats().Tiers {
 			res := ts.Resolution
-			ba, errA := a.Buckets(res, math.MinInt64/2, math.MaxInt64/2)
-			bb, errB := b.Buckets(res, math.MinInt64/2, math.MaxInt64/2)
+			ba, errA := tierBuckets(a, res, math.MinInt64/2, math.MaxInt64/2)
+			bb, errB := tierBuckets(b, res, math.MinInt64/2, math.MaxInt64/2)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("round trip changed tier %v availability: %v vs %v", res, errA, errB)
 			}

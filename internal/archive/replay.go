@@ -3,6 +3,7 @@ package archive
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"papimc/internal/pcp"
 	"papimc/internal/simtime"
@@ -15,11 +16,12 @@ import (
 // a profile can be recomputed offline from a recording, and the
 // metricql WindowPlanner interface, so windowed queries over a replay
 // push down into the archive's rollup tiers instead of decoding raw
-// rows.
+// rows. A Replay is safe for concurrent use.
 type Replay struct {
 	arch  *Archive
 	clock *simtime.Clock
-	res   Resolution // pinned read resolution; ResRaw serves raw rows
+	res   Resolution           // pinned read resolution; ResRaw serves raw rows
+	last  atomic.Pointer[plan] // the last window's plan, taken out by one call at a time
 }
 
 // NewReplay builds a replay source reading time from clock, serving
@@ -86,22 +88,36 @@ func (r *Replay) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 // coarsest tier that satisfies the window (a replay pinned to a
 // resolution never reads finer than its pin). ok is
 // false when the function or window cannot be pushed down — the engine
-// then falls back to its sample-ring path.
+// then falls back to its sample-ring path. The PMIDs of a selector fold
+// over one plan while its snapshot is published.
 func (r *Replay) EvalWindow(fn string, pmid uint32, t0, t1 int64) (float64, bool, error) {
 	switch fn {
 	case "avg_over", "min_over", "max_over", "rate_over":
 	default:
 		return 0, false, nil
 	}
-	res := r.arch.SelectResolution(t0, t1)
-	if res < r.res {
-		res = r.res
+	c, ok := r.arch.col[pmid]
+	if !ok {
+		return 0, false, fmt.Errorf("%w: %d", ErrNoPMID, pmid)
 	}
-	agg, err := r.arch.WindowAt(res, pmid, t0, t1)
-	if err != nil {
-		if errors.Is(err, ErrEmpty) || errors.Is(err, ErrNoTier) {
-			return 0, false, nil
+	s := r.arch.snap.Load()
+	p := r.last.Swap(nil)
+	if p == nil {
+		p = new(plan)
+	}
+	defer r.last.Store(p)
+	if p.snap != s || p.t0 != t0 || p.t1 != t1 {
+		res := max(s.selectResolution(t0, t1), r.res)
+		if err := r.arch.planWindow(p, s, res, t0, t1); err != nil {
+			p.snap = nil
+			if errors.Is(err, ErrNoTier) {
+				return 0, false, nil
+			}
+			return 0, false, err
 		}
+	}
+	agg, err := p.fold(c)
+	if err != nil {
 		return 0, false, err
 	}
 	if agg.Count == 0 {

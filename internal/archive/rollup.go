@@ -31,25 +31,6 @@ import (
 // accuracy, and needs no such bound.
 const minBucketsPerWindow = 4
 
-// Buckets returns the tier's retained buckets whose sample span
-// [FirstTS, LastTS] intersects [t0, t1], oldest first. Buckets are
-// shared with the published snapshot and must be treated as read-only.
-func (a *Archive) Buckets(res Resolution, t0, t1 int64) ([]Bucket, error) {
-	s := a.snap.Load()
-	t := s.tier(int64(res))
-	if t == nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoTier, res)
-	}
-	n := t.count()
-	lo := sort.Search(n, func(i int) bool { return t.at(i).LastTS >= t0 })
-	hi := max(lo, sort.Search(n, func(i int) bool { return t.at(i).FirstTS > t1 }))
-	out := make([]Bucket, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, *t.at(i))
-	}
-	return out, nil
-}
-
 // FloorAt returns the newest sample at the given resolution with
 // timestamp <= t: the raw floor for ResRaw, or a row synthesized from
 // the newest rollup bucket whose last sample is <= t (timestamped at
@@ -111,38 +92,39 @@ func (a *Archive) WindowAt(res Resolution, pmid uint32, t0, t1 int64) (WindowAgg
 	if !ok {
 		return WindowAgg{}, fmt.Errorf("%w: %d", ErrNoPMID, pmid)
 	}
+	var p plan
+	if err := a.planWindow(&p, a.snap.Load(), res, t0, t1); err != nil {
+		return WindowAgg{}, err
+	}
+	return p.fold(c)
+}
+
+// planWindow plans the window [t0, t1) at res on snapshot s into p. At
+// a rollup tier it is the buckets whose range [Start, Start+res) meets
+// it, stepped into from the bucket before and on to the one after.
+func (a *Archive) planWindow(p *plan, s *snapshot, res Resolution, t0, t1 int64) error {
 	if t1 <= t0 {
-		return WindowAgg{}, fmt.Errorf("archive: bad window [%d, %d]", t0, t1)
+		return fmt.Errorf("archive: bad window [%d, %d]", t0, t1)
 	}
-	s := a.snap.Load()
-	f := fold{c: c, t0: t0, t1: t1}
+	p.snap, p.res, p.t0, p.t1, p.n = s, res, t0, t1, 0
 	if res == ResRaw {
-		if err := a.rawWindow(&f, s); err != nil {
-			return WindowAgg{}, err
-		}
-	} else {
-		t := s.tier(int64(res))
-		if t == nil {
-			return WindowAgg{}, fmt.Errorf("%w: %v", ErrNoTier, res)
-		}
-		// Buckets whose nominal range [Start, Start+res) intersects [t0, t1),
-		// stepped into from the bucket before and on to the one after.
-		i := sort.Search(t.count(), func(i int) bool { return t.at(i).Start+int64(res) > t0 })
-		if i > 0 {
-			f.at(t.at(i-1).LastTS, t.at(i - 1).Cols[c].Last)
-		}
-		for ; i < t.count() && t.at(i).Start < t1; i++ {
-			f.take(t.at(i))
-		}
-		if i < t.count() {
-			f.to(t.at(i).FirstTS, t.at(i).Cols[c].First)
-		}
+		return a.rawWindow(p)
 	}
-	out := WindowAgg{Resolution: res, Count: f.n, Seconds: float64(t1-t0) / 1e9}
-	if f.n > 0 {
-		out.Sum, out.Min, out.Max, out.Delta = f.agg.Sum, f.agg.Min, f.agg.Max, f.delta
+	t := s.tier(int64(res))
+	if t == nil {
+		return fmt.Errorf("%w: %v", ErrNoTier, res)
 	}
-	return out, nil
+	i := t.search(t0, t.res)
+	if i > 0 {
+		p.add(run{kind: runAt, b: t.at(i - 1)})
+	}
+	j := max(i, t.search(t1, 1))
+	p.tier = t
+	p.add(run{kind: runBuckets, lo: int64(i), hi: int64(j)})
+	if j < t.count() {
+		p.add(run{kind: runTo, b: t.at(j)})
+	}
+	return nil
 }
 
 // SelectResolution picks the coarsest tier whose buckets are fine
@@ -151,11 +133,14 @@ func (a *Archive) WindowAt(res Resolution, pmid uint32, t0, t1 int64) (WindowAgg
 // rollup qualifies. A tier also qualifies on coverage when the window
 // starts before *all* retained data (everything clamps the same way).
 func (a *Archive) SelectResolution(t0, t1 int64) Resolution {
+	return a.snap.Load().selectResolution(t0, t1)
+}
+
+func (s *snapshot) selectResolution(t0, t1 int64) Resolution {
 	window := t1 - t0
 	if window <= 0 {
 		return ResRaw
 	}
-	s := a.snap.Load()
 	oldestAny := int64(0)
 	haveAny := false
 	if first, _, ok := s.rawSpan(); ok {

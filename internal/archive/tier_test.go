@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
+	"time"
 )
 
 // refTier is a rollup tier as a per-row fold keeps it: the completed
@@ -133,8 +136,8 @@ func tiersDiff(a *Archive, ref []refTier) error {
 		if res == ResRaw {
 			continue
 		}
-		gb, _ := a.Buckets(res, head-int64(res)*3, head)
-		xb, _ := b.Buckets(res, head-int64(res)*3, head)
+		gb, _ := tierBuckets(a, res, head-int64(res)*3, head)
+		xb, _ := tierBuckets(b, res, head-int64(res)*3, head)
 		if !reflect.DeepEqual(gb, xb) {
 			return fmt.Errorf("Buckets(%v) at the head = %+v; per-row fold %+v", res, gb, xb)
 		}
@@ -179,4 +182,66 @@ func TestAppendAllocsPerBlock(t *testing.T) {
 		t.Errorf("AppendSample allocates %.2f times a row, want at most %v", perRow, ceiling)
 	}
 	t.Logf("%.2f allocations a row", perRow)
+}
+
+// TestEvictedBucketIsReleased: a bucket the MaxBuckets cap evicts must
+// become garbage, Cols and all, within a bounded number of further
+// completed buckets, not stay reachable through the tier's shared array
+// until append next reallocates it — which, for a cap of 8, is up to 8
+// completions later.
+func TestEvictedBucketIsReleased(t *testing.T) {
+	const res, maxBuckets, further = 10, 8, 2
+	a, _ := New(schema(1), Options{Rollups: []int64{res}, MaxBuckets: maxBuckets})
+	ts := int64(0)
+	complete := func() { // one row a bucket: each append completes the one before
+		if err := a.Append(row(ts, uint64(ts))); err != nil {
+			t.Fatal(err)
+		}
+		ts += res
+	}
+	for len(a.snap.Load().tiers[0].done) < maxBuckets {
+		complete()
+	}
+	released := make(chan struct{})
+	first := func() int64 { // keeps no pointer to the bucket on this stack
+		b := &a.snap.Load().tiers[0].done[0]
+		runtime.SetFinalizer(&b.Cols[0], func(*ColAgg) { close(released) })
+		return b.Start
+	}()
+	for a.snap.Load().tiers[0].done[0].Start == first {
+		complete()
+	}
+	defer runtime.KeepAlive(a) // only the bucket may become garbage, not the archive
+	for n := 0; ; n++ {
+		for k := 0; k < 10; k++ {
+			runtime.GC()
+			select {
+			case <-released:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if n == further {
+			t.Fatalf("the bucket evicted at %d is still reachable %d completed buckets later", first, n)
+		}
+		complete()
+	}
+}
+
+// tierBuckets returns the tier's retained buckets whose sample span
+// [FirstTS, LastTS] intersects [t0, t1], oldest first, shared with the
+// published snapshot.
+func tierBuckets(a *Archive, res Resolution, t0, t1 int64) ([]Bucket, error) {
+	t := a.snap.Load().tier(int64(res))
+	if t == nil {
+		return nil, fmt.Errorf("%w: %v", ErrNoTier, res)
+	}
+	n := t.count()
+	lo := sort.Search(n, func(i int) bool { return t.at(i).LastTS >= t0 })
+	hi := max(lo, sort.Search(n, func(i int) bool { return t.at(i).FirstTS > t1 }))
+	out := make([]Bucket, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, *t.at(i))
+	}
+	return out, nil
 }
