@@ -39,7 +39,7 @@
 // Example open-loop sweep and workload run:
 //
 //	pcploadgen -target daemon -mode open -rate 20000 -sweep 1,4,16
-//	pcploadgen -spec examples/workload-specs/diurnal.yaml -mult 0.5
+//	pcploadgen -spec examples/workload-specs/diurnal.json -mult 0.5
 package main
 
 import (
@@ -63,7 +63,7 @@ func main() {
 	duration := flag.Duration("duration", 0, "wall deadline when -ops is 0 (0 = 1s); with -spec -live, cuts the spec's horizon short")
 	rate := flag.Float64("rate", 50_000, "open-loop total arrival rate, fetched sets/second")
 	numPMIDs := flag.Int("pmids", 8, "number of metrics each request fetches (the most a -spec request's size can ask for)")
-	pipeline := flag.Int("pipeline", 0, "share N pipelined connections across all workers (0 = one lockstep-style connection per worker)")
+	pipeline := flag.Int("pipeline", 0, "share N pipelined connections across all workers (0 = one connection per worker)")
 	batch := flag.Int("batch", 1, "PMID sets per request: >1 bundles them into one FetchBatch round trip")
 	specPath := flag.String("spec", "", "workload spec file: run the workload model instead of a sweep")
 	mult := flag.Float64("mult", 0, "workload rate multiplier (0 = spec's own, or the replayed trace's)")
@@ -146,12 +146,9 @@ func main() {
 			fmt.Println()
 			continue
 		}
-		factory := loadgen.DialFactory(tr.addr)
+		factory := loadgen.DialFactory(tr.addr, uint32(*tenant))
 		if *pipeline > 0 {
 			factory = loadgen.PipelinedFactory(tr.addr, *pipeline)
-		}
-		if *tenant != 0 {
-			factory = loadgen.DialTenantFactory(tr.addr, uint32(*tenant))
 		}
 		results, err := loadgen.Sweep(factory, sweep, newOpts())
 		if err != nil {
@@ -213,7 +210,7 @@ func parseTenants(spec, addr string, newOpts func() loadgen.Options, workers int
 		loads = append(loads, loadgen.TenantLoad{
 			Name:    name,
 			Tenant:  uint32(id),
-			Factory: loadgen.DialTenantFactory(addr, uint32(id)),
+			Factory: loadgen.DialFactory(addr, uint32(id)),
 			Opts:    opts,
 		})
 	}

@@ -10,12 +10,14 @@
 //
 // Usage:
 //
-//	pmcap -spec FILE [-mults 0.25,0.5,1,2,4] [-j N] [-seed N]
-//	      [-duration D] [-knee-ratio 0.99] [-cliff 10] [-json]
+//	pmcap -spec FILE [-mults 0.25,0.5,1,2,4] [-j N] [-json]
+//
+// The knee is the first point whose throughput-to-arrival ratio falls
+// below 0.99 or whose p99 exceeds 10× the lowest point's.
 //
 // Example:
 //
-//	pmcap -spec examples/workload-specs/diurnal.yaml -mults 0.5,1,2
+//	pmcap -spec examples/workload-specs/diurnal.json -mults 0.5,1,2
 package main
 
 import (
@@ -26,18 +28,13 @@ import (
 	"strconv"
 	"strings"
 
-	"papimc/internal/simtime"
 	"papimc/internal/workload"
 )
 
 func main() {
-	specPath := flag.String("spec", "", "workload spec file (YAML or JSON), required")
+	specPath := flag.String("spec", "", "workload spec file (JSON), required")
 	multsFlag := flag.String("mults", "", "comma-separated rate multipliers to sweep (default 0.25,0.5,1,2,4)")
 	workers := flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS; output is identical at any value)")
-	seed := flag.Uint64("seed", 0, "override the spec's seed")
-	duration := flag.Duration("duration", 0, "override the spec's virtual horizon")
-	kneeRatio := flag.Float64("knee-ratio", 0, "saturation threshold on throughput-to-arrival ratio (default 0.99)")
-	cliff := flag.Float64("cliff", 0, "p99 cliff factor over the baseline point (default 10)")
 	asJSON := flag.Bool("json", false, "emit the report as JSON instead of a table")
 	flag.Parse()
 
@@ -50,22 +47,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if flagSet("seed") {
-		spec.Seed = *seed
-	}
-	if *duration > 0 {
-		spec.Duration = simtime.Duration(duration.Nanoseconds())
-	}
 	mults, err := parseMults(*multsFlag)
 	if err != nil {
 		fail(err)
 	}
-	rep, err := workload.Capacity(spec, workload.CapacityOptions{
-		Mults:       mults,
-		Workers:     *workers,
-		KneeRatio:   *kneeRatio,
-		CliffFactor: *cliff,
-	})
+	rep, err := workload.Capacity(spec, workload.CapacityOptions{Mults: mults, Workers: *workers})
 	if err != nil {
 		fail(err)
 	}
@@ -93,16 +79,6 @@ func parseMults(s string) ([]float64, error) {
 		out = append(out, f)
 	}
 	return out, nil
-}
-
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func fail(err error) {

@@ -10,7 +10,7 @@
 //     what the tier sustains at that concurrency; latency excludes
 //     queueing the generator itself created.
 //   - Open loop (Options.Schedule): one dispatcher pulls arrivals from a
-//     schedule function, sleeps until each is due and hands it to a free
+//     schedule function, waits until each is due and hands it to a free
 //     worker. Latency is measured from the scheduled arrival, not from
 //     the moment a worker picked the request up, so a tier that can't
 //     keep up shows its queueing delay in the percentiles and in the
@@ -26,8 +26,10 @@ package loadgen
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"papimc/internal/pcp"
@@ -82,22 +84,11 @@ func (f FetchFunc) Fetch(pmids []uint32) (pcp.FetchResult, error) { return f(pmi
 type Factory func() (Fetcher, func() error, error)
 
 // DialFactory dials a PCP-protocol address (daemon or proxy) once per
-// worker.
-func DialFactory(addr string) Factory {
-	return func() (Fetcher, func() error, error) {
-		c, err := pcp.Dial(addr)
-		if err != nil {
-			return nil, nil, err
-		}
-		return c, c.Close, nil
-	}
-}
-
-// DialTenantFactory is DialFactory with each worker connection
-// identifying itself as the given tenant (carried in-band on Version3
-// wires; silently absent against older peers). It is how a multi-tenant
-// load run addresses a QoS-enabled pmproxy.
-func DialTenantFactory(addr string, tenant uint32) Factory {
+// worker, each connection identifying itself as the given tenant
+// (carried in-band on the tagged wire; 0 is the default tenant). A
+// tenant other than 0 is how a multi-tenant load run addresses a
+// QoS-enabled pmproxy.
+func DialFactory(addr string, tenant uint32) Factory {
 	return func() (Fetcher, func() error, error) {
 		c, err := pcp.DialTenant(addr, tenant)
 		if err != nil {
@@ -118,9 +109,10 @@ func SharedFactory(f Fetcher) Factory {
 // PipelinedFactory shares conns pipelined connections across all
 // workers, round-robin, so many workers keep requests in flight on few
 // sockets — the pipelined wire path's intended shape (DialFactory's
-// socket-per-worker measures lockstep fan-out instead). Connections are
-// dialed on demand and refcounted: the last worker's cleanup closes
-// them, so the same Factory value is reusable across Sweep levels.
+// socket-per-worker negotiates the same tagged wire but keeps one
+// request in flight per connection). Connections are dialed on demand
+// and refcounted: the last worker's cleanup closes them, so the same
+// Factory value is reusable across Sweep levels.
 func PipelinedFactory(addr string, conns int) Factory {
 	if conns <= 0 {
 		conns = 1
@@ -388,22 +380,51 @@ func fetchOp(fet Fetcher, o Options) (func(width int) error, error) {
 	}, nil
 }
 
+// spinMargin is how far ahead of an arrival a pacer stops sleeping and
+// busy-waits instead. time.Sleep wakes up to ≈ 1 ms late (the network
+// poller's timeout is in whole milliseconds), and workers time from the
+// scheduled offset, so a pacer that slept to the due time would report
+// its own oversleep as latency.
+const spinMargin = 2 * time.Millisecond
+
+// pacers counts the open-loop runs in flight in the process, because
+// the processors they compete for are the process's. Pacers busy-wait
+// only while all of them can and still leave a processor for the
+// workers and the network poller; otherwise each sleeps to the due
+// time. Yielding inside the wait (runtime.Gosched) is no way out: it
+// keeps a goroutine in the global run queue, so no idle processor ever
+// blocks in the poller, and loopback round trips read ≈ 1 ms.
+var pacers atomic.Int32
+
 // dispatch is the open-loop pacer, the only one: it pulls the plan's
-// arrivals in order, sleeps until each is due and hands it to whichever
+// arrivals in order, waits until each is due and hands it to whichever
 // worker is free, blocking while none is — falling behind is then
 // visible in every later latency, because workers measure from the
 // scheduled offset. It returns the number of arrivals offered.
 func dispatch(o Options, start time.Time, window time.Duration, out chan<- arrival) (n int64) {
 	defer close(out)
+	procs := int32(runtime.GOMAXPROCS(0))
+	pacers.Add(1)
+	defer pacers.Add(-1)
 	for i := 0; o.Ops <= 0 || i < o.Workers*o.Ops; i++ {
 		at, width, ok := o.Schedule(i)
 		if !ok || (o.Ops <= 0 && at >= window) {
 			break
 		}
-		if d := time.Until(start.Add(at)); d > 0 {
+		due, spin := start.Add(at), pacers.Load() < procs
+		if d := time.Until(due); !spin && d > 0 {
 			time.Sleep(d)
+		} else if d > spinMargin {
+			time.Sleep(d - spinMargin)
+		}
+		for spin && time.Now().Before(due) {
 		}
 		out <- arrival{at, width}
+		if spin {
+			// Run the worker now, on this processor; the pacer resumes on
+			// the spare one.
+			runtime.Gosched()
+		}
 		n++
 	}
 	return n

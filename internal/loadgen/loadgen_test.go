@@ -3,6 +3,7 @@ package loadgen
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func testDaemon(t *testing.T) (*pcp.Daemon, string) {
 // TCP — the smoke path CI exercises via cmd/pcploadgen.
 func TestLiveClosedLoop(t *testing.T) {
 	_, addr := testDaemon(t)
-	r, err := Run(DialFactory(addr), Options{
+	r, err := Run(DialFactory(addr, 0), Options{
 		Workers: 4,
 		Ops:     50,
 		PMIDs:   []uint32{1, 2},
@@ -135,9 +136,38 @@ func TestOpenLoopQueueing(t *testing.T) {
 	}
 }
 
+// TestOpenLoopPacerOnTime: against a target that costs nothing, an
+// open-loop latency is the pacer's lateness plus one hand-off. A pacer
+// that sleeps to each due time reads its timer's oversleep (≈ 0.5 ms)
+// here; one that keeps time reads microseconds. Keeping time takes a
+// processor to wait on, so the check needs two.
+func TestOpenLoopPacerOnTime(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the pacer busy-waits only with a processor to spare")
+	}
+	sched, err := FixedRate(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noop := SharedFactory(FetchFunc(func([]uint32) (pcp.FetchResult, error) {
+		return pcp.FetchResult{}, nil
+	}))
+	r, err := Run(noop, Options{Schedule: sched, Ops: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Arrivals != 400 || r.Ops != 400 {
+		t.Fatalf("%d arrivals, %d served, want 400 of each", r.Arrivals, r.Ops)
+	}
+	t.Logf("no-op target at 2000/s: p50 %v, p99 %v", r.P50, r.P99)
+	if r.P50 >= 100*time.Microsecond {
+		t.Errorf("no-op target at 2000/s: p50 %v, p99 %v; want p50 under 100µs", r.P50, r.P99)
+	}
+}
+
 func TestReportShape(t *testing.T) {
 	_, addr := testDaemon(t)
-	rs, err := Sweep(DialFactory(addr), []int{1, 2}, Options{Ops: 50})
+	rs, err := Sweep(DialFactory(addr, 0), []int{1, 2}, Options{Ops: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

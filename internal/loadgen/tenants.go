@@ -8,8 +8,8 @@ import (
 
 // TenantLoad is one tenant's stream in a multi-tenant run: its own
 // generation options driven through its own factory (typically
-// DialTenantFactory, so the tenant identity travels in-band to a
-// QoS-enabled proxy).
+// DialFactory with the tenant's ID, so the identity travels in-band to
+// a QoS-enabled proxy).
 type TenantLoad struct {
 	// Name labels the stream in the report ("gold", "silver"); empty
 	// means "tenant-<id>".

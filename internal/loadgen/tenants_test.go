@@ -29,8 +29,8 @@ func TestRunTenantsShedAccounting(t *testing.T) {
 
 	opts := Options{Ops: 50, PMIDs: []uint32{1, 2}}
 	results, err := RunTenants([]TenantLoad{
-		{Name: "gold", Tenant: 1, Factory: DialTenantFactory(paddr, 1), Opts: opts},
-		{Tenant: 2, Factory: DialTenantFactory(paddr, 2), Opts: opts},
+		{Name: "gold", Tenant: 1, Factory: DialFactory(paddr, 1), Opts: opts},
+		{Tenant: 2, Factory: DialFactory(paddr, 2), Opts: opts},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,10 @@
 package simtime
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync/atomic"
+	"time"
 )
 
 // Time is a point in simulated time, in nanoseconds since the start of the
@@ -49,6 +51,25 @@ func (d Duration) String() string {
 	default:
 		return fmt.Sprintf("%dns", int64(d))
 	}
+}
+
+// UnmarshalJSON reads a duration from a time.ParseDuration string
+// ("400us", "2m"). A bare number is rejected, because its unit would be
+// a guess. Null leaves the duration unchanged.
+func (d *Duration) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var s string
+	if err := json.Unmarshal(data, &s); err != nil {
+		return fmt.Errorf("duration %s is not a quoted string such as \"400us\"", data)
+	}
+	v, err := time.ParseDuration(s)
+	if err != nil {
+		return fmt.Errorf("duration %q: %w", s, err)
+	}
+	*d = Duration(v.Nanoseconds())
+	return nil
 }
 
 // String renders the time as a duration since simulation start.

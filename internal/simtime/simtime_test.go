@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -86,5 +87,28 @@ func TestClockConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Now() != 8000 {
 		t.Errorf("concurrent advances lost updates: %d, want 8000", c.Now())
+	}
+}
+
+// TestDurationUnmarshalJSON: a duration is a time.ParseDuration string;
+// a bare number, whose unit would be a guess, is rejected, and null
+// leaves the value alone.
+func TestDurationUnmarshalJSON(t *testing.T) {
+	for src, want := range map[string]Duration{
+		`"400us"`: 400 * Microsecond,
+		`"2m"`:    120 * Second,
+		`"1h30m"`: 5400 * Second,
+		`null`:    7,
+	} {
+		d := Duration(7)
+		if err := json.Unmarshal([]byte(src), &d); err != nil || d != want {
+			t.Errorf("%s: got %v, %v; want %v", src, d, err, want)
+		}
+	}
+	for _, src := range []string{`90`, `"90"`, `"soon"`, `true`, `{}`} {
+		var d Duration
+		if err := json.Unmarshal([]byte(src), &d); err == nil {
+			t.Errorf("%s: accepted as %v", src, d)
+		}
 	}
 }

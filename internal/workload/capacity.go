@@ -15,18 +15,22 @@ import (
 	"papimc/internal/sweep"
 )
 
+// The knee thresholds.
+const (
+	// kneeRatio is the throughput-to-arrival ratio below which a point
+	// saturates.
+	kneeRatio = 0.99
+	// cliffFactor flags a p99 more than this many times the lowest
+	// point's p99.
+	cliffFactor = 10
+)
+
 // CapacityOptions tune a capacity sweep.
 type CapacityOptions struct {
 	// Mults are the rate multipliers to sweep; default {0.25, 0.5, 1, 2, 4}.
 	Mults []float64
 	// Workers parallelizes the sweep points (sweep.Workers semantics).
 	Workers int
-	// KneeRatio is the throughput-to-arrival ratio below which a point
-	// saturates; default 0.99.
-	KneeRatio float64
-	// CliffFactor flags a p99 more than this many times the lowest
-	// point's p99; default 10.
-	CliffFactor float64
 }
 
 // CapacityPoint is one operating point of the curve.
@@ -63,12 +67,6 @@ func Capacity(spec *Spec, o CapacityOptions) (*CapacityReport, error) {
 	}
 	if len(o.Mults) == 0 {
 		o.Mults = []float64{0.25, 0.5, 1, 2, 4}
-	}
-	if o.KneeRatio == 0 {
-		o.KneeRatio = 0.99
-	}
-	if o.CliffFactor == 0 {
-		o.CliffFactor = 10
 	}
 	for i, m := range o.Mults {
 		if m <= 0 {
@@ -110,10 +108,10 @@ func Capacity(spec *Spec, o CapacityOptions) (*CapacityReport, error) {
 	baseP99 := points[0].P99
 	for i, p := range points {
 		switch {
-		case p.Ratio < o.KneeRatio:
+		case p.Ratio < kneeRatio:
 			cr.Knee = i
-			cr.KneeReason = fmt.Sprintf("throughput-to-arrival ratio %.3f < %.3f", p.Ratio, o.KneeRatio)
-		case baseP99 > 0 && float64(p.P99) > o.CliffFactor*float64(baseP99):
+			cr.KneeReason = fmt.Sprintf("throughput-to-arrival ratio %.3f < %.3f", p.Ratio, kneeRatio)
+		case baseP99 > 0 && float64(p.P99) > cliffFactor*float64(baseP99):
 			cr.Knee = i
 			cr.KneeReason = fmt.Sprintf("p99 %s is %.1fx the %s baseline",
 				fmtNs(p.P99), float64(p.P99)/float64(baseP99), fmtNs(baseP99))

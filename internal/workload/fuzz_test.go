@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -80,6 +82,40 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		if !reflect.DeepEqual(tr.Rows, again.Rows) || !reflect.DeepEqual(tr.Cohorts, again.Cohorts) {
 			t.Fatal("round trip changed the trace")
+		}
+	})
+}
+
+// FuzzParseSpec hammers the spec decoder, seeded with the committed
+// specs and every TestParseSpecErrors case. Three properties: ParseSpec
+// never panics; every rejection wraps ErrSpec; and an accepted spec is
+// already normalized — validating it again changes nothing.
+func FuzzParseSpec(f *testing.F) {
+	paths, _ := filepath.Glob(filepath.Join("..", "..", "examples", "workload-specs", "*.json"))
+	for _, p := range append(paths, filepath.Join("testdata", "diurnal.json")) {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, src := range parseSpecErrorCases {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			if !errors.Is(err, ErrSpec) {
+				t.Fatalf("parse error %v does not wrap ErrSpec", err)
+			}
+			return
+		}
+		before := s.String()
+		if err := s.Validate(); err != nil {
+			t.Fatalf("accepted spec fails a second Validate: %v", err)
+		}
+		if after := s.String(); after != before {
+			t.Fatalf("second Validate changed the spec:\n%s--- became ---\n%s", before, after)
 		}
 	})
 }

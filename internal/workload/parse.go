@@ -1,23 +1,18 @@
-// Spec parsing: a GuideLLM-style declarative file, accepted as JSON or
-// as a small YAML subset (block maps and lists by two-space indentation,
-// inline {k: v, ...} flow maps, scalars, # comments) — enough for
-// workload specs without pulling in a YAML dependency. Both syntaxes
-// decode through the same raw tree walker, which rejects unknown keys so
-// a typo in a spec fails loudly instead of silently meaning "default".
+// Spec parsing: a GuideLLM-style declarative file in JSON, decoded by
+// encoding/json into the tagged Spec types. Unknown keys are rejected so
+// a typo in a spec fails loudly instead of silently meaning "default";
+// durations are time.ParseDuration strings ("400us", "2m").
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
-	"time"
-
-	"papimc/internal/simtime"
 )
 
-// LoadSpec reads and parses a spec file (JSON or YAML by content).
+// LoadSpec reads and parses a JSON spec file.
 func LoadSpec(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -30,566 +25,20 @@ func LoadSpec(path string) (*Spec, error) {
 	return s, nil
 }
 
-// ParseSpec parses a workload spec from JSON (first non-space byte '{')
-// or the YAML subset, validates it, and applies defaults.
+// ParseSpec decodes one JSON spec object, validates it, and applies
+// defaults. Every failure wraps ErrSpec.
 func ParseSpec(data []byte) (*Spec, error) {
-	var raw any
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		if err := json.Unmarshal(data, &raw); err != nil {
-			return nil, specErr("json: %v", err)
-		}
-	} else {
-		var err error
-		raw, err = parseYAML(string(data))
-		if err != nil {
-			return nil, err
-		}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	s := &Spec{}
+	if err := dec.Decode(s); err != nil {
+		return nil, specErr("json: %v", err)
 	}
-	s, err := decodeSpec(raw)
-	if err != nil {
-		return nil, err
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, specErr("json: trailing data after the spec object")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// --- YAML subset -------------------------------------------------------
-
-type yamlLine struct {
-	indent int
-	text   string // content with indentation stripped
-	num    int    // 1-based source line
-}
-
-func parseYAML(src string) (any, error) {
-	var lines []yamlLine
-	for i, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		body := strings.TrimLeft(line, " ")
-		if strings.TrimSpace(body) == "" {
-			continue
-		}
-		if strings.ContainsRune(line[:len(line)-len(body)], '\t') {
-			return nil, specErr("yaml line %d: tabs are not allowed in indentation", i+1)
-		}
-		lines = append(lines, yamlLine{indent: len(line) - len(body), text: strings.TrimRight(body, " \r"), num: i + 1})
-	}
-	if len(lines) == 0 {
-		return nil, specErr("empty spec")
-	}
-	node, rest, err := parseBlock(lines, lines[0].indent)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) > 0 {
-		return nil, specErr("yaml line %d: unexpected dedent", rest[0].num)
-	}
-	return node, nil
-}
-
-// stripComment removes a trailing "#" comment. The spec grammar has no
-// quoted strings containing '#', so a '#' preceded by start-of-line or a
-// space always starts a comment.
-func stripComment(line string) string {
-	for i := 0; i < len(line); i++ {
-		if line[i] == '#' && (i == 0 || line[i-1] == ' ') {
-			return line[:i]
-		}
-	}
-	return line
-}
-
-// parseBlock parses the run of lines at exactly indent, returning the
-// node and the unconsumed lines (all at a smaller indent).
-func parseBlock(lines []yamlLine, indent int) (any, []yamlLine, error) {
-	if len(lines) == 0 || lines[0].indent < indent {
-		return nil, lines, nil
-	}
-	if strings.HasPrefix(lines[0].text, "- ") || lines[0].text == "-" {
-		return parseList(lines, indent)
-	}
-	return parseMap(lines, indent)
-}
-
-func parseMap(lines []yamlLine, indent int) (any, []yamlLine, error) {
-	m := map[string]any{}
-	for len(lines) > 0 {
-		ln := lines[0]
-		if ln.indent < indent {
-			break
-		}
-		if ln.indent > indent {
-			return nil, nil, specErr("yaml line %d: unexpected indent", ln.num)
-		}
-		key, rest, ok := strings.Cut(ln.text, ":")
-		if !ok {
-			return nil, nil, specErr("yaml line %d: expected 'key: value'", ln.num)
-		}
-		key = strings.TrimSpace(key)
-		rest = strings.TrimSpace(rest)
-		if _, dup := m[key]; dup {
-			return nil, nil, specErr("yaml line %d: duplicate key %q", ln.num, key)
-		}
-		lines = lines[1:]
-		if rest != "" {
-			v, err := parseFlow(rest, ln.num)
-			if err != nil {
-				return nil, nil, err
-			}
-			m[key] = v
-			continue
-		}
-		// Block value: the following deeper-indented lines.
-		if len(lines) == 0 || lines[0].indent <= indent {
-			m[key] = "" // empty value
-			continue
-		}
-		v, remaining, err := parseBlock(lines, lines[0].indent)
-		if err != nil {
-			return nil, nil, err
-		}
-		m[key] = v
-		lines = remaining
-	}
-	return m, lines, nil
-}
-
-func parseList(lines []yamlLine, indent int) (any, []yamlLine, error) {
-	var out []any
-	for len(lines) > 0 {
-		ln := lines[0]
-		if ln.indent < indent {
-			break
-		}
-		if ln.indent > indent || !(strings.HasPrefix(ln.text, "- ") || ln.text == "-") {
-			return nil, nil, specErr("yaml line %d: expected '- ' list item", ln.num)
-		}
-		item := strings.TrimSpace(strings.TrimPrefix(ln.text, "-"))
-		lines = lines[1:]
-		if item == "" {
-			// Item is a nested block on the following lines.
-			if len(lines) == 0 || lines[0].indent <= indent {
-				out = append(out, "")
-				continue
-			}
-			v, remaining, err := parseBlock(lines, lines[0].indent)
-			if err != nil {
-				return nil, nil, err
-			}
-			out = append(out, v)
-			lines = remaining
-			continue
-		}
-		if strings.Contains(item, ":") && !strings.HasPrefix(item, "{") && !strings.HasPrefix(item, "[") {
-			// "- key: value" starts an inline map whose remaining keys sit
-			// on the following lines, indented past the dash.
-			sub := []yamlLine{{indent: indent + 2, text: item, num: ln.num}}
-			for len(lines) > 0 && lines[0].indent >= indent+2 {
-				sub = append(sub, lines[0])
-				lines = lines[1:]
-			}
-			// Normalize the sub-block to a common indent.
-			base := sub[0].indent
-			for i := 1; i < len(sub); i++ {
-				if sub[i].indent < base {
-					base = sub[i].indent
-				}
-			}
-			for i := range sub {
-				if sub[i].indent > base && strings.Contains(sub[i].text, ":") {
-					// Deeper lines belong to nested keys; keep their indent.
-					continue
-				}
-				sub[i].indent = base
-			}
-			v, remaining, err := parseMap(sub, base)
-			if err != nil {
-				return nil, nil, err
-			}
-			if len(remaining) > 0 {
-				return nil, nil, specErr("yaml line %d: unexpected layout in list item", remaining[0].num)
-			}
-			out = append(out, v)
-			continue
-		}
-		v, err := parseFlow(item, ln.num)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, v)
-	}
-	return out, lines, nil
-}
-
-// parseFlow parses an inline value: {k: v, ...}, [a, b], or a scalar.
-func parseFlow(s string, lineNum int) (any, error) {
-	s = strings.TrimSpace(s)
-	switch {
-	case strings.HasPrefix(s, "{"):
-		if !strings.HasSuffix(s, "}") {
-			return nil, specErr("yaml line %d: unterminated flow map", lineNum)
-		}
-		m := map[string]any{}
-		for _, part := range splitFlow(s[1 : len(s)-1]) {
-			if strings.TrimSpace(part) == "" {
-				continue
-			}
-			k, v, ok := strings.Cut(part, ":")
-			if !ok {
-				return nil, specErr("yaml line %d: bad flow map entry %q", lineNum, part)
-			}
-			sub, err := parseFlow(strings.TrimSpace(v), lineNum)
-			if err != nil {
-				return nil, err
-			}
-			m[strings.TrimSpace(k)] = sub
-		}
-		return m, nil
-	case strings.HasPrefix(s, "["):
-		if !strings.HasSuffix(s, "]") {
-			return nil, specErr("yaml line %d: unterminated flow list", lineNum)
-		}
-		var out []any
-		for _, part := range splitFlow(s[1 : len(s)-1]) {
-			if strings.TrimSpace(part) == "" {
-				continue
-			}
-			sub, err := parseFlow(strings.TrimSpace(part), lineNum)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sub)
-		}
-		return out, nil
-	default:
-		return strings.Trim(s, `"'`), nil
-	}
-}
-
-// splitFlow splits on top-level commas, respecting nested {} and [].
-func splitFlow(s string) []string {
-	var parts []string
-	depth, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '{', '[':
-			depth++
-		case '}', ']':
-			depth--
-		case ',':
-			if depth == 0 {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(parts, s[start:])
-}
-
-// --- raw-tree decoding -------------------------------------------------
-
-func decodeSpec(raw any) (*Spec, error) {
-	m, err := asMap(raw, "spec")
-	if err != nil {
-		return nil, err
-	}
-	s := &Spec{}
-	for key, v := range m {
-		switch key {
-		case "name":
-			s.Name, err = asString(v, key)
-		case "format":
-			// Accepted for GuideLLM-style compatibility, ignored.
-			_, err = asString(v, key)
-		case "seed":
-			s.Seed, err = asUint64(v, key)
-		case "duration":
-			s.Duration, err = asDuration(v, key)
-		case "server":
-			s.Server, err = decodeServer(v)
-		case "cohorts":
-			s.Cohorts, err = decodeCohorts(v)
-		default:
-			return nil, specErr("unknown key %q", key)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-func decodeServer(raw any) (ServerSpec, error) {
-	var sv ServerSpec
-	m, err := asMap(raw, "server")
-	if err != nil {
-		return sv, err
-	}
-	for key, v := range m {
-		switch key {
-		case "servers":
-			sv.Servers, err = asInt(v, "server.servers")
-		case "base":
-			sv.Base, err = asDuration(v, "server.base")
-		case "jitter":
-			sv.Jitter, err = asFloat(v, "server.jitter")
-		case "sizeref":
-			sv.SizeRef, err = asFloat(v, "server.sizeref")
-		default:
-			return sv, specErr("unknown key server.%q", key)
-		}
-		if err != nil {
-			return sv, err
-		}
-	}
-	return sv, nil
-}
-
-func decodeCohorts(raw any) ([]CohortSpec, error) {
-	list, ok := raw.([]any)
-	if !ok {
-		return nil, specErr("cohorts must be a list")
-	}
-	out := make([]CohortSpec, 0, len(list))
-	for i, item := range list {
-		c, err := decodeCohort(item, i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-func decodeCohort(raw any, idx int) (CohortSpec, error) {
-	var c CohortSpec
-	m, err := asMap(raw, fmt.Sprintf("cohorts[%d]", idx))
-	if err != nil {
-		return c, err
-	}
-	ctx := func(f string) string { return fmt.Sprintf("cohorts[%d].%s", idx, f) }
-	for key, v := range m {
-		switch key {
-		case "name":
-			c.Name, err = asString(v, ctx(key))
-		case "clients":
-			c.Clients, err = asInt(v, ctx(key))
-		case "rate":
-			c.Rate, err = asFloat(v, ctx(key))
-		case "mix":
-			c.Mix, err = decodeMix(v, ctx(key))
-		case "size":
-			c.Size, err = decodeSize(v, ctx(key))
-		case "diurnal":
-			c.Diurnal, err = decodeDiurnal(v, ctx(key))
-		case "windows":
-			c.Windows, err = decodeWindows(v, ctx(key))
-		default:
-			return c, specErr("unknown key %s", ctx(key))
-		}
-		if err != nil {
-			return c, err
-		}
-	}
-	return c, nil
-}
-
-func decodeMix(raw any, ctx string) (Mix, error) {
-	var mix Mix
-	m, err := asMap(raw, ctx)
-	if err != nil {
-		return mix, err
-	}
-	for key, v := range m {
-		var f float64
-		if f, err = asFloat(v, ctx+"."+key); err != nil {
-			return mix, err
-		}
-		switch key {
-		case "live":
-			mix.Live = f
-		case "proxied":
-			mix.Proxied = f
-		case "archive":
-			mix.Archive = f
-		case "derived":
-			mix.Derived = f
-		default:
-			return mix, specErr("unknown key %s.%s", ctx, key)
-		}
-	}
-	return mix, nil
-}
-
-func decodeSize(raw any, ctx string) (SizeSpec, error) {
-	var sz SizeSpec
-	m, err := asMap(raw, ctx)
-	if err != nil {
-		return sz, err
-	}
-	for key, v := range m {
-		switch key {
-		case "min":
-			sz.Min, err = asInt(v, ctx+".min")
-		case "alpha":
-			sz.Alpha, err = asFloat(v, ctx+".alpha")
-		case "max":
-			sz.Max, err = asInt(v, ctx+".max")
-		default:
-			return sz, specErr("unknown key %s.%s", ctx, key)
-		}
-		if err != nil {
-			return sz, err
-		}
-	}
-	return sz, nil
-}
-
-func decodeDiurnal(raw any, ctx string) ([]Harmonic, error) {
-	list, ok := raw.([]any)
-	if !ok {
-		return nil, specErr("%s must be a list", ctx)
-	}
-	out := make([]Harmonic, 0, len(list))
-	for i, item := range list {
-		m, err := asMap(item, fmt.Sprintf("%s[%d]", ctx, i))
-		if err != nil {
-			return nil, err
-		}
-		var h Harmonic
-		for key, v := range m {
-			switch key {
-			case "period":
-				h.Period, err = asDuration(v, fmt.Sprintf("%s[%d].period", ctx, i))
-			case "amplitude":
-				h.Amplitude, err = asFloat(v, fmt.Sprintf("%s[%d].amplitude", ctx, i))
-			case "phase":
-				h.Phase, err = asFloat(v, fmt.Sprintf("%s[%d].phase", ctx, i))
-			default:
-				return nil, specErr("unknown key %s[%d].%s", ctx, i, key)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, h)
-	}
-	return out, nil
-}
-
-func decodeWindows(raw any, ctx string) ([]Window, error) {
-	list, ok := raw.([]any)
-	if !ok {
-		return nil, specErr("%s must be a list", ctx)
-	}
-	out := make([]Window, 0, len(list))
-	for i, item := range list {
-		m, err := asMap(item, fmt.Sprintf("%s[%d]", ctx, i))
-		if err != nil {
-			return nil, err
-		}
-		var w Window
-		for key, v := range m {
-			switch key {
-			case "start":
-				w.Start, err = asDuration(v, fmt.Sprintf("%s[%d].start", ctx, i))
-			case "mult":
-				w.Mult, err = asFloat(v, fmt.Sprintf("%s[%d].mult", ctx, i))
-			default:
-				return nil, specErr("unknown key %s[%d].%s", ctx, i, key)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, w)
-	}
-	return out, nil
-}
-
-// --- scalar coercion ---------------------------------------------------
-
-func asMap(v any, ctx string) (map[string]any, error) {
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, specErr("%s must be a map, got %T", ctx, v)
-	}
-	return m, nil
-}
-
-func asString(v any, ctx string) (string, error) {
-	s, ok := v.(string)
-	if !ok {
-		return "", specErr("%s must be a string, got %T", ctx, v)
-	}
-	return s, nil
-}
-
-func asFloat(v any, ctx string) (float64, error) {
-	switch x := v.(type) {
-	case float64: // JSON numbers
-		return x, nil
-	case string:
-		f, err := strconv.ParseFloat(x, 64)
-		if err != nil {
-			return 0, specErr("%s: %q is not a number", ctx, x)
-		}
-		return f, nil
-	}
-	return 0, specErr("%s must be a number, got %T", ctx, v)
-}
-
-func asInt(v any, ctx string) (int, error) {
-	f, err := asFloat(v, ctx)
-	if err != nil {
-		return 0, err
-	}
-	n := int(f)
-	if float64(n) != f {
-		return 0, specErr("%s: %g is not an integer", ctx, f)
-	}
-	return n, nil
-}
-
-func asUint64(v any, ctx string) (uint64, error) {
-	if s, ok := v.(string); ok {
-		u, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			return 0, specErr("%s: %q is not an unsigned integer", ctx, s)
-		}
-		return u, nil
-	}
-	n, err := asInt(v, ctx)
-	if err != nil {
-		return 0, err
-	}
-	if n < 0 {
-		return 0, specErr("%s: %d is negative", ctx, n)
-	}
-	return uint64(n), nil
-}
-
-// asDuration accepts "250us", "10m", "1h30m" (time.ParseDuration syntax)
-// or a bare number of seconds.
-func asDuration(v any, ctx string) (simtime.Duration, error) {
-	if s, ok := v.(string); ok {
-		if d, err := time.ParseDuration(s); err == nil {
-			return simtime.Duration(d.Nanoseconds()), nil
-		}
-		// YAML scalars arrive as strings, so a bare number of seconds
-		// lands here too.
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, specErr("%s: %q is not a duration", ctx, s)
-		}
-		return simtime.FromSeconds(f), nil
-	}
-	f, err := asFloat(v, ctx)
-	if err != nil {
-		return 0, err
-	}
-	return simtime.FromSeconds(f), nil
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,12 +78,17 @@ func TestValidateErrors(t *testing.T) {
 // canonical normalized form against the golden file. Refresh with
 // go test ./internal/workload -run LoadSpecGolden -update
 func TestLoadSpecGolden(t *testing.T) {
-	s, err := LoadSpec(filepath.Join("testdata", "diurnal.yaml"))
+	s, err := LoadSpec(filepath.Join("testdata", "diurnal.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.String()
-	golden := filepath.Join("testdata", "diurnal.golden")
+	checkGolden(t, "diurnal.golden", s.String())
+}
+
+// checkGolden diffs got against testdata/name, rewriting it under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -93,86 +99,66 @@ func TestLoadSpecGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("parsed spec drifted from golden (rerun with -update if intended):\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Errorf("%s drifted (rerun with -update if intended):\n--- got ---\n%s--- want ---\n%s", name, got, want)
 	}
 }
 
-// TestParseSpecJSONEquivalence feeds the same spec through both front
-// ends; the raw trees must decode identically.
-func TestParseSpecJSONEquivalence(t *testing.T) {
-	yamlSrc := `
-name: two-front-ends
-seed: 11
-duration: 90s
-server: {servers: 4, base: 250us, jitter: 0.1, sizeref: 2}
-cohorts:
-  - name: readers
-    clients: 300
-    rate: 120
-    mix: {live: 3, archive: 1}
-    size: {min: 2, alpha: 1.5, max: 32}
-    diurnal:
-      - period: 30s
-        amplitude: 0.4
-        phase: 0.25
-    windows:
-      - start: 0s
-        mult: 1
-      - start: 45s
-        mult: 2
-`
-	jsonSrc := `{
-  "name": "two-front-ends",
-  "seed": 11,
-  "duration": "90s",
-  "server": {"servers": 4, "base": "250us", "jitter": 0.1, "sizeref": 2},
-  "cohorts": [
-    {
-      "name": "readers", "clients": 300, "rate": 120,
-      "mix": {"live": 3, "archive": 1},
-      "size": {"min": 2, "alpha": 1.5, "max": 32},
-      "diurnal": [{"period": "30s", "amplitude": 0.4, "phase": 0.25}],
-      "windows": [{"start": "0s", "mult": 1}, {"start": "45s", "mult": 2}]
-    }
-  ]
-}`
-	fromYAML, err := ParseSpec([]byte(yamlSrc))
+// TestExampleSpecs loads every committed example spec, and holds the
+// capacity example to its closed form: one 1 ms server over fixed-size
+// requests serves exactly 1000 req/s, so the default sweep first
+// saturates at mult 2 (1200 req/s offered) by the ratio rule, and
+// throughput at and past the knee is the capacity. The rendered report
+// is pinned by testdata/capacity.golden (refresh with -update).
+func TestExampleSpecs(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "workload-specs", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs found: %v", err)
+	}
+	for _, p := range paths {
+		if _, err := LoadSpec(p); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
+	}
+	spec, err := LoadSpec(filepath.Join("..", "..", "examples", "workload-specs", "capacity.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromJSON, err := ParseSpec([]byte(jsonSrc))
+	rep, err := Capacity(spec, CapacityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromYAML.String() != fromJSON.String() {
-		t.Errorf("front ends disagree:\n--- yaml ---\n%s--- json ---\n%s", fromYAML, fromJSON)
+	if rep.Knee != 3 || rep.Points[3].Mult != 2 || !strings.HasPrefix(rep.KneeReason, "throughput-to-arrival ratio") {
+		t.Errorf("knee at index %d (%q), want mult 2 by the ratio rule:\n%s", rep.Knee, rep.KneeReason, rep.Render())
 	}
-	// Durations accept bare seconds too.
-	bare, err := ParseSpec([]byte("name: bare\nduration: 90\ncohorts:\n  - name: c\n    clients: 1\n    rate: 1\n"))
-	if err != nil {
-		t.Fatal(err)
+	for _, i := range []int{3, 4} {
+		if a := rep.Points[i].Achieved; math.Abs(a-1000) > 10 {
+			t.Errorf("mult %g achieved %.1f/s, want 1000/s within 1%%", rep.Points[i].Mult, a)
+		}
 	}
-	if bare.Duration != 90*simtime.Second {
-		t.Errorf("bare duration parsed as %v", bare.Duration)
-	}
+	checkGolden(t, "capacity.golden", rep.Render())
+}
+
+// parseSpecErrorCases are specs ParseSpec must reject; FuzzParseSpec
+// seeds its corpus with them.
+var parseSpecErrorCases = map[string]string{
+	"unknown key":        `{"name": "x", "bogus": 1, "cohorts": [{"name": "c", "clients": 1, "rate": 1}]}`,
+	"unknown cohort key": `{"cohorts": [{"name": "c", "clients": 1, "rate": 1, "color": "red"}]}`,
+	"unknown mix key":    `{"cohorts": [{"name": "c", "clients": 1, "rate": 1, "mix": {"livee": 1}}]}`,
+	"bad duration":       `{"duration": "soon", "cohorts": [{"name": "c", "clients": 1, "rate": 1}]}`,
+	"bare duration":      `{"duration": 90, "cohorts": [{"name": "c", "clients": 1, "rate": 1}]}`,
+	"bad number":         `{"cohorts": [{"name": "c", "clients": "few", "rate": 1}]}`,
+	"non-integer":        `{"cohorts": [{"name": "c", "clients": 1.5, "rate": 1}]}`,
+	"negative seed":      `{"seed": -1, "cohorts": [{"name": "c", "clients": 1, "rate": 1}]}`,
+	"bad json":           `{not json`,
+	"empty":              ``,
+	"not an object":      `[{"name": "c", "clients": 1, "rate": 1}]`,
+	"trailing data":      `{"cohorts": [{"name": "c", "clients": 1, "rate": 1}]} {}`,
+	"cohorts not list":   `{"cohorts": 3}`,
+	"invalid spec":       `{"cohorts": [{"name": "c", "clients": 0, "rate": 1}]}`,
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	cases := map[string]string{
-		"unknown key":        "name: x\nbogus: 1\ncohorts:\n  - name: c\n    clients: 1\n    rate: 1\n",
-		"unknown cohort key": "cohorts:\n  - name: c\n    clients: 1\n    rate: 1\n    color: red\n",
-		"unknown mix key":    "cohorts:\n  - name: c\n    clients: 1\n    rate: 1\n    mix: {livee: 1}\n",
-		"tab indent":         "name: x\ncohorts:\n\t- name: c\n",
-		"bad duration":       "duration: soon\ncohorts:\n  - name: c\n    clients: 1\n    rate: 1\n",
-		"bad number":         "cohorts:\n  - name: c\n    clients: few\n    rate: 1\n",
-		"non-integer":        "cohorts:\n  - name: c\n    clients: 1.5\n    rate: 1\n",
-		"duplicate key":      "name: x\nname: y\ncohorts:\n  - name: c\n    clients: 1\n    rate: 1\n",
-		"bad json":           "{not json",
-		"empty":              "",
-		"cohorts not list":   "cohorts: 3\n",
-		"invalid spec":       "cohorts:\n  - name: c\n    clients: 0\n    rate: 1\n",
-	}
-	for name, src := range cases {
+	for name, src := range parseSpecErrorCases {
 		_, err := ParseSpec([]byte(src))
 		if err == nil {
 			t.Errorf("%s: accepted", name)
@@ -182,7 +168,7 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Errorf("%s: %v does not wrap ErrSpec", name, err)
 		}
 	}
-	if _, err := LoadSpec(filepath.Join(t.TempDir(), "missing.yaml")); err == nil {
+	if _, err := LoadSpec(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing spec file accepted")
 	}
 }
