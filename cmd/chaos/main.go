@@ -34,6 +34,7 @@ import (
 
 	"papimc/internal/chaos"
 	"papimc/internal/faultconn"
+	"papimc/internal/pmproxy"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 		trials     = flag.Int("trials", 8, "number of independent trials")
 		ops        = flag.Int("ops", 40, "operations per trial")
 		workers    = flag.Int("j", 0, "parallel trial workers (0 = GOMAXPROCS)")
-		profile    = flag.String("profile", "", "named fault profile: "+strings.Join(chaos.ProfileNames(), ", "))
+		profile    = flag.String("profile", "", "named fault profile: "+strings.Join(chaos.Names(chaos.Profiles), ", "))
 		trial      = flag.Int("trial", -1, "replay only this trial index (-1 = all)")
 		breakStale = flag.Bool("break-stale", false, "simulate the stale re-stamping bug (the suite must fail)")
 		timeout    = flag.Duration("timeout", 0, "per round-trip deadline (0 = 2s)")
@@ -55,7 +56,7 @@ func main() {
 		chunk   = flag.Int("chunk", 0, "max bytes per read/write (0 = unlimited)")
 
 		overloadMode = flag.Bool("overload", false, "sweep the multi-tenant overload QoS suite instead of the fault suite")
-		policy       = flag.String("policy", "token-bucket", "[overload] admission policy: "+strings.Join(chaos.OverloadPolicies(), ", "))
+		policy       = flag.String("policy", "token-bucket", "[overload] admission policy: "+strings.Join(pmproxy.PolicyNames(), ", "))
 
 		clusterMode = flag.Bool("cluster", false, "sweep federated metric trees instead of the serving stack")
 		nodes       = flag.Int("nodes", 64, "[cluster] node count per tree")
@@ -67,7 +68,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if *overloadMode {
+	start := time.Now()
+	switch {
+	case *overloadMode:
 		o := chaos.OverloadOptions{
 			Seed:    *seed,
 			Trials:  *trials,
@@ -75,39 +78,13 @@ func main() {
 			Workers: *workers,
 			Trial:   *trial,
 		}
-		start := time.Now()
 		rep, err := chaos.RunOverload(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Print(rep)
-		fmt.Fprintf(os.Stderr, "elapsed %.2fs\n", time.Since(start).Seconds())
-		if rep.Failed() {
-			bad := 0
-			for _, tr := range rep.Trials {
-				if len(tr.Violations) > 0 {
-					bad++
-					fmt.Printf("repro: %s\n", chaos.OverloadReproLine(o, tr.Index))
-				}
-			}
-			fmt.Printf("FAIL: %d of %d trials violated the overload contract\n", bad, len(rep.Trials))
-			os.Exit(1)
-		}
-		fmt.Printf("ok: %d trials, seed %#x\n", len(rep.Trials), o.Seed)
-		return
-	}
+		finish(rep, err, start, o.Seed, "overload", func(i int) string { return chaos.OverloadReproLine(o, i) })
 
-	if *clusterMode {
+	case *clusterMode:
 		prof := chaos.ClusterProfile{Kill: *kill, Stall: *stalled, Flap: *flap}
 		if *profile != "" {
-			p, ok := chaos.ClusterProfiles[*profile]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "chaos: unknown cluster profile %q (have: %s)\n",
-					*profile, strings.Join(chaos.ClusterProfileNames(), ", "))
-				os.Exit(2)
-			}
-			prof = p
+			prof = lookup(chaos.ClusterProfiles, "cluster profile", *profile)
 		}
 		o := chaos.ClusterOptions{
 			Seed:    *seed,
@@ -119,77 +96,76 @@ func main() {
 			Profile: prof,
 			Trial:   *trial,
 		}
-		start := time.Now()
 		rep, err := chaos.RunCluster(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Print(rep)
-		fmt.Fprintf(os.Stderr, "elapsed %.2fs\n", time.Since(start).Seconds())
-		if rep.Failed() {
-			bad := 0
-			for _, tr := range rep.Trials {
-				if len(tr.Violations) > 0 {
-					bad++
-					fmt.Printf("repro: %s\n", chaos.ClusterReproLine(o, tr.Index))
-				}
-			}
-			fmt.Printf("FAIL: %d of %d trials violated the partial-result contract\n", bad, len(rep.Trials))
-			os.Exit(1)
-		}
-		fmt.Printf("ok: %d trials, seed %#x\n", len(rep.Trials), o.Seed)
-		return
-	}
+		finish(rep, err, start, o.Seed, "partial-result", func(i int) string { return chaos.ClusterReproLine(o, i) })
 
-	sched := faultconn.Schedule{
-		RefuseProb:   *refuse,
-		ResetEvery:   *reset,
-		StallEvery:   *stall,
-		CorruptEvery: *corrupt,
-		LatencyEvery: *latency,
-		MaxChunk:     *chunk,
-	}
-	if *profile != "" {
-		p, ok := chaos.Profiles[*profile]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "chaos: unknown profile %q (have: %s)\n",
-				*profile, strings.Join(chaos.ProfileNames(), ", "))
-			os.Exit(2)
+	default:
+		sched := faultconn.Schedule{
+			RefuseProb:   *refuse,
+			ResetEvery:   *reset,
+			StallEvery:   *stall,
+			CorruptEvery: *corrupt,
+			LatencyEvery: *latency,
+			MaxChunk:     *chunk,
 		}
-		sched = p
+		if *profile != "" {
+			sched = lookup(chaos.Profiles, "profile", *profile)
+		}
+		o := chaos.Options{
+			Seed:       *seed,
+			Trials:     *trials,
+			Ops:        *ops,
+			Workers:    *workers,
+			Schedule:   sched,
+			Timeout:    *timeout,
+			BreakStale: *breakStale,
+			Trial:      *trial,
+		}
+		rep, err := chaos.Run(o)
+		finish(rep, err, start, o.Seed, "serving", func(i int) string { return chaos.ReproLine(o, i) })
 	}
+}
 
-	o := chaos.Options{
-		Seed:       *seed,
-		Trials:     *trials,
-		Ops:        *ops,
-		Workers:    *workers,
-		Schedule:   sched,
-		Timeout:    *timeout,
-		BreakStale: *breakStale,
-		Trial:      *trial,
+// lookup returns the named entry of a profile table, or exits naming
+// the table's entries.
+func lookup[P any](table map[string]P, what, name string) P {
+	p, ok := table[name]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "chaos: unknown %s %q (have: %s)\n", what, name, strings.Join(chaos.Names(table), ", "))
+		os.Exit(2)
 	}
-	start := time.Now()
-	rep, err := chaos.Run(o)
+	return p
+}
+
+// report is what finish needs of any suite's chaos.Report.
+type report interface {
+	String() string
+	Outcomes() []chaos.Outcome
+}
+
+// finish prints a suite's report and verdict and exits with its status:
+// 2 for a harness error, 1 with one repro line per failing trial, 0
+// when every trial held the named contract. stdout carries only the
+// deterministic report (byte-identical for a fixed seed at any -j);
+// timing goes to stderr.
+func finish(rep report, err error, start time.Time, seed uint64, contract string, repro func(trial int) string) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		os.Exit(2)
 	}
-	// stdout carries only the deterministic report (byte-identical for a
-	// fixed seed at any -j); timing goes to stderr.
 	fmt.Print(rep)
 	fmt.Fprintf(os.Stderr, "elapsed %.2fs\n", time.Since(start).Seconds())
-	if rep.Failed() {
-		bad := 0
-		for _, tr := range rep.Trials {
-			if len(tr.Violations) > 0 {
-				bad++
-				fmt.Printf("repro: %s\n", chaos.ReproLine(o, tr.Index))
-			}
+	outs := rep.Outcomes()
+	bad := 0
+	for _, o := range outs {
+		if len(o.Violations) > 0 {
+			bad++
+			fmt.Printf("repro: %s\n", repro(o.Index))
 		}
-		fmt.Printf("FAIL: %d of %d trials violated the serving contract\n", bad, len(rep.Trials))
+	}
+	if bad > 0 {
+		fmt.Printf("FAIL: %d of %d trials violated the %s contract\n", bad, len(outs), contract)
 		os.Exit(1)
 	}
-	fmt.Printf("ok: %d trials, seed %#x\n", len(rep.Trials), o.Seed)
+	fmt.Printf("ok: %d trials, seed %#x\n", len(outs), seed)
 }

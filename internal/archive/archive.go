@@ -67,6 +67,9 @@ var (
 	ErrFormat = errors.New("archive: bad archive format")
 	// ErrNoTier indicates a query at a resolution with no rollup tier.
 	ErrNoTier = errors.New("archive: no rollup tier at that resolution")
+	// ErrRange rejects a timestamp so close to either end of int64 that
+	// a rollup bucket covering it would overflow.
+	ErrRange = errors.New("archive: timestamp outside the rollup tiers' range")
 )
 
 // Sample is one decoded row: the daemon's sample timestamp and one value
@@ -362,6 +365,11 @@ type Archive struct {
 
 	compactions atomic.Int64 // Compact passes that ran
 
+	// Timestamps in [minTS, minTS+span] have rollup buckets whose start
+	// and end fit in an int64; AppendSample rejects the rest.
+	minTS int64
+	span  uint64
+
 	// Writer-only state, guarded by mu.
 	tailBuf  []byte   // encoded form of the published tail
 	tailVals []uint64 // the tail rows' values
@@ -400,7 +408,15 @@ func New(names []pcp.NameEntry, opts Options) (*Archive, error) {
 		col:    make(map[uint32]int, len(names)),
 		opts:   opts,
 		open:   make([]Bucket, len(opts.Rollups)),
+		minTS:  math.MinInt64,
+		span:   math.MaxUint64,
 	}
+	maxTS := int64(math.MaxInt64)
+	for _, res := range opts.Rollups {
+		a.minTS = max(a.minTS, math.MinInt64/res*res)
+		maxTS = min(maxTS, alignDown(math.MaxInt64-res, res)+res-1)
+	}
+	a.span = uint64(maxTS) - uint64(a.minTS)
 	for i, e := range names {
 		if e.PMID == 0 {
 			return nil, fmt.Errorf("archive: schema entry %q has PMID 0", e.Name)
@@ -444,7 +460,8 @@ func (a *Archive) PMIDs() []uint32 {
 // Append records one fetch result. The result must contain an OK value
 // for every schema PMID (extra values are ignored). A result with the
 // same timestamp as the newest row is a daemon cache hit and is silently
-// skipped; an older timestamp is ErrOutOfOrder.
+// skipped; an older timestamp is ErrOutOfOrder. A timestamp within one
+// rollup width of either end of int64 is ErrRange.
 func (a *Archive) Append(res pcp.FetchResult) error {
 	row := Sample{Timestamp: res.Timestamp, Values: make([]uint64, len(a.names))}
 	seen := 0
@@ -471,6 +488,9 @@ func (a *Archive) Append(res pcp.FetchResult) error {
 func (a *Archive) AppendSample(row Sample) error {
 	if len(row.Values) != len(a.names) {
 		return fmt.Errorf("%w: row has %d values, schema has %d", ErrSchema, len(row.Values), len(a.names))
+	}
+	if uint64(row.Timestamp)-uint64(a.minTS) > a.span {
+		return fmt.Errorf("%w: %d", ErrRange, row.Timestamp)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()

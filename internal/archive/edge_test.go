@@ -1,6 +1,10 @@
 package archive
 
 import (
+	"bytes"
+	"errors"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -141,5 +145,62 @@ func TestFloorAcrossSealedBoundary(t *testing.T) {
 		if s.Values[0] != uint64(i*i) {
 			t.Fatalf("Floor(%d) value = %d, want %d", probe, s.Values[0], i*i)
 		}
+	}
+}
+
+// TestAppendRejectsOverflowingTimestamp: a timestamp within one rollup
+// width of either end of int64 (a flipped sign bit upstream makes one)
+// would wrap its bucket's start or end. Append rejects it with ErrRange,
+// and the archive keeps round-tripping; the extreme timestamps the tiers
+// can hold are accepted and round-trip too.
+func TestAppendRejectsOverflowingTimestamp(t *testing.T) {
+	const res5m = int64(Res5m)
+	lo := math.MinInt64 / res5m * res5m             // lowest 5m bucket start that fits
+	hi := (math.MaxInt64/res5m-1)*res5m + res5m - 1 // last ts whose 5m bucket end fits
+	cases := []struct {
+		name   string
+		stamps []int64 // appended in order, all accepted
+		bad    int64
+	}{
+		{"near MinInt64", nil, math.MinInt64 + 22_000_000},
+		{"MinInt64", nil, math.MinInt64},
+		{"just below the lowest bucket", []int64{lo}, lo - 1},
+		{"near MaxInt64", []int64{hi}, math.MaxInt64 - 1},
+		{"just above the highest bucket", []int64{-5, hi}, hi + 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, err := New(schema(1), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ts := range c.stamps {
+				if err := a.Append(row(ts, 7)); err != nil {
+					t.Fatalf("append %d: %v", ts, err)
+				}
+			}
+			if err := a.Append(row(c.bad, 7)); !errors.Is(err, ErrRange) {
+				t.Fatalf("append %d: err = %v, want ErrRange", c.bad, err)
+			}
+			var buf bytes.Buffer
+			if _, err := a.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back, err := Read(&buf, Options{})
+			if err != nil {
+				t.Fatalf("archive no longer round-trips: %v", err)
+			}
+			rows, err := back.All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []int64
+			for _, r := range rows {
+				got = append(got, r.Timestamp)
+			}
+			if !slices.Equal(got, c.stamps) {
+				t.Fatalf("round-tripped timestamps = %v, want %v", got, c.stamps)
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 // Package chaos is the fault-injection property harness for the serving
 // stack: it drives a live daemon → pmproxy → client testbed through a
 // seeded faultconn schedule and checks the stack's safety contract on
-// every operation.
+// every operation. The proxy's upstream clients negotiate the protocol
+// as every real client does, so the faults land on the tagged,
+// pipelined Version3 path.
 //
 // The contract under ANY fault schedule:
 //
@@ -92,39 +94,51 @@ type Options struct {
 	// now) to prove the suite detects it. Test-only.
 	BreakStale bool
 	// Trial, when >= 0, runs only that single trial index — the replay
-	// path for a failure line. -1 (or 0 with Trials set) runs all.
+	// path for a failure line. -1 runs all.
 	Trial int
 }
 
-// Trial is one trial's observed outcome. All fields are deterministic
-// functions of (base seed, index).
-type Trial struct {
-	Index int
-	Seed  uint64
-
-	Fetches    int // proxy.Fetch calls (direct + recorder tee)
-	NameOps    int
-	FetchErrs  int
-	NameErrs   int
-	Stale      int // successes served with an old (declared) timestamp
-	Inconsist  int // values failing the certVal check (corruption mode)
-	Records    int // rows in the recorder's archive after replay
-	Faults     faultconn.Stats
-	Proxy      pmproxy.Stats
-	Trace      []faultconn.Fault
+// Outcome is what every suite's trial records about itself: its index,
+// its seed (sweep.Seed of the base seed and the index) and the contract
+// violations it found.
+type Outcome struct {
+	Index      int
+	Seed       uint64
 	Violations []string
 }
 
-// Report is a full run's outcome.
-type Report struct {
-	Opts   Options
-	Trials []Trial
+// violate records one contract violation.
+func (o *Outcome) violate(format string, args ...any) {
+	o.Violations = append(o.Violations, fmt.Sprintf(format, args...))
 }
 
-// Failed reports whether any trial violated an invariant.
-func (r *Report) Failed() bool {
-	for _, t := range r.Trials {
-		if len(t.Violations) > 0 {
+func (o Outcome) outcome() Outcome { return o }
+
+// trial is one suite's per-trial result: an embedded Outcome and the
+// trial's report lines, rendered deterministically.
+type trial interface {
+	outcome() Outcome
+	render(b *strings.Builder)
+}
+
+// Report is a full run's outcome: its trials in index order.
+type Report[T trial] struct {
+	Trials []T
+}
+
+// Outcomes returns each trial's Outcome in report order.
+func (r *Report[T]) Outcomes() []Outcome {
+	out := make([]Outcome, len(r.Trials))
+	for i, t := range r.Trials {
+		out[i] = t.outcome()
+	}
+	return out
+}
+
+// Failed reports whether any trial violated its contract.
+func (r *Report[T]) Failed() bool {
+	for _, o := range r.Outcomes() {
+		if len(o.Violations) > 0 {
 			return true
 		}
 	}
@@ -133,23 +147,74 @@ func (r *Report) Failed() bool {
 
 // String renders the deterministic per-trial report. Two runs with the
 // same options produce byte-identical output at any worker count.
-func (r *Report) String() string {
+func (r *Report[T]) String() string {
 	var b strings.Builder
 	for _, t := range r.Trials {
-		fmt.Fprintf(&b, "trial %02d seed=%#016x ops=%d fetches=%d names=%d errs=%d/%d stale=%d inconsistent=%d records=%d faults[%s] proxy[fetch=%d up=%d coal=%d stale=%d/%d uerr=%d retry=%d exh=%d redial=%d]\n",
-			t.Index, t.Seed, t.Fetches+t.NameOps, t.Fetches, t.NameOps,
-			t.FetchErrs, t.NameErrs, t.Stale, t.Inconsist, t.Records, t.Faults,
-			t.Proxy.ClientFetches, t.Proxy.UpstreamFetches, t.Proxy.CoalescedHits,
-			t.Proxy.StaleServes, t.Proxy.StaleNameServes, t.Proxy.UpstreamErrors,
-			t.Proxy.Retries, t.Proxy.Exhausted, t.Proxy.Redials)
-		for _, f := range t.Trace {
-			fmt.Fprintf(&b, "  fault %s\n", f)
-		}
-		for _, v := range t.Violations {
+		t.render(&b)
+		for _, v := range t.outcome().Violations {
 			fmt.Fprintf(&b, "  VIOLATION: %s\n", v)
 		}
 	}
 	return b.String()
+}
+
+// runTrials runs trials 0..n-1 over sweep.Map with in-order
+// reassembly, or only trial only when it is >= 0 (the replay path for a
+// failure line). run receives each trial's Outcome with its index and
+// seed already set.
+func runTrials[T trial](seed uint64, n, workers, only int, run func(Outcome) (T, error)) (*Report[T], error) {
+	one := func(i int) (T, error) { return run(Outcome{Index: i, Seed: sweep.Seed(seed, i)}) }
+	if only >= 0 {
+		t, err := one(only)
+		if err != nil {
+			return nil, err
+		}
+		return &Report[T]{Trials: []T{t}}, nil
+	}
+	trials, err := sweep.Map(n, workers, one)
+	if err != nil {
+		return nil, err
+	}
+	return &Report[T]{Trials: trials}, nil
+}
+
+// Names returns a profile table's names in sorted order.
+func Names[P any](profiles map[string]P) []string {
+	names := make([]string, 0, len(profiles))
+	for n := range profiles {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Trial is one fault-suite trial's observed outcome. All fields are
+// deterministic functions of (base seed, index).
+type Trial struct {
+	Outcome
+
+	Fetches   int // proxy.Fetch calls (direct + recorder tee)
+	NameOps   int
+	FetchErrs int
+	NameErrs  int
+	Stale     int // successes served with an old (declared) timestamp
+	Inconsist int // values failing the certVal check (corruption mode)
+	Records   int // rows in the recorder's archive after replay
+	Faults    faultconn.Stats
+	Proxy     pmproxy.Stats
+	Trace     []faultconn.Fault
+}
+
+func (t Trial) render(b *strings.Builder) {
+	fmt.Fprintf(b, "trial %02d seed=%#016x ops=%d fetches=%d names=%d errs=%d/%d stale=%d inconsistent=%d records=%d faults[%s] proxy[fetch=%d up=%d coal=%d stale=%d/%d uerr=%d retry=%d exh=%d redial=%d]\n",
+		t.Index, t.Seed, t.Fetches+t.NameOps, t.Fetches, t.NameOps,
+		t.FetchErrs, t.NameErrs, t.Stale, t.Inconsist, t.Records, t.Faults,
+		t.Proxy.ClientFetches, t.Proxy.UpstreamFetches, t.Proxy.CoalescedHits,
+		t.Proxy.StaleServes, t.Proxy.StaleNameServes, t.Proxy.UpstreamErrors,
+		t.Proxy.Retries, t.Proxy.Exhausted, t.Proxy.Redials)
+	for _, f := range t.Trace {
+		fmt.Fprintf(b, "  fault %s\n", f)
+	}
 }
 
 // certGamma decorrelates the pmid and timestamp inputs of certVal.
@@ -218,22 +283,12 @@ var Profiles = map[string]faultconn.Schedule{
 	},
 }
 
-// ProfileNames returns the profile names in sorted order.
-func ProfileNames() []string {
-	names := make([]string, 0, len(Profiles))
-	for n := range Profiles {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // ReproLine is the one-command replay for a failing trial: running it
 // re-executes exactly that trial (same seed substream, same schedule)
 // and reprints its fault trace and violations.
 func ReproLine(o Options, trial int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "go run ./cmd/chaos -seed %#x -trials %d -trial %d -ops %d", o.Seed, maxInt(o.Trials, trial+1), trial, o.Ops)
+	fmt.Fprintf(&b, "go run ./cmd/chaos -seed %#x -trials %d -trial %d -ops %d", o.Seed, max(o.Trials, trial+1), trial, o.Ops)
 	s := o.Schedule
 	if s.RefuseProb > 0 {
 		fmt.Fprintf(&b, " -refuse %g", s.RefuseProb)
@@ -259,17 +314,10 @@ func ReproLine(o Options, trial int) string {
 	return b.String()
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Run executes the chaos sweep. The error is only for harness failures
 // (listen, daemon construction); invariant violations are reported in
 // the Report, not as errors.
-func Run(o Options) (*Report, error) {
+func Run(o Options) (*Report[Trial], error) {
 	if o.Trials <= 0 {
 		o.Trials = 1
 	}
@@ -282,23 +330,9 @@ func Run(o Options) (*Report, error) {
 	if o.Schedule.MaxStall <= 0 {
 		o.Schedule.MaxStall = 100 * time.Millisecond
 	}
-	rep := &Report{Opts: o}
-	if o.Trial >= 0 {
-		t, err := runTrial(o, o.Trial)
-		if err != nil {
-			return nil, err
-		}
-		rep.Trials = []Trial{t}
-		return rep, nil
-	}
-	trials, err := sweep.Map(o.Trials, o.Workers, func(i int) (Trial, error) {
-		return runTrial(o, i)
+	return runTrials(o.Seed, o.Trials, o.Workers, o.Trial, func(oc Outcome) (Trial, error) {
+		return runTrial(o, oc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Trials = trials
-	return rep, nil
 }
 
 // fetcher adapts the in-process Proxy to archive.Fetcher (the proxy has
@@ -322,12 +356,8 @@ func (f fetcher) Lookup(name string) (uint32, error) {
 
 // runTrial drives one complete testbed single-threadedly. Everything
 // stochastic derives from the trial seed.
-func runTrial(o Options, idx int) (Trial, error) {
-	seed := sweep.Seed(o.Seed, idx)
-	t := Trial{Index: idx, Seed: seed}
-	violate := func(format string, args ...any) {
-		t.Violations = append(t.Violations, fmt.Sprintf(format, args...))
-	}
+func runTrial(o Options, oc Outcome) (Trial, error) {
+	t := Trial{Outcome: oc}
 
 	clock := simtime.NewClock()
 	daemon, err := pcp.NewDaemon(clock, Interval, Metrics())
@@ -340,7 +370,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 	}
 	defer daemon.Close()
 
-	inj := faultconn.New(seed, o.Schedule)
+	inj := faultconn.New(t.Seed, o.Schedule)
 	dial := inj.Dial(func() (net.Conn, error) { return net.Dial("tcp", addr) })
 	proxy := pmproxy.New(pmproxy.Config{
 		Dial: func() (*pcp.Client, error) {
@@ -348,13 +378,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Pin the lockstep protocol: the suite's conservation laws
-			// count one fatal fault per failed upstream round trip, which
-			// is exact only when requests are single-flight. The
-			// pipelined path has its own chaos coverage (typed
-			// per-request errors, no hangs) in internal/pcp's
-			// pipeline_fault_test.go.
-			return pcp.NewClientConnMax(c, pcp.Version1)
+			return pcp.NewClientConn(c)
 		},
 		Clock:      clock,
 		Interval:   Interval,
@@ -362,7 +386,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 		MaxRetries: 2,
 		Backoff:    time.Millisecond,
 		BackoffMax: 4 * time.Millisecond,
-		Seed:       mix(seed ^ backoffStream),
+		Seed:       mix(t.Seed ^ backoffStream),
 		PoolSize:   1,
 	})
 	defer proxy.Close()
@@ -380,7 +404,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 		}
 	}
 
-	rng := xrand.New(mix(seed ^ opStream))
+	rng := xrand.New(mix(t.Seed ^ opStream))
 	allPMIDs := make([]uint32, NumMetrics)
 	for i := range allPMIDs {
 		allPMIDs[i] = uint32(i + 1)
@@ -411,7 +435,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 				t.Inconsist++ // a flipped timestamp byte, tolerated
 				return
 			}
-			violate("result timestamp %d is in the future (now %d)", ts, now)
+			t.violate("result timestamp %d is in the future (now %d)", ts, now)
 		}
 		// The driver only advances the clock in whole-interval steps, so
 		// a fresh (or coalesced) answer has ts == now exactly and a stale
@@ -429,7 +453,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 				t.Inconsist++
 				return
 			}
-			violate("result has %d values for a %d-pmid request", len(res.Values), len(requested))
+			t.violate("result has %d values for a %d-pmid request", len(res.Values), len(requested))
 			return
 		}
 		for i, v := range res.Values {
@@ -439,14 +463,14 @@ func runTrial(o Options, idx int) (Trial, error) {
 			}
 			t.Inconsist++
 			if !corruptOn {
-				violate("torn/corrupt value: op-ts=%d pmid=%d (want %d) status=%d value=%#x want=%#x",
+				t.violate("torn/corrupt value: op-ts=%d pmid=%d (want %d) status=%d value=%#x want=%#x",
 					res.Timestamp, v.PMID, requested[i], v.Status, v.Value, certVal(v.PMID, ts))
 			}
 		}
 	}
 	checkErr := func(err error, path string) {
 		if !errors.Is(err, pmproxy.ErrUpstreamDown) {
-			violate("unclean %s error (not ErrUpstreamDown): %v", path, err)
+			t.violate("unclean %s error (not ErrUpstreamDown): %v", path, err)
 			return
 		}
 		upstreamDownSeen++
@@ -492,7 +516,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 				if corruptOn {
 					t.Inconsist++
 				} else {
-					violate("name table has %d entries, want %d", len(ents), NumMetrics)
+					t.violate("name table has %d entries, want %d", len(ents), NumMetrics)
 				}
 				continue
 			}
@@ -502,7 +526,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 						t.Inconsist++ // cached corrupted table, tolerated
 						continue
 					}
-					violate("torn name table entry %d: %+v", i, e)
+					t.violate("torn name table entry %d: %+v", i, e)
 				}
 			}
 		}
@@ -516,29 +540,29 @@ func runTrial(o Options, idx int) (Trial, error) {
 	// Conservation laws: the Stats counters must exactly account for
 	// every operation and every injected fault.
 	if st.ClientFetches != int64(t.Fetches) {
-		violate("ClientFetches=%d but driver issued %d fetches", st.ClientFetches, t.Fetches)
+		t.violate("ClientFetches=%d but driver issued %d fetches", st.ClientFetches, t.Fetches)
 	}
 	if got, want := st.CoalescedHits+st.UpstreamFetches+st.StaleServes+int64(t.FetchErrs), st.ClientFetches; got != want {
-		violate("fetch accounting: coalesced(%d)+upstream(%d)+stale(%d)+errors(%d)=%d != ClientFetches=%d",
+		t.violate("fetch accounting: coalesced(%d)+upstream(%d)+stale(%d)+errors(%d)=%d != ClientFetches=%d",
 			st.CoalescedHits, st.UpstreamFetches, st.StaleServes, t.FetchErrs, got, want)
 	}
 	if st.UpstreamErrors != st.Retries+st.Exhausted {
-		violate("retry accounting: UpstreamErrors=%d != Retries=%d + Exhausted=%d",
+		t.violate("retry accounting: UpstreamErrors=%d != Retries=%d + Exhausted=%d",
 			st.UpstreamErrors, st.Retries, st.Exhausted)
 	}
 	// A corrupted timestamp byte can make the driver misclassify a result
 	// as stale (or fresh), so this law is exact only without corruption.
 	if !corruptOn && st.StaleServes != int64(t.Stale) {
-		violate("stale accounting: StaleServes=%d but driver observed %d stale results", st.StaleServes, t.Stale)
+		t.violate("stale accounting: StaleServes=%d but driver observed %d stale results", st.StaleServes, t.Stale)
 	}
 	if got, want := st.StaleServes+st.StaleNameServes+int64(upstreamDownSeen), st.Exhausted; got != want {
-		violate("exhaustion accounting: stale(%d)+staleNames(%d)+observedErrors(%d)=%d != Exhausted=%d",
+		t.violate("exhaustion accounting: stale(%d)+staleNames(%d)+observedErrors(%d)=%d != Exhausted=%d",
 			st.StaleServes, st.StaleNameServes, upstreamDownSeen, got, want)
 	}
 	fatal := int64(t.Faults.Fatal())
 	if corruptOn {
 		if st.UpstreamErrors < fatal || st.UpstreamErrors > fatal+int64(t.Faults.Corrupts) {
-			violate("fault accounting: UpstreamErrors=%d outside [fatal=%d, fatal+corrupts=%d]",
+			t.violate("fault accounting: UpstreamErrors=%d outside [fatal=%d, fatal+corrupts=%d]",
 				st.UpstreamErrors, fatal, fatal+int64(t.Faults.Corrupts))
 		}
 		// The proxy caches decoded results, so one corruption can surface
@@ -546,10 +570,10 @@ func runTrial(o Options, idx int) (Trial, error) {
 		// with zero fired corruptions would mean the stack tears data on
 		// its own.
 		if t.Inconsist > 0 && t.Faults.Corrupts == 0 {
-			violate("%d inconsistent values with no fired corruption", t.Inconsist)
+			t.violate("%d inconsistent values with no fired corruption", t.Inconsist)
 		}
 	} else if st.UpstreamErrors != fatal {
-		violate("fault accounting: UpstreamErrors=%d != injected fatal faults=%d (%s)",
+		t.violate("fault accounting: UpstreamErrors=%d != injected fatal faults=%d (%s)",
 			st.UpstreamErrors, fatal, t.Faults)
 	}
 
@@ -558,28 +582,28 @@ func runTrial(o Options, idx int) (Trial, error) {
 	// reset upstream must never leave a partial record.
 	var buf bytes.Buffer
 	if _, err := arch.WriteTo(&buf); err != nil {
-		violate("archive WriteTo failed: %v", err)
+		t.violate("archive WriteTo failed: %v", err)
 		return t, nil
 	}
 	reread, err := archive.Read(&buf, archive.Options{})
 	if err != nil {
-		violate("recorded archive unreadable (partial record?): %v", err)
+		t.violate("recorded archive unreadable (partial record?): %v", err)
 		return t, nil
 	}
 	rows, err := reread.All()
 	if err != nil {
-		violate("recorded archive undecodable: %v", err)
+		t.violate("recorded archive undecodable: %v", err)
 		return t, nil
 	}
 	t.Records = len(rows)
 	prevTS := int64(-1 << 62)
 	for _, row := range rows {
 		if row.Timestamp <= prevTS {
-			violate("archive rows out of order: %d after %d", row.Timestamp, prevTS)
+			t.violate("archive rows out of order: %d after %d", row.Timestamp, prevTS)
 		}
 		prevTS = row.Timestamp
 		if len(row.Values) != NumMetrics {
-			violate("partial archive row at ts=%d: %d of %d values", row.Timestamp, len(row.Values), NumMetrics)
+			t.violate("partial archive row at ts=%d: %d of %d values", row.Timestamp, len(row.Values), NumMetrics)
 			continue
 		}
 		for i, v := range row.Values {
@@ -587,7 +611,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 				if corruptOn {
 					continue // bounded by the corruption budget, checked live
 				}
-				violate("corrupt archive row ts=%d pmid=%d value=%#x want=%#x", row.Timestamp, i+1, v, want)
+				t.violate("corrupt archive row ts=%d pmid=%d value=%#x want=%#x", row.Timestamp, i+1, v, want)
 			}
 		}
 	}

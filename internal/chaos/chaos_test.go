@@ -26,6 +26,7 @@ func opts(profile string) Options {
 }
 
 func TestCleanScheduleNoViolations(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
 	rep, err := Run(opts("clean"))
 	if err != nil {
 		t.Fatal(err)
@@ -53,21 +54,23 @@ func TestCleanScheduleNoViolations(t *testing.T) {
 // declared-stale answers, or clean errors; exact stats accounting; no
 // partial archive rows.
 func TestProfilesHoldInvariants(t *testing.T) {
-	for _, name := range ProfileNames() {
+	testutil.NoGoroutineLeak(t)
+	for _, name := range Names(Profiles) {
 		if name == "clean" {
 			continue // covered above
 		}
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(opts(name))
+			o := opts(name)
+			rep, err := Run(o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rep.Failed() {
 				for _, tr := range rep.Trials {
 					if len(tr.Violations) > 0 {
-						t.Errorf("repro: %s", ReproLine(rep.Opts, tr.Index))
+						t.Errorf("repro: %s", ReproLine(o, tr.Index))
 					}
 				}
 				t.Fatalf("invariant violations under %q:\n%s", name, rep)
@@ -93,6 +96,7 @@ func TestProfilesHoldInvariants(t *testing.T) {
 // byte-identical report — same fault trace, same stats, same verdict —
 // across repeated runs and across worker counts.
 func TestDeterministicAcrossRunsAndWorkers(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
 	base := opts("mixed")
 	run := func(workers int) string {
 		o := base
@@ -119,6 +123,7 @@ func TestDeterministicAcrossRunsAndWorkers(t *testing.T) {
 // re-stamped to now) must fail the suite with a torn-value violation and
 // a usable repro line — the suite's own smoke detector.
 func TestBreakStaleDetected(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
 	o := opts("flaky") // resets + refused redials reliably force stale serves
 	o.Trials = 6
 
@@ -169,6 +174,7 @@ func TestBreakStaleDetected(t *testing.T) {
 // TestSingleTrialReplayMatches: replaying one trial by index (the repro
 // path) reproduces exactly the trial from the full sweep.
 func TestSingleTrialReplayMatches(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
 	o := opts("resets")
 	full, err := Run(o)
 	if err != nil {
@@ -184,8 +190,8 @@ func TestSingleTrialReplayMatches(t *testing.T) {
 	}
 	want := full.Trials[2]
 	got := replay.Trials[0]
-	wantRep := (&Report{Trials: []Trial{want}}).String()
-	gotRep := (&Report{Trials: []Trial{got}}).String()
+	wantRep := (&Report[Trial]{Trials: []Trial{want}}).String()
+	gotRep := (&Report[Trial]{Trials: []Trial{got}}).String()
 	if gotRep != wantRep {
 		t.Fatalf("replayed trial differs from sweep:\n--- sweep\n%s--- replay\n%s", wantRep, gotRep)
 	}
@@ -195,6 +201,7 @@ func TestSingleTrialReplayMatches(t *testing.T) {
 // deadline observes a timeout within bounds when the stream silently
 // stalls — the deadline path fires, the call does not hang.
 func TestClientDeadlineUnderStall(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
 	_, addr := testutil.StartSyntheticDaemon(t, 4)
 	inj := faultconn.New(1, faultconn.Schedule{
 		// Stall the response stream mid-PDU, after the 4-byte handshake
@@ -238,14 +245,19 @@ func TestClientDeadlineUnderStall(t *testing.T) {
 // TestRecorderSurvivesExactMidWriteReset: a reset pinned mid-PDU on the
 // proxy's upstream write path must not leave a partial archive row.
 func TestRecorderSurvivesExactMidWriteReset(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
+	// Connection setup is 13 bytes each way (the 4-byte magic, then the
+	// 9-byte version request or response), so both offsets land inside
+	// the first tagged PDU after it.
+	const setup = 4 + 5 + 4
 	o := Options{
 		Seed:   7,
 		Trials: 1,
 		Ops:    25,
 		Trial:  -1,
 		Schedule: faultconn.Schedule{Exact: []faultconn.Fault{
-			{Conn: 0, Dir: faultconn.Write, Off: 9, Kind: faultconn.Reset}, // mid-request
-			{Conn: 1, Dir: faultconn.Read, Off: 40, Kind: faultconn.Reset}, // mid-response
+			{Conn: 0, Dir: faultconn.Write, Off: setup + 6, Kind: faultconn.Reset}, // mid-request header
+			{Conn: 1, Dir: faultconn.Read, Off: setup + 27, Kind: faultconn.Reset}, // mid-response
 		}},
 	}
 	rep, err := Run(o)

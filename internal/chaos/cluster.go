@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"papimc/internal/metricql"
 	"papimc/internal/pcp"
 	"papimc/internal/pmproxy"
-	"papimc/internal/sweep"
 	"papimc/internal/xrand"
 )
 
@@ -32,16 +32,6 @@ var ClusterProfiles = map[string]ClusterProfile{
 	"stalled":  {Stall: 2},
 	"mixed":    {Kill: 2, Stall: 1},
 	"flapping": {Kill: 3, Flap: true},
-}
-
-// ClusterProfileNames returns the cluster profile names in sorted order.
-func ClusterProfileNames() []string {
-	names := make([]string, 0, len(ClusterProfiles))
-	for n := range ClusterProfiles {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ClusterOptions configures a federated-cluster chaos run.
@@ -71,50 +61,23 @@ type ClusterOptions struct {
 // missing-set from the victim set — nothing timing-dependent is
 // recorded, which is what keeps the report byte-reproducible.
 type ClusterTrial struct {
-	Index      int
-	Seed       uint64
-	Depth      int
-	Queries    int
-	Partials   int      // queries that answered partially
-	Missing    []string // the final query's missing set, sorted
-	Violations []string
+	Outcome
+	Depth    int
+	Queries  int
+	Partials int      // queries that answered partially
+	Missing  []string // the final query's missing set, sorted
 }
 
-// ClusterReport is a full cluster chaos run's outcome.
-type ClusterReport struct {
-	Opts   ClusterOptions
-	Trials []ClusterTrial
-}
-
-// Failed reports whether any trial violated an invariant.
-func (r *ClusterReport) Failed() bool {
-	for _, t := range r.Trials {
-		if len(t.Violations) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// String renders the deterministic per-trial report: byte-identical
-// across runs and worker counts for the same options.
-func (r *ClusterReport) String() string {
-	var b strings.Builder
-	for _, t := range r.Trials {
-		fmt.Fprintf(&b, "cluster trial %02d seed=%#016x depth=%d queries=%d partials=%d missing=[%s]\n",
-			t.Index, t.Seed, t.Depth, t.Queries, t.Partials, strings.Join(t.Missing, ","))
-		for _, v := range t.Violations {
-			fmt.Fprintf(&b, "  VIOLATION: %s\n", v)
-		}
-	}
-	return b.String()
+func (t ClusterTrial) render(b *strings.Builder) {
+	fmt.Fprintf(b, "cluster trial %02d seed=%#016x depth=%d queries=%d partials=%d missing=[%s]\n",
+		t.Index, t.Seed, t.Depth, t.Queries, t.Partials, strings.Join(t.Missing, ","))
 }
 
 // ClusterReproLine is the one-command replay for a failing cluster
 // trial.
 func ClusterReproLine(o ClusterOptions, trial int) string {
 	return fmt.Sprintf("go run ./cmd/chaos -cluster -seed %#x -trials %d -trial %d -nodes %d -fanout %d -queries %d -kill %d -stalled %d -flap=%v",
-		o.Seed, maxInt(o.Trials, trial+1), trial, o.Nodes, o.FanOut, o.Queries,
+		o.Seed, max(o.Trials, trial+1), trial, o.Nodes, o.FanOut, o.Queries,
 		o.Profile.Kill, o.Profile.Stall, o.Profile.Flap)
 }
 
@@ -145,7 +108,7 @@ const (
 //   - the grouped query's node groups are exactly the survivors, each
 //     group value certified;
 //   - every federation edge's counters obey the conservation laws.
-func RunCluster(o ClusterOptions) (*ClusterReport, error) {
+func RunCluster(o ClusterOptions) (*Report[ClusterTrial], error) {
 	if o.Trials <= 0 {
 		o.Trials = 2
 	}
@@ -158,36 +121,18 @@ func RunCluster(o ClusterOptions) (*ClusterReport, error) {
 	if o.FanOut <= 1 {
 		o.FanOut = 4
 	}
-	rep := &ClusterReport{Opts: o}
-	if o.Trial >= 0 {
-		t, err := runClusterTrial(o, o.Trial)
-		if err != nil {
-			return nil, err
-		}
-		rep.Trials = []ClusterTrial{t}
-		return rep, nil
-	}
-	trials, err := sweep.Map(o.Trials, o.Workers, func(i int) (ClusterTrial, error) {
-		return runClusterTrial(o, i)
+	return runTrials(o.Seed, o.Trials, o.Workers, o.Trial, func(oc Outcome) (ClusterTrial, error) {
+		return runClusterTrial(o, oc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Trials = trials
-	return rep, nil
 }
 
-func runClusterTrial(o ClusterOptions, idx int) (ClusterTrial, error) {
-	seed := sweep.Seed(o.Seed, idx)
-	t := ClusterTrial{Index: idx, Seed: seed, Queries: o.Queries}
-	violate := func(format string, args ...any) {
-		t.Violations = append(t.Violations, fmt.Sprintf(format, args...))
-	}
+func runClusterTrial(o ClusterOptions, oc Outcome) (ClusterTrial, error) {
+	t := ClusterTrial{Outcome: oc, Queries: o.Queries}
 
 	tr, err := cluster.Assemble(cluster.Config{
 		Nodes:    o.Nodes,
 		FanOut:   o.FanOut,
-		Seed:     seed,
+		Seed:     t.Seed,
 		Interval: Interval,
 		Policy: pmproxy.EdgePolicy{
 			Deadline:   clusterDeadline,
@@ -207,7 +152,7 @@ func runClusterTrial(o ClusterOptions, idx int) (ClusterTrial, error) {
 		return t, err
 	}
 
-	rng := xrand.New(mix(seed ^ victimStream))
+	rng := xrand.New(mix(t.Seed ^ victimStream))
 	var down []string // sorted victim names
 	applyVictims := func() {
 		for _, n := range tr.Nodes {
@@ -241,17 +186,17 @@ func runClusterTrial(o ClusterOptions, idx int) (ClusterTrial, error) {
 		switch {
 		case errors.As(err, &pe):
 			t.Partials++
-			if !equalStrings(pe.Missing, down) {
-				violate("query %d: missing=%v but down=%v", q, pe.Missing, down)
+			if !slices.Equal(pe.Missing, down) {
+				t.violate("query %d: missing=%v but down=%v", q, pe.Missing, down)
 			}
 		case err != nil:
-			violate("query %d: snapshot failed: %v", q, err)
+			t.violate("query %d: snapshot failed: %v", q, err)
 			continue
 		case len(down) > 0:
-			violate("query %d: %d nodes down but the snapshot claims completeness", q, len(down))
+			t.violate("query %d: %d nodes down but the snapshot claims completeness", q, len(down))
 		}
 		if res.Timestamp != ts {
-			violate("query %d: snapshot ts=%d, clock=%d", q, res.Timestamp, ts)
+			t.violate("query %d: snapshot ts=%d, clock=%d", q, res.Timestamp, ts)
 		}
 
 		// The grouped query over the same snapshot interval: groups are
@@ -259,34 +204,34 @@ func runClusterTrial(o ClusterOptions, idx int) (ClusterTrial, error) {
 		v, err := query.Eval()
 		switch {
 		case errors.As(err, &pe):
-			if !equalStrings(pe.Missing, down) {
-				violate("query %d: metricql missing=%v but down=%v", q, pe.Missing, down)
+			if !slices.Equal(pe.Missing, down) {
+				t.violate("query %d: metricql missing=%v but down=%v", q, pe.Missing, down)
 			}
 		case err != nil:
-			violate("query %d: metricql eval failed: %v", q, err)
+			t.violate("query %d: metricql eval failed: %v", q, err)
 			continue
 		case len(down) > 0:
-			violate("query %d: metricql saw no outage with %d nodes down", q, len(down))
+			t.violate("query %d: metricql saw no outage with %d nodes down", q, len(down))
 		}
 		downSet := make(map[string]bool, len(down))
 		for _, n := range down {
 			downSet[n] = true
 		}
 		if len(v.Names) != o.Nodes-len(down) {
-			violate("query %d: %d node groups, want %d", q, len(v.Names), o.Nodes-len(down))
+			t.violate("query %d: %d node groups, want %d", q, len(v.Names), o.Nodes-len(down))
 		}
 		for i, name := range v.Names {
 			if downSet[name] {
-				violate("query %d: down node %s present in grouped answer", q, name)
+				t.violate("query %d: down node %s present in grouped answer", q, name)
 				continue
 			}
 			node := tr.Node(name)
 			if node == nil {
-				violate("query %d: grouped answer names unknown node %q", q, name)
+				t.violate("query %d: grouped answer names unknown node %q", q, name)
 				continue
 			}
 			if want := float64(readBW(node.Seed, ts)); v.Vals[i] != want {
-				violate("query %d: %s group value %v, want %v", q, name, v.Vals[i], want)
+				t.violate("query %d: %s group value %v, want %v", q, name, v.Vals[i], want)
 			}
 		}
 	}
@@ -315,16 +260,16 @@ func runClusterTrial(o ClusterOptions, idx int) (ClusterTrial, error) {
 	for _, es := range tr.EdgeStats() {
 		s := es.Stats
 		if s.Fetches != s.Successes+s.Failures {
-			violate("edge %s: Fetches=%d != Successes=%d + Failures=%d", es.Edge, s.Fetches, s.Successes, s.Failures)
+			t.violate("edge %s: Fetches=%d != Successes=%d + Failures=%d", es.Edge, s.Fetches, s.Successes, s.Failures)
 		}
 		if s.Errors != s.Retries+s.Failures {
-			violate("edge %s: Errors=%d != Retries=%d + Failures=%d", es.Edge, s.Errors, s.Retries, s.Failures)
+			t.violate("edge %s: Errors=%d != Retries=%d + Failures=%d", es.Edge, s.Errors, s.Retries, s.Failures)
 		}
 		if s.HedgesWon > s.Hedges {
-			violate("edge %s: HedgesWon=%d > Hedges=%d", es.Edge, s.HedgesWon, s.Hedges)
+			t.violate("edge %s: HedgesWon=%d > Hedges=%d", es.Edge, s.HedgesWon, s.Hedges)
 		}
 		if s.DeadlineMisses > s.Errors {
-			violate("edge %s: DeadlineMisses=%d > Errors=%d", es.Edge, s.DeadlineMisses, s.Errors)
+			t.violate("edge %s: DeadlineMisses=%d > Errors=%d", es.Edge, s.DeadlineMisses, s.Errors)
 		}
 	}
 	return t, nil
@@ -339,16 +284,4 @@ func readBW(seed uint64, ts int64) uint64 {
 		}
 	}
 	return 0
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

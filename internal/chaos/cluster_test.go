@@ -3,6 +3,8 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"papimc/internal/testutil"
 )
 
 // TestClusterProfiles drives a small tree through every named profile.
@@ -10,7 +12,8 @@ import (
 // surviving groups, edge conservation laws) are checked inside
 // runClusterTrial; any violation fails here with the repro line.
 func TestClusterProfiles(t *testing.T) {
-	for _, name := range ClusterProfileNames() {
+	testutil.NoGoroutineLeak(t)
+	for _, name := range Names(ClusterProfiles) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -42,6 +45,7 @@ func TestClusterProfiles(t *testing.T) {
 // across worker counts, which proves no timing-dependent state leaks
 // into the results.
 func TestClusterAcceptance(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
 	o := ClusterOptions{
 		Seed:    0xC10C,
 		Trials:  3,
@@ -92,6 +96,7 @@ func TestClusterAcceptance(t *testing.T) {
 // TestClusterSingleTrialReplay checks that -trial replay reproduces the
 // same trial the full sweep produced.
 func TestClusterSingleTrialReplay(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
 	o := ClusterOptions{
 		Seed:    0xD1CE,
 		Trials:  3,
@@ -113,7 +118,7 @@ func TestClusterSingleTrialReplay(t *testing.T) {
 	if len(one.Trials) != 1 {
 		t.Fatalf("replay returned %d trials", len(one.Trials))
 	}
-	wantRep := (&ClusterReport{Trials: full.Trials[2:3]}).String()
+	wantRep := (&Report[ClusterTrial]{Trials: full.Trials[2:3]}).String()
 	if got := one.String(); got != wantRep {
 		t.Errorf("replayed trial diverged:\n--- sweep\n%s--- replay\n%s", wantRep, got)
 	}

@@ -42,7 +42,6 @@ import (
 	"papimc/internal/pcp"
 	"papimc/internal/pmproxy"
 	"papimc/internal/simtime"
-	"papimc/internal/sweep"
 	"papimc/internal/xrand"
 )
 
@@ -71,13 +70,6 @@ const (
 
 // overloadStream salts the per-tenant arrival RNG substreams.
 const overloadStream = 0x0B40AD
-
-// OverloadPolicies are the admission policies the suite covers, in
-// sweep order: the control arm first, then the protecting policies,
-// then the drain policy.
-func OverloadPolicies() []string {
-	return []string{"always-admit", "token-bucket", "priority", "reject-all"}
-}
 
 // overloadAdmission is the tenant table for one policy. Quotas are
 // sized against the model: gold's quota (and the priority drain)
@@ -121,7 +113,7 @@ type OverloadOptions struct {
 	Seed uint64
 	// Trials is how many independent seeded trials to run.
 	Trials int
-	// Policy is the admission policy under test; see OverloadPolicies.
+	// Policy is the admission policy under test; see pmproxy.PolicyNames.
 	Policy string
 	// Workers parallelizes trials (never calls within a trial).
 	Workers int
@@ -150,72 +142,45 @@ type TenantOutcome struct {
 // OverloadTrial is one trial's outcome: per-tenant accounting and
 // latency, the gold baseline, the proxy stats, and any violations.
 type OverloadTrial struct {
-	Index  int
-	Seed   uint64
+	Outcome
 	Policy string
 
 	// BaselineP99 is gold's uncontended p99 (virtual ns), measured with
 	// the other tenants silent. Zero under reject-all (nothing served).
 	BaselineP99 int64
 
-	Tenants    []TenantOutcome // gold, silver, bronze
-	Proxy      pmproxy.Stats
-	Violations []string
+	Tenants []TenantOutcome // gold, silver, bronze
+	Proxy   pmproxy.Stats
 }
 
-// OverloadReport is a full overload run's outcome.
-type OverloadReport struct {
-	Opts   OverloadOptions
-	Trials []OverloadTrial
-}
-
-// Failed reports whether any trial violated an invariant.
-func (r *OverloadReport) Failed() bool {
-	for _, t := range r.Trials {
-		if len(t.Violations) > 0 {
-			return true
+func (t OverloadTrial) render(b *strings.Builder) {
+	fmt.Fprintf(b, "overload trial %02d policy=%s seed=%#016x baseline_p99=%dns\n",
+		t.Index, t.Policy, t.Seed, t.BaselineP99)
+	for _, o := range t.Tenants {
+		fmt.Fprintf(b, "  %-6s issued=%d admitted=%d shed=%d stale=%d samples=%d p50=%dns p99=%dns max=%dns",
+			o.Name, o.Issued, o.Admitted, o.Shed, o.StaleServed,
+			o.Samples, o.P50, o.P99, o.Max)
+		if t.BaselineP99 > 0 && o.Samples > 0 {
+			fmt.Fprintf(b, " p99x=%.2f", float64(o.P99)/float64(t.BaselineP99))
 		}
+		b.WriteByte('\n')
 	}
-	return false
-}
-
-// String renders the deterministic report: byte-identical for the same
-// options at any worker count.
-func (r *OverloadReport) String() string {
-	var b strings.Builder
-	for _, t := range r.Trials {
-		fmt.Fprintf(&b, "overload trial %02d policy=%s seed=%#016x baseline_p99=%dns\n",
-			t.Index, t.Policy, t.Seed, t.BaselineP99)
-		for _, o := range t.Tenants {
-			fmt.Fprintf(&b, "  %-6s issued=%d admitted=%d shed=%d stale=%d samples=%d p50=%dns p99=%dns max=%dns",
-				o.Name, o.Issued, o.Admitted, o.Shed, o.StaleServed,
-				o.Samples, o.P50, o.P99, o.Max)
-			if t.BaselineP99 > 0 && o.Samples > 0 {
-				fmt.Fprintf(&b, " p99x=%.2f", float64(o.P99)/float64(t.BaselineP99))
-			}
-			b.WriteByte('\n')
-		}
-		fmt.Fprintf(&b, "  proxy[fetch=%d up=%d coal=%d stale=%d shed=%d uerr=%d]\n",
-			t.Proxy.ClientFetches, t.Proxy.UpstreamFetches, t.Proxy.CoalescedHits,
-			t.Proxy.StaleServes, t.Proxy.Shed, t.Proxy.UpstreamErrors)
-		for _, v := range t.Violations {
-			fmt.Fprintf(&b, "  VIOLATION: %s\n", v)
-		}
-	}
-	return b.String()
+	fmt.Fprintf(b, "  proxy[fetch=%d up=%d coal=%d stale=%d shed=%d uerr=%d]\n",
+		t.Proxy.ClientFetches, t.Proxy.UpstreamFetches, t.Proxy.CoalescedHits,
+		t.Proxy.StaleServes, t.Proxy.Shed, t.Proxy.UpstreamErrors)
 }
 
 // OverloadReproLine is the one-command replay for a failing overload
 // trial: same policy, same seed substream, same verdict.
 func OverloadReproLine(o OverloadOptions, trial int) string {
 	return fmt.Sprintf("go run ./cmd/chaos -overload -policy %s -seed %#x -trials %d -trial %d",
-		o.Policy, o.Seed, maxInt(o.Trials, trial+1), trial)
+		o.Policy, o.Seed, max(o.Trials, trial+1), trial)
 }
 
 // RunOverload executes the overload sweep. The error is only for
 // harness failures (bad policy name, listen); invariant violations are
-// reported in the OverloadReport.
-func RunOverload(o OverloadOptions) (*OverloadReport, error) {
+// reported in the Report.
+func RunOverload(o OverloadOptions) (*Report[OverloadTrial], error) {
 	if o.Trials <= 0 {
 		o.Trials = 1
 	}
@@ -225,23 +190,9 @@ func RunOverload(o OverloadOptions) (*OverloadReport, error) {
 	if _, err := pmproxy.NewPolicy(o.Policy, overloadAdmission(o.Policy)); err != nil {
 		return nil, err
 	}
-	rep := &OverloadReport{Opts: o}
-	if o.Trial >= 0 {
-		t, err := runOverloadTrial(o, o.Trial)
-		if err != nil {
-			return nil, err
-		}
-		rep.Trials = []OverloadTrial{t}
-		return rep, nil
-	}
-	trials, err := sweep.Map(o.Trials, o.Workers, func(i int) (OverloadTrial, error) {
-		return runOverloadTrial(o, i)
+	return runTrials(o.Seed, o.Trials, o.Workers, o.Trial, func(oc Outcome) (OverloadTrial, error) {
+		return runOverloadTrial(o, oc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Trials = trials
-	return rep, nil
 }
 
 // oTenant is one tenant's arrival stream and harness-side accounting.
@@ -351,12 +302,8 @@ func pctile(lats []int64, q int) int64 {
 
 // runOverloadTrial drives one complete overload testbed
 // single-threadedly; everything derives from the trial seed.
-func runOverloadTrial(o OverloadOptions, idx int) (OverloadTrial, error) {
-	seed := sweep.Seed(o.Seed, idx)
-	t := OverloadTrial{Index: idx, Seed: seed, Policy: o.Policy}
-	violate := func(format string, args ...any) {
-		t.Violations = append(t.Violations, fmt.Sprintf(format, args...))
-	}
+func runOverloadTrial(o OverloadOptions, oc Outcome) (OverloadTrial, error) {
+	t := OverloadTrial{Outcome: oc, Policy: o.Policy}
 
 	clock := simtime.NewClock()
 	daemon, err := pcp.NewDaemon(clock, Interval, Metrics())
@@ -386,7 +333,7 @@ func runOverloadTrial(o OverloadOptions, idx int) (OverloadTrial, error) {
 			name:  name,
 			id:    id,
 			pmids: pmids,
-			rng:   xrand.New(mix(seed ^ (overloadStream + uint64(id)))),
+			rng:   xrand.New(mix(t.Seed ^ (overloadStream + uint64(id)))),
 			base:  int64(simtime.Second) / rate,
 		}
 		s.next = start + s.rng.Int63n(s.base+1)
@@ -397,7 +344,7 @@ func runOverloadTrial(o OverloadOptions, idx int) (OverloadTrial, error) {
 	bronze := newTenant("bronze", TenantBronze, bronzeRate, []uint32{5, 6}, int64(baselineDur))
 	all := []*oTenant{gold, silver, bronze}
 
-	d := &oDriver{proxy: proxy, clock: clock, violate: violate}
+	d := &oDriver{proxy: proxy, clock: clock, violate: t.violate}
 
 	// Phase 1 — baseline: gold alone, establishing the uncontended p99
 	// every protection bound is measured against.
@@ -423,11 +370,11 @@ func runOverloadTrial(o OverloadOptions, idx int) (OverloadTrial, error) {
 		ts := proxy.TenantStatsFor(s.id)
 		if ts.Issued != s.issued || ts.Admitted != s.admitted ||
 			ts.Shed != s.shed || ts.StaleServed != s.stale {
-			violate("%s: proxy stats %+v != harness issued=%d admitted=%d shed=%d stale=%d",
+			t.violate("%s: proxy stats %+v != harness issued=%d admitted=%d shed=%d stale=%d",
 				s.name, ts, s.issued, s.admitted, s.shed, s.stale)
 		}
 		if ts.Issued != ts.Admitted+ts.Shed+ts.StaleServed {
-			violate("%s: conservation broken: issued %d != admitted %d + shed %d + stale %d",
+			t.violate("%s: conservation broken: issued %d != admitted %d + shed %d + stale %d",
 				s.name, ts.Issued, ts.Admitted, ts.Shed, ts.StaleServed)
 		}
 		sumIssued += s.issued
@@ -451,19 +398,19 @@ func runOverloadTrial(o OverloadOptions, idx int) (OverloadTrial, error) {
 	// per-tenant sums, and with Interval 0 and a healthy upstream every
 	// admitted request is one upstream fetch.
 	if st.ClientFetches != sumIssued {
-		violate("aggregate: ClientFetches=%d != issued sum %d", st.ClientFetches, sumIssued)
+		t.violate("aggregate: ClientFetches=%d != issued sum %d", st.ClientFetches, sumIssued)
 	}
 	if st.Shed != sumShed {
-		violate("aggregate: Shed=%d != per-tenant shed sum %d", st.Shed, sumShed)
+		t.violate("aggregate: Shed=%d != per-tenant shed sum %d", st.Shed, sumShed)
 	}
 	if st.StaleServes != sumStale {
-		violate("aggregate: StaleServes=%d != per-tenant stale sum %d", st.StaleServes, sumStale)
+		t.violate("aggregate: StaleServes=%d != per-tenant stale sum %d", st.StaleServes, sumStale)
 	}
 	if st.UpstreamFetches != sumAdmitted {
-		violate("aggregate: UpstreamFetches=%d != admitted sum %d", st.UpstreamFetches, sumAdmitted)
+		t.violate("aggregate: UpstreamFetches=%d != admitted sum %d", st.UpstreamFetches, sumAdmitted)
 	}
 	if st.UpstreamErrors != 0 {
-		violate("aggregate: %d upstream errors with a healthy upstream", st.UpstreamErrors)
+		t.violate("aggregate: %d upstream errors with a healthy upstream", st.UpstreamErrors)
 	}
 
 	// Policy verdicts.
@@ -472,37 +419,37 @@ func runOverloadTrial(o OverloadOptions, idx int) (OverloadTrial, error) {
 	case "reject-all":
 		for _, o := range t.Tenants {
 			if o.Shed != o.Issued {
-				violate("reject-all: %s shed %d of %d issued", o.Name, o.Shed, o.Issued)
+				t.violate("reject-all: %s shed %d of %d issued", o.Name, o.Shed, o.Issued)
 			}
 		}
 		if st.UpstreamFetches != 0 {
-			violate("reject-all: %d requests reached the upstream", st.UpstreamFetches)
+			t.violate("reject-all: %d requests reached the upstream", st.UpstreamFetches)
 		}
 	case "always-admit":
 		if sumShed != 0 || sumStale != 0 {
-			violate("always-admit: shed=%d stale=%d, want 0/0", sumShed, sumStale)
+			t.violate("always-admit: shed=%d stale=%d, want 0/0", sumShed, sumStale)
 		}
 		// The control arm: unprotected 2x overload must blow the bound,
 		// or the protection assertions below prove nothing.
 		if t.BaselineP99 <= 0 || g.P99 <= 2*t.BaselineP99 {
-			violate("control arm failed to collapse: gold p99 %dns vs baseline %dns",
+			t.violate("control arm failed to collapse: gold p99 %dns vs baseline %dns",
 				g.P99, t.BaselineP99)
 		}
 	default: // protecting policies: token-bucket, priority
 		if g.Shed != 0 || g.StaleServed != 0 {
-			violate("%s: gold was degraded: shed=%d stale=%d", o.Policy, g.Shed, g.StaleServed)
+			t.violate("%s: gold was degraded: shed=%d stale=%d", o.Policy, g.Shed, g.StaleServed)
 		}
 		if t.BaselineP99 <= 0 {
-			violate("%s: no gold baseline", o.Policy)
+			t.violate("%s: no gold baseline", o.Policy)
 		} else if g.P99 > 2*t.BaselineP99 {
-			violate("%s: gold p99 %dns exceeds 2x baseline %dns (ratio %.2f)",
+			t.violate("%s: gold p99 %dns exceeds 2x baseline %dns (ratio %.2f)",
 				o.Policy, g.P99, t.BaselineP99, float64(g.P99)/float64(t.BaselineP99))
 		}
 		if s2.Shed == 0 {
-			violate("%s: silver at 2x quota was never shed", o.Policy)
+			t.violate("%s: silver at 2x quota was never shed", o.Policy)
 		}
 		if b.StaleServed == 0 {
-			violate("%s: degradable bronze was never served stale", o.Policy)
+			t.violate("%s: degradable bronze was never served stale", o.Policy)
 		}
 	}
 	return t, nil

@@ -3,6 +3,9 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"papimc/internal/pmproxy"
+	"papimc/internal/testutil"
 )
 
 // TestOverloadPolicies runs the full overload trial for every
@@ -11,7 +14,8 @@ import (
 // exact per-tenant conservation and typed sheds throughout. A failure
 // prints the deterministic report and the one-command repro line.
 func TestOverloadPolicies(t *testing.T) {
-	for _, policy := range OverloadPolicies() {
+	testutil.NoGoroutineLeak(t)
+	for _, policy := range pmproxy.PolicyNames() {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
@@ -34,6 +38,7 @@ func TestOverloadPolicies(t *testing.T) {
 // TestOverloadReproducible pins byte-reproducibility: the same seed
 // yields the identical report string at different worker counts.
 func TestOverloadReproducible(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
 	o := OverloadOptions{Seed: 7, Policy: "token-bucket", Trials: 2, Trial: -1}
 	o.Workers = 1
 	a, err := RunOverload(o)
@@ -61,6 +66,7 @@ func TestOverloadReproducible(t *testing.T) {
 // TestOverloadSingleTrialReplay pins the repro path: replaying trial 1
 // alone reproduces exactly trial 1's line from the full sweep.
 func TestOverloadSingleTrialReplay(t *testing.T) {
+	testutil.NoGoroutineLeak(t)
 	full, err := RunOverload(OverloadOptions{Seed: 11, Policy: "priority", Trials: 2, Trial: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +78,7 @@ func TestOverloadSingleTrialReplay(t *testing.T) {
 	if len(full.Trials) != 2 || len(one.Trials) != 1 {
 		t.Fatalf("trial counts = %d and %d, want 2 and 1", len(full.Trials), len(one.Trials))
 	}
-	wantRep := (&OverloadReport{Trials: full.Trials[1:]}).String()
+	wantRep := (&Report[OverloadTrial]{Trials: full.Trials[1:]}).String()
 	if got := one.String(); got != wantRep {
 		t.Errorf("single-trial replay diverged:\n--- sweep trial 1\n%s--- replay\n%s", wantRep, got)
 	}

@@ -1,6 +1,7 @@
 package faultconn
 
 import (
+	"io"
 	"net"
 	"os"
 	"sort"
@@ -49,6 +50,11 @@ type dirState struct {
 	nextLatency int64
 	exact       []Fault // exact-offset faults for this conn+dir, sorted
 	pending     error   // terminal error delivered to all further calls
+
+	// A read fault holds back the byte whose arrival fired it; held
+	// marks hold[0] as not yet delivered.
+	hold [1]byte
+	held bool
 }
 
 // init seeds the direction's substreams and draws the first offsets.
@@ -181,7 +187,11 @@ func (c *conn) reset(d *dirState) error {
 
 // Read implements net.Conn. It delivers bytes up to the next fault
 // boundary (and within the chunk cap), then fires the fault exactly at
-// its scheduled stream offset.
+// its scheduled stream offset — once the byte at that offset has
+// arrived, not as soon as a Read is posted there. A pipelined client
+// keeps a Read posted on an idle connection, and a fault fired there
+// would meet no request. The byte is held back: a Latency delivers it
+// after the delay; a Reset or Stall breaks the conn, so it never is.
 func (c *conn) Read(p []byte) (int, error) {
 	d := &c.rd
 	d.mu.Lock()
@@ -195,6 +205,12 @@ func (c *conn) Read(p []byte) (int, error) {
 		}
 		bound, f, ok := d.boundary()
 		if ok && bound == d.off && f.Kind != Corrupt {
+			if !d.held {
+				if _, err := io.ReadFull(c.Conn, d.hold[:]); err != nil {
+					return 0, err // closed or past its deadline: nothing fires
+				}
+				d.held = true
+			}
 			d.fired(f)
 			c.in.record(f)
 			switch f.Kind {
@@ -216,7 +232,12 @@ func (c *conn) Read(p []byte) (int, error) {
 		if ch := d.chunkAt(c.in.sched.MaxChunk); ch > 0 && ch < n {
 			n = ch
 		}
-		m, err := c.Conn.Read(p[:n])
+		m, err := 1, error(nil)
+		if d.held {
+			p[0], d.held = d.hold[0], false
+		} else {
+			m, err = c.Conn.Read(p[:n])
+		}
 		d.off += int64(m)
 		c.pace(m)
 		if ok && f.Kind == Corrupt && d.off == bound && m > 0 {

@@ -9,9 +9,11 @@
 // time or syscall count. Stream faults fire at byte offsets: a fault
 // scheduled "after 1234 bytes" fires at exactly that point in the byte
 // stream no matter how TCP segments it, how big the peer's bufio reads
-// are, or how many goroutines are running. Two runs with the same seed
-// therefore inject byte-identical fault traces, which is what makes a
-// chaos-suite failure replayable from its seed line.
+// are, or how many goroutines are running. A read fault fires when the
+// byte at its offset arrives, never on a Read merely waiting on an idle
+// connection. Two runs with the same seed therefore inject
+// byte-identical fault traces, which is what makes a chaos-suite
+// failure replayable from its seed line.
 //
 // The fault vocabulary is composable — a Schedule can mix:
 //

@@ -264,7 +264,8 @@ func TestStallCappedByMaxStall(t *testing.T) {
 		Exact:    []Fault{{Conn: 0, Dir: Read, Off: 0, Kind: Stall}},
 		MaxStall: 30 * time.Millisecond,
 	})
-	client, _ := pipePair(t, in)
+	client, server := pipePair(t, in)
+	server.Write([]byte{1}) // a read fault fires only once its byte arrives
 	start := time.Now()
 	_, err := client.Read(make([]byte, 1)) // no deadline set
 	elapsed := time.Since(start)
@@ -273,6 +274,59 @@ func TestStallCappedByMaxStall(t *testing.T) {
 	}
 	if elapsed < 20*time.Millisecond || elapsed > 2*time.Second {
 		t.Fatalf("stall returned after %v, want ~30ms", elapsed)
+	}
+}
+
+// TestReadFaultWaitsForItsByte: a read fault fires when the byte at its
+// offset arrives, not when a Read is merely posted there — a reader
+// waiting on an idle connection (a pipelined client's demux loop) meets
+// no fault until the peer sends.
+func TestReadFaultWaitsForItsByte(t *testing.T) {
+	in := New(31, Schedule{Exact: []Fault{{Conn: 0, Dir: Read, Off: 0, Kind: Reset}}})
+	client, server := pipePair(t, in)
+	client.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
+	if _, err := client.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("idle read err = %v, want deadline exceeded", err)
+	}
+	if tr := in.Trace(); len(tr) != 0 {
+		t.Fatalf("fault fired on an idle connection: %v", tr)
+	}
+	client.SetReadDeadline(time.Time{})
+	server.Write([]byte{1})
+	if _, err := client.Read(make([]byte, 1)); !errors.Is(err, ErrReset) {
+		t.Fatalf("read after the byte arrived: err = %v, want ErrReset", err)
+	}
+	if st := in.Stats(); st.Resets != 1 {
+		t.Fatalf("stats = %+v, want 1 reset", st)
+	}
+}
+
+// TestLatencyDeliversHeldByte: the byte whose arrival fired a Latency is
+// delivered after the delay — and a Corrupt at the same offset still
+// flips it — so the stream stays complete.
+func TestLatencyDeliversHeldByte(t *testing.T) {
+	const off = 100
+	in := New(37, Schedule{
+		Exact: []Fault{
+			{Conn: 0, Dir: Read, Off: off, Kind: Latency},
+			{Conn: 0, Dir: Read, Off: off, Kind: Corrupt},
+		},
+		MaxChunk: 16,
+	})
+	got, err := pump(t, in, 1024)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if len(got) != 1024 {
+		t.Fatalf("got %d bytes, want 1024", len(got))
+	}
+	for i, b := range got {
+		if (b != byte(i)) != (i == off) {
+			t.Fatalf("byte %d = %#x; want only offset %d flipped", i, b, off)
+		}
+	}
+	if st := in.Stats(); st.Latencies != 1 || st.Corrupts != 1 {
+		t.Fatalf("stats = %+v, want 1 latency and 1 corrupt", st)
 	}
 }
 

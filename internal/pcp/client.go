@@ -90,9 +90,7 @@ func Dial(addr string) (*Client, error) { return DialMax(addr, MaxVersion) }
 
 // DialMax is Dial with a client-side cap on the negotiated wire
 // version. DialMax(addr, Version1) pins the lockstep protocol — the
-// behaviour of an old client — which is also what the chaos harness
-// uses to keep its byte-exact fault accounting on the single-flight
-// path.
+// behaviour of an old client.
 func DialMax(addr string, maxVersion uint32) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -11,14 +11,14 @@ import (
 	"papimc/internal/faultconn"
 )
 
-// Pipelined-path chaos coverage. The chaos suite proper
-// (internal/chaos) pins its upstream clients to Version1 because its
-// conservation laws count one fatal fault per failed round trip — exact
-// only when requests are single-flight. These tests are the pipelined
-// counterpart: deterministic faultconn faults against a Version3
-// connection with many requests in flight, asserting the per-request
-// contract — every outstanding request surfaces a typed error, nothing
-// hangs, and a per-request deadline fails only its own request.
+// Pipelined-path fault coverage with many requests in flight. The chaos
+// suite proper (internal/chaos) also runs on Version3, but drives one
+// request at a time so its conservation laws can count one fatal fault
+// per failed round trip. These tests put deterministic faultconn faults
+// against a Version3 connection carrying many outstanding requests and
+// assert the per-request contract — every outstanding request surfaces
+// a typed error, nothing hangs, and a per-request deadline fails only
+// its own request.
 
 // negotiatedReadBytes is the client-side read offset after connection
 // setup on the happy path: the 4-byte handshake echo plus the lockstep

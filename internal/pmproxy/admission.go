@@ -3,7 +3,6 @@ package pmproxy
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"papimc/internal/pcp"
@@ -69,8 +68,8 @@ type TenantConfig struct {
 // AdmissionConfig wires an admission policy and its tenant table into a
 // Proxy.
 type AdmissionConfig struct {
-	// Policy names the factory-registered admission policy:
-	// "always-admit", "token-bucket", "priority", "reject-all". Empty
+	// Policy names the admission policy: "always-admit",
+	// "token-bucket", "priority", "reject-all". Empty
 	// disables admission control entirely (no policy, no queue — the
 	// pre-admission fast path).
 	Policy string
@@ -121,55 +120,25 @@ func (c *AdmissionConfig) weight(id uint32) float64 {
 	return 1
 }
 
-// PolicyFactory builds a policy from the admission configuration.
-type PolicyFactory func(cfg AdmissionConfig) Policy
-
-var (
-	policyMu        sync.RWMutex
-	policyFactories = map[string]PolicyFactory{}
-)
-
-// RegisterPolicy adds a named policy factory; built-in policies
-// register themselves at init. Registering a duplicate name panics —
-// policy wiring is a construction-time concern.
-func RegisterPolicy(name string, f PolicyFactory) {
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := policyFactories[name]; dup {
-		panic(fmt.Sprintf("pmproxy: duplicate admission policy %q", name))
-	}
-	policyFactories[name] = f
-}
-
 // NewPolicy builds the named admission policy, or an error naming the
-// registered policies if the name is unknown.
+// known policies if the name is unknown.
 func NewPolicy(name string, cfg AdmissionConfig) (Policy, error) {
-	policyMu.RLock()
-	f, ok := policyFactories[name]
-	policyMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("pmproxy: unknown admission policy %q (have %v)", name, PolicyNames())
+	switch name {
+	case "always-admit":
+		return alwaysAdmit{}, nil
+	case "priority":
+		return newPriorityShedder(cfg), nil
+	case "reject-all":
+		return rejectAll{}, nil
+	case "token-bucket":
+		return newTokenBucket(cfg), nil
 	}
-	return f(cfg), nil
+	return nil, fmt.Errorf("pmproxy: unknown admission policy %q (have %v)", name, PolicyNames())
 }
 
-// PolicyNames lists the registered admission policies, sorted.
+// PolicyNames lists the admission policies, sorted.
 func PolicyNames() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	names := make([]string, 0, len(policyFactories))
-	for n := range policyFactories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterPolicy("always-admit", func(AdmissionConfig) Policy { return alwaysAdmit{} })
-	RegisterPolicy("reject-all", func(AdmissionConfig) Policy { return rejectAll{} })
-	RegisterPolicy("token-bucket", newTokenBucket)
-	RegisterPolicy("priority", newPriorityShedder)
+	return []string{"always-admit", "priority", "reject-all", "token-bucket"}
 }
 
 // alwaysAdmit is the no-op policy: every request proceeds. It exists so

@@ -177,17 +177,16 @@ func TestPolicyRegistry(t *testing.T) {
 			t.Errorf("PolicyNames() = %v, missing %q", names, want)
 		}
 	}
+	for _, n := range names {
+		if _, err := NewPolicy(n, AdmissionConfig{}); err != nil {
+			t.Errorf("PolicyNames() lists %q but NewPolicy rejects it: %v", n, err)
+		}
+	}
 	if _, err := NewPolicy("no-such-policy", AdmissionConfig{}); err == nil {
 		t.Fatal("unknown policy name must error")
 	} else if !strings.Contains(err.Error(), "no-such-policy") {
 		t.Fatalf("unknown-policy error %q does not name the policy", err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate RegisterPolicy must panic")
-		}
-	}()
-	RegisterPolicy("always-admit", func(AdmissionConfig) Policy { return alwaysAdmit{} })
 }
 
 // TestTokenBucketCountingOracle stresses concurrent Admit against the

@@ -85,7 +85,7 @@ type Config struct {
 	// instead of queueing on one connection. Zero means 4.
 	PoolSize int
 	// Admission configures the admission/scheduling layer in front of
-	// the fetch path: a factory-registered policy, per-tenant quotas,
+	// the fetch path: a named policy (see PolicyNames), per-tenant quotas,
 	// and weighted fair queueing. The zero value disables admission
 	// entirely (every request proceeds, no queue) — the pre-QoS fast
 	// path. An unknown policy name panics in New; validate with
