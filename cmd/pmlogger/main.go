@@ -1,8 +1,9 @@
 // Command pmlogger records a PMCD daemon's metrics into an archive file,
 // like PCP's pmlogger: it polls the daemon at a fixed interval, appends
 // each new sample (duplicate daemon samples are deduplicated by
-// timestamp), and writes a varint-delta-encoded archive that cmd tools
-// and the archive replay source can consume offline.
+// timestamp), and saves a varint-delta-encoded archive that cmd tools
+// and the archive replay source can consume offline. The file is replaced
+// atomically at every sealed raw block and once more at exit.
 //
 // Usage:
 //
@@ -86,8 +87,8 @@ func record(addr, out string, interval, duration time.Duration, opts archive.Opt
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pmlogger: recording %d metrics from %s every %v\n",
-		len(rec.Archive().Names()), addr, interval)
+	a, saved := rec.Archive(), 0
+	fmt.Printf("pmlogger: recording %d metrics from %s every %v\n", len(a.Names()), addr, interval)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
@@ -97,29 +98,27 @@ func record(addr, out string, interval, duration time.Duration, opts archive.Opt
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-loop:
-	for {
+	for done := false; !done; {
 		select {
 		case <-stop:
-			break loop
+			done = true
 		case <-deadline:
-			break loop
+			done = true
 		case <-tick.C:
 			if err := rec.Record(); err != nil {
 				fmt.Fprintln(os.Stderr, "pmlogger: sample failed:", err)
 			}
 		}
+		// A raw block seals every DefaultBlockSamples rows: save then, and at exit.
+		if n := a.Stats().Appended; done || n-saved >= archive.DefaultBlockSamples {
+			if err := a.Save(out); err != nil {
+				return err
+			}
+			saved = n
+		}
 	}
 
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := rec.Archive().WriteTo(f); err != nil {
-		return err
-	}
-	st := rec.Archive().Stats()
+	st := a.Stats()
 	fmt.Printf("pmlogger: wrote %s: %d samples (%d evicted, %d folded), %s encoded vs %s raw\n",
 		out, st.Samples, st.Evicted, st.Folded, units.FormatBytes(int64(st.EncodedBytes)), units.FormatBytes(int64(st.RawBytes)))
 	for _, ts := range st.Tiers {

@@ -11,25 +11,16 @@ import (
 	"papimc/internal/pcp"
 )
 
-// On-disk format.
-//
-// Version 1 ("PMLG1\n"): magic, schema, row count, one keyframe+delta
-// stream. Still read bit-for-bit compatibly (the golden-archive interop
-// test pins it); rollup tiers are rebuilt from the raw rows on load.
-//
-// Version 2 ("PMLG2\n"), what WriteTo now emits:
+// On-disk format ("PMLG2\n"), the one format WriteTo emits and Read
+// accepts:
 //
 //	magic "PMLG2\n"
 //	schema: uvarint nNames, then per name uvarint pmid, uvarint len, bytes
 //	raw tier: uvarint nChunks, then per chunk
 //	    uvarint rowCount, uvarint bufLen, bufLen delta-encoded bytes
 //	    (each chunk decodes independently: first row is a keyframe)
-//	sections: uvarint nSections, then per section
-//	    uvarint id, uvarint len, len bytes
-//
-// Sections are optional and tagged: a reader skips unknown ids, so the
-// format is forward-extensible and old v2 archives stay readable when
-// new sections appear. Current sections:
+//	sections: uvarint 2, then two sections, each uvarint id, uvarint
+//	    len, len bytes, in this order:
 //
 //	id 1, block index: per chunk varint firstTS, varint lastTS. Lets a
 //	    reader sanity-check chunk boundaries; per-column summaries are
@@ -43,10 +34,11 @@ import (
 //	    8-byte LE float64 sum, varint delta. Rollups carry history
 //	    that may extend past the retained raw rows (raw folded by
 //	    retention), so they are stored, not re-derived.
+//
+// Any other section count, id or order is ErrFormat.
 
 const (
-	fileMagicV1 = "PMLG1\n"
-	fileMagicV2 = "PMLG2\n"
+	fileMagic = "PMLG2\n"
 
 	sectionBlockIndex = 1
 	sectionRollups    = 2
@@ -57,7 +49,6 @@ const (
 	maxNames       = 1 << 20
 	maxChunks      = 1 << 22
 	maxChunkRows   = 1 << 24
-	maxSections    = 1 << 10
 	maxTiers       = 1 << 10
 	maxTierBuckets = 1 << 24
 )
@@ -72,7 +63,7 @@ func (a *Archive) WriteTo(w io.Writer) (int64, error) {
 	a.mu.Unlock()
 
 	var buf []byte
-	buf = append(buf, fileMagicV2...)
+	buf = append(buf, fileMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(a.names)))
 	for _, e := range a.names {
 		buf = binary.AppendUvarint(buf, uint64(e.PMID))
@@ -197,7 +188,7 @@ func (p *parser) f64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// readSchema parses the name table shared by both format versions.
+// readSchema parses the name table.
 func readSchema(p *parser) ([]pcp.NameEntry, error) {
 	nNames := p.uv()
 	if p.err != nil {
@@ -222,64 +213,21 @@ func readSchema(p *parser) ([]pcp.NameEntry, error) {
 	return names, nil
 }
 
-// Read deserializes an archive written by WriteTo, either format
-// version. The file's rollup tiers (if any) replace the tier set from
-// opts — they can carry history the raw rows no longer do.
+// Read deserializes an archive written by WriteTo: raw chunks become
+// sealed blocks (summaries recomputed from the decoded rows, never
+// trusted from disk) and both sections are validated against them. The
+// archive's rollup tiers are the file's, which can carry history the raw
+// rows no longer do; every other Options field comes from opts.
 func Read(r io.Reader, opts Options) (*Archive, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	magicLen := len(fileMagicV1)
-	if len(data) < magicLen {
+	if len(data) < len(fileMagic) || string(data[:len(fileMagic)]) != fileMagic {
 		return nil, fmt.Errorf("%w: missing magic", ErrFormat)
 	}
-	switch string(data[:magicLen]) {
-	case fileMagicV1:
-		return readV1(data[magicLen:], opts)
-	case fileMagicV2:
-		return readV2(data[magicLen:], opts)
-	}
-	return nil, fmt.Errorf("%w: missing magic", ErrFormat)
-}
-
-// readV1 parses the legacy single-stream format by replaying every row
-// through the append path, which also rebuilds the rollup tiers.
-func readV1(buf []byte, opts Options) (*Archive, error) {
-	p := &parser{buf: buf}
+	p := &parser{buf: data[len(fileMagic):]}
 	names, err := readSchema(p)
-	if err != nil {
-		return nil, err
-	}
-	a, err := New(names, opts)
-	if err != nil {
-		return nil, err
-	}
-	nRows := p.uv()
-	if p.err != nil {
-		return nil, p.err
-	}
-	for rc := newRowCursor(p.buf, len(names)); uint64(rc.n) < nRows; {
-		if err := rc.next(); err != nil {
-			return nil, err
-		}
-		if err := a.AppendSample(rc.row()); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
-}
-
-// readV2 parses the chunked format: raw chunks become sealed blocks
-// (summaries recomputed from the decoded rows, never trusted from
-// disk), known sections are validated, unknown sections are skipped.
-func readV2(buf []byte, opts Options) (*Archive, error) {
-	p := &parser{buf: buf}
-	names, err := readSchema(p)
-	if err != nil {
-		return nil, err
-	}
-	a, err := New(names, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -334,43 +282,30 @@ func readV2(buf []byte, opts Options) (*Archive, error) {
 		prevLast = &last
 	}
 
-	// Sections.
-	nSections := p.uv()
+	// Sections: exactly the two WriteTo writes, in its order.
+	section := func(want uint64) []byte {
+		if id := p.uv(); p.err == nil && id != want {
+			p.err = fmt.Errorf("%w: section id %d, want %d", ErrFormat, id, want)
+		}
+		return p.bytes(p.uv())
+	}
+	if n := p.uv(); p.err == nil && n != 2 {
+		return nil, fmt.Errorf("%w: %d sections, want 2", ErrFormat, n)
+	}
+	idx := section(sectionBlockIndex)
+	rol := section(sectionRollups)
 	if p.err != nil {
 		return nil, p.err
 	}
-	if nSections > maxSections {
-		return nil, fmt.Errorf("%w: implausible section count %d", ErrFormat, nSections)
-	}
-	var tiers []tierSnap
-	sawRollups := false
-	for i := uint64(0); i < nSections; i++ {
-		id := p.uv()
-		slen := p.uv()
-		if p.err != nil {
-			return nil, p.err
-		}
-		payload := p.bytes(slen)
-		if p.err != nil {
-			return nil, p.err
-		}
-		switch id {
-		case sectionBlockIndex:
-			if err := validateBlockIndex(payload, blocks); err != nil {
-				return nil, err
-			}
-		case sectionRollups:
-			t, err := parseRollups(payload, width)
-			if err != nil {
-				return nil, err
-			}
-			tiers, sawRollups = t, true
-		default:
-			// Unknown section: skip. Forward compatibility.
-		}
-	}
 	if len(p.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(p.buf))
+	}
+	if err := validateBlockIndex(idx, blocks); err != nil {
+		return nil, err
+	}
+	tiers, err := parseRollups(rol, width)
+	if err != nil {
+		return nil, err
 	}
 
 	s := &snapshot{
@@ -382,41 +317,30 @@ func readV2(buf []byte, opts Options) (*Archive, error) {
 	if prevLast != nil {
 		s.lastTS, s.seenAny = prevLast.Timestamp, true
 	}
-	if sawRollups {
-		// The file's tier set wins: it can hold folded history the raw
-		// rows no longer cover. Cross-check it against the raw rows.
-		if err := validateTiers(tiers, s); err != nil {
-			return nil, err
-		}
-		s.tiers = tiers
-		a.open = make([]Bucket, len(tiers))
-		for i := range tiers {
-			if t := &s.tiers[i]; len(t.done) > 0 {
-				a.open[i] = t.done[len(t.done)-1]
-				t.done = t.done[: len(t.done)-1 : len(t.done)-1]
-			}
-		}
-	} else {
-		// No rollup section (e.g. a minimal v2 writer): rebuild the
-		// configured tiers from the raw rows.
-		s.tiers = a.snap.Load().tiers
-		for _, b := range blocks {
-			for rc := newRowCursor(b.buf, width); rc.n < b.Count; {
-				if err := rc.next(); err != nil {
-					return nil, err
-				}
-				for i := range s.tiers {
-					a.foldRow(&s.tiers[i], &a.open[i], rc.row())
-				}
-			}
-		}
+	// Cross-check the tiers against the raw rows.
+	if err := validateTiers(tiers, s); err != nil {
+		return nil, err
 	}
-	// Publish the in-progress buckets as a seal does; appends after the
-	// load fold on from the writer's copies.
+	// The archive folds into the file's tiers, so New sizes its writer
+	// state and its timestamp bound from them.
+	opts.Rollups = make([]int64, len(tiers))
+	for i := range tiers {
+		opts.Rollups[i] = tiers[i].res
+	}
+	a, err := New(names, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Each tier's newest bucket is the writer's in-progress one, published
+	// as a seal does; appends after the load fold on from it.
+	s.tiers = tiers
 	for i := range s.tiers {
-		if o := a.open[i].clone(); o.Count > 0 {
-			s.tiers[i].sealed = o
-			s.lastTS, s.seenAny = o.LastTS, true // every tier ends at the newest row (validateTiers)
+		t := &s.tiers[i]
+		if n := len(t.done); n > 0 {
+			a.open[i] = t.done[n-1]
+			t.done = t.done[: n-1 : n-1]
+			t.sealed = a.open[i].clone()
+			s.lastTS, s.seenAny = a.open[i].LastTS, true // every tier ends at the newest row (validateTiers)
 		}
 	}
 	a.snap.Store(s)

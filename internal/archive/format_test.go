@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,9 +15,9 @@ import (
 	"papimc/internal/pcp"
 )
 
-// goldenRows regenerates the exact rows the golden v1 archive was built
-// from (by the pre-rollup code): a counter that wraps past 2^64
-// mid-archive, a well-behaved counter, and a decreasing level.
+// goldenRows regenerates the exact rows the golden archive holds: a
+// counter that wraps past 2^64 mid-archive, a well-behaved counter, and
+// a decreasing level.
 func goldenRows() []Sample {
 	rows := make([]Sample, 37)
 	v0 := ^uint64(0) - 5000
@@ -33,27 +34,23 @@ func goldenRows() []Sample {
 	return rows
 }
 
-// TestGoldenV1Interop is the on-disk compatibility pin: a v1 archive
-// written by the pre-rollup code (committed bytes, hash-pinned so the
-// fixture cannot drift) must read unchanged — same schema, same rows,
-// same wrap-corrected query answers — and its rollup tiers must be
-// rebuilt from the raw rows on load.
-func TestGoldenV1Interop(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_v1.pmlog"))
+// TestGoldenInterop is the on-disk compatibility pin: committed bytes,
+// hash-pinned so the fixture cannot drift, must read unchanged — same
+// schema, same rows, same wrap-corrected query answers at raw and rollup
+// resolution — and WriteTo must reproduce them byte for byte.
+func TestGoldenInterop(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden.pmlog"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantSHA = "a14651db14a0d357c7befa4f1f317393871858f8641e4060e61acd4629ee7fe6"
+	const wantSHA = "504ef6005f0e12312008cf5ce4daf40d2deda062d66a39d462e44982c142abb2"
 	if got := hex.EncodeToString(sha256Sum(data)); got != wantSHA {
 		t.Fatalf("golden fixture drifted: sha256 %s, want %s", got, wantSHA)
-	}
-	if !bytes.HasPrefix(data, []byte(fileMagicV1)) {
-		t.Fatalf("golden fixture is not a v1 archive")
 	}
 
 	a, err := Read(bytes.NewReader(data), Options{})
 	if err != nil {
-		t.Fatalf("v1 archive no longer reads: %v", err)
+		t.Fatalf("golden archive no longer reads: %v", err)
 	}
 	wantNames := []pcp.NameEntry{
 		{PMID: 1, Name: "golden.counter.a"},
@@ -68,7 +65,7 @@ func TestGoldenV1Interop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := goldenRows(); !reflect.DeepEqual(rows, want) {
-		t.Fatalf("decoded rows differ from the pre-change writer's input")
+		t.Fatalf("decoded rows differ from the golden rows")
 	}
 
 	// Query semantics across the recorded wrap are preserved: column 1
@@ -79,29 +76,17 @@ func TestGoldenV1Interop(t *testing.T) {
 	if rate, err := rateAt(a, ResRaw, 9, 0, 36*500_000_000); err != nil || rate != -200 {
 		t.Errorf("Rate of golden level = %v, %v; want exactly -200", rate, err)
 	}
-	// Rollups were rebuilt from the raw rows and agree with the raw path.
+	// The stored rollups agree with the raw path.
 	if rate, err := rateAt(a, Res10s, 1, 0, 36*500_000_000); err != nil || rate != 800 {
 		t.Errorf("rollup Rate over golden archive = %v, %v; want exactly 800", rate, err)
 	}
 
-	// Re-serializing upgrades to v2; the rows survive untouched.
 	var out bytes.Buffer
 	if _, err := a.WriteTo(&out); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(out.Bytes(), []byte(fileMagicV2)) {
-		t.Fatalf("WriteTo no longer emits v2")
-	}
-	b, err := Read(&out, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows2, err := b.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, rows2) {
-		t.Fatalf("v1 -> v2 upgrade changed rows")
+	if !bytes.Equal(out.Bytes(), data) {
+		t.Fatalf("WriteTo of the golden archive changed its bytes")
 	}
 }
 
@@ -216,63 +201,6 @@ func TestV2RejectsBucketContradictingRows(t *testing.T) {
 	}
 }
 
-// TestV2UnknownSectionSkipped: forward compatibility — a reader must
-// skip section ids it does not know.
-func TestV2UnknownSectionSkipped(t *testing.T) {
-	a, _ := New(schema(1), Options{BlockSamples: 4})
-	for i := 0; i < 10; i++ {
-		if err := a.Append(row(int64(i)*5, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if _, err := a.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Splice an unknown section in front of the existing ones: bump the
-	// section count and prepend id=77.
-	data := buf.Bytes()
-	// Find the section-count byte: re-serialize by hand is fragile, so
-	// instead append is not possible (trailing bytes are rejected).
-	// Re-encode: parse up to the section count, then rebuild.
-	p := &parser{buf: data[len(fileMagicV2):]}
-	if _, err := readSchema(p); err != nil {
-		t.Fatal(err)
-	}
-	nChunks := p.uv()
-	for i := uint64(0); i < nChunks; i++ {
-		p.uv()
-		blen := p.uv()
-		p.bytes(blen)
-	}
-	if p.err != nil {
-		t.Fatal(p.err)
-	}
-	head := data[:len(data)-len(p.buf)]
-	rest := p.buf // nSections + sections
-	nSections, n := binary.Uvarint(rest)
-	if n <= 0 {
-		t.Fatal("bad section count")
-	}
-	var spliced []byte
-	spliced = append(spliced, head...)
-	spliced = binary.AppendUvarint(spliced, nSections+1)
-	spliced = binary.AppendUvarint(spliced, 77) // unknown id
-	spliced = binary.AppendUvarint(spliced, 5)
-	spliced = append(spliced, "hello"...)
-	spliced = append(spliced, rest[n:]...)
-
-	b, err := Read(bytes.NewReader(spliced), Options{})
-	if err != nil {
-		t.Fatalf("unknown section not skipped: %v", err)
-	}
-	ra, _ := a.All()
-	rb, _ := b.All()
-	if !reflect.DeepEqual(ra, rb) {
-		t.Fatal("rows changed with unknown section present")
-	}
-}
-
 // TestV2RejectsCorruptSections: hostile section contents are rejected
 // with ErrFormat, never accepted silently.
 func TestV2RejectsCorruptSections(t *testing.T) {
@@ -293,7 +221,7 @@ func TestV2RejectsCorruptSections(t *testing.T) {
 	}
 	// Truncations anywhere in the file must fail cleanly (the sections
 	// live at the end, so the tail truncations hit the index/rollups).
-	for cut := len(pristine) - 1; cut > len(fileMagicV2); cut -= 7 {
+	for cut := len(pristine) - 1; cut > len(fileMagic); cut -= 7 {
 		if _, err := Read(bytes.NewReader(pristine[:cut]), Options{}); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
@@ -314,13 +242,85 @@ func TestV2RejectsCorruptSections(t *testing.T) {
 			t.Fatalf("accepted archive (flip at %d) fails to decode: %v", off, err)
 		}
 	}
+
+	// Any section layout but WriteTo's — exactly two, the block index
+	// then the rollups — is rejected, an unknown section included.
+	p := &parser{buf: pristine[len(fileMagic):]}
+	readSchema(p)
+	for n := p.uv(); n > 0; n-- {
+		p.uv()
+		p.bytes(p.uv())
+	}
+	head := pristine[:len(pristine)-len(p.buf)]
+	p.uv() // the section count
+	var secs [][]byte
+	for p.err == nil && len(p.buf) > 0 {
+		rest := p.buf
+		p.uv()
+		p.bytes(p.uv())
+		secs = append(secs, rest[:len(rest)-len(p.buf)])
+	}
+	if p.err != nil || len(secs) != 2 {
+		t.Fatalf("pristine archive has %d sections (%v), want 2", len(secs), p.err)
+	}
+	unknown := binary.AppendUvarint(binary.AppendUvarint(nil, 77), 5)
+	unknown = append(unknown, "hello"...)
+	for _, c := range []struct {
+		name string
+		secs [][]byte
+	}{
+		{"an unknown section first", [][]byte{unknown, secs[0], secs[1]}},
+		{"an unknown section last", [][]byte{secs[0], secs[1], unknown}},
+		{"an unknown section for the rollups", [][]byte{secs[0], unknown}},
+		{"the sections swapped", [][]byte{secs[1], secs[0]}},
+		{"no rollup section", [][]byte{secs[0]}},
+		{"no sections", nil},
+	} {
+		file := binary.AppendUvarint(append([]byte(nil), head...), uint64(len(c.secs)))
+		for _, sec := range c.secs {
+			file = append(file, sec...)
+		}
+		if _, err := Read(bytes.NewReader(file), Options{}); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: Read = %v, want ErrFormat", c.name, err)
+		}
+	}
+}
+
+// TestReloadKeepsFileTierBound: a reloaded archive folds into the
+// file's tiers, so it rejects a timestamp whose bucket in those tiers
+// would overflow, as a fresh archive with the same tiers does, instead
+// of accepting a row its next WriteTo would turn into an unreadable file.
+func TestReloadKeepsFileTierBound(t *testing.T) {
+	const hour = int64(3_600_000_000_000)
+	a, err := New(schema(1), Options{Rollups: []int64{hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Append(row(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := a.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Read(&buf, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := alignDown(math.MaxInt64-hour, hour) + hour
+	if err := a.Append(row(ts, 2)); !errors.Is(err, ErrRange) {
+		t.Fatalf("fresh archive: Append at %d = %v, want ErrRange", ts, err)
+	}
+	if err := b.Append(row(ts, 2)); !errors.Is(err, ErrRange) {
+		t.Fatalf("reloaded archive: Append at %d = %v, want ErrRange", ts, err)
+	}
 }
 
 // TestReadRejectsLyingChunkCounts: a chunk claiming more rows than its
 // bytes can hold is rejected before any large allocation happens.
 func TestReadRejectsLyingChunkCounts(t *testing.T) {
 	var b []byte
-	b = append(b, fileMagicV2...)
+	b = append(b, fileMagic...)
 	b = binary.AppendUvarint(b, 1)
 	b = binary.AppendUvarint(b, 1)
 	b = binary.AppendUvarint(b, 1)

@@ -15,7 +15,7 @@ import (
 // fuzzFirstChunk is where the first raw chunk's rows start in what
 // fuzzArchiveBytes writes: magic, name count, three 13-byte names each
 // behind a pmid and a length byte, chunk count, row count, byte length.
-const fuzzFirstChunk = len(fileMagicV2) + 1 + 3*(2+13) + 3
+const fuzzFirstChunk = len(fileMagic) + 1 + 3*(2+13) + 3
 
 // fuzzArchiveBytes serializes a small valid archive (current format
 // version) of bs-row blocks to seed the corpus.
@@ -43,45 +43,6 @@ func fuzzArchiveBytes(tb testing.TB, rows, bs int) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// fuzzArchiveBytesV1 builds the same rows in the legacy v1 single-stream
-// format, so the fuzzer exercises the legacy read path too.
-func fuzzArchiveBytesV1(rows int) []byte {
-	names := []pcp.NameEntry{
-		{PMID: 1, Name: "fuzz.metric.a"},
-		{PMID: 2, Name: "fuzz.metric.b"},
-		{PMID: 7, Name: "fuzz.metric.c"},
-	}
-	var buf []byte
-	buf = append(buf, fileMagicV1...)
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for _, e := range names {
-		buf = binary.AppendUvarint(buf, uint64(e.PMID))
-		buf = binary.AppendUvarint(buf, uint64(len(e.Name)))
-		buf = append(buf, e.Name...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(rows))
-	var prev Sample
-	for i := 0; i < rows; i++ {
-		row := Sample{
-			Timestamp: int64(i) * 10,
-			Values:    []uint64{uint64(i) * 100, 1 << (uint(i) % 60), ^uint64(0) - uint64(i)},
-		}
-		if i == 0 {
-			buf = binary.AppendVarint(buf, row.Timestamp)
-			for _, v := range row.Values {
-				buf = binary.AppendUvarint(buf, v)
-			}
-		} else {
-			buf = binary.AppendVarint(buf, row.Timestamp-prev.Timestamp)
-			for c, v := range row.Values {
-				buf = binary.AppendVarint(buf, int64(v-prev.Values[c]))
-			}
-		}
-		prev = row
-	}
-	return buf
 }
 
 // referenceDecodeRows is the block decoder as it stood before decodeRows
@@ -157,9 +118,8 @@ func checkCursorAgainstReference(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzReadArchive hammers the archive decoder — both format versions,
-// including the v2 block-index and rollup sections — with hostile
-// input. Two properties:
+// FuzzReadArchive hammers the archive decoder — the raw chunks, the
+// block-index and rollup sections — with hostile input. Two properties:
 //
 //  1. Totality: Read never panics or runs away — any input is either
 //     decoded or rejected with an error, no matter how the length
@@ -173,34 +133,30 @@ func FuzzReadArchive(f *testing.F) {
 	empty := fuzzArchiveBytes(f, 0, 4)
 	valid := fuzzArchiveBytes(f, 9, 4)
 	big := fuzzArchiveBytes(f, 23, 4) // several sealed blocks + completed buckets
-	legacy := fuzzArchiveBytesV1(9)
 	f.Add(empty)
 	f.Add(valid)
 	f.Add(big)
 	f.Add(fuzzArchiveBytes(f, 23, 3)) // 30 ns blocks straddle the 40 ns grid
-	f.Add(legacy)
 	// Truncations at structurally interesting places: inside the magic,
 	// the schema, the chunk table, and the trailing sections.
-	for _, n := range []int{0, 3, len(fileMagicV2), len(fileMagicV2) + 2, len(big) / 2, len(big) * 3 / 4, len(big) - 1} {
+	for _, n := range []int{0, 3, len(fileMagic), len(fileMagic) + 2, len(big) / 2, len(big) * 3 / 4, len(big) - 1} {
 		f.Add(big[:n])
 	}
-	f.Add(legacy[:len(legacy)/2])
 	// Single-bit flips in the header, schema, chunk lengths, delta
 	// stream, and section payloads (index timestamps, bucket counts).
-	for _, off := range []int{1, len(fileMagicV2), len(fileMagicV2) + 4, len(big) / 3, len(big) / 2, len(big) * 7 / 8, len(big) - 2} {
+	for _, off := range []int{1, len(fileMagic), len(fileMagic) + 4, len(big) / 3, len(big) / 2, len(big) * 7 / 8, len(big) - 2} {
 		b := append([]byte(nil), big...)
 		b[off] ^= 0x10
 		f.Add(b)
 	}
-	f.Add([]byte(fileMagicV1))
-	f.Add([]byte(fileMagicV2))
+	f.Add([]byte(fileMagic))
 	f.Add([]byte("not an archive at all"))
-	// Hostile hand-built v2 skeletons: huge chunk/bucket counts that a
-	// naive decoder would pre-allocate, an unknown section (must be
-	// skipped), and an empty-section file.
+	// Hand-built skeletons: huge chunk/bucket counts that a naive decoder
+	// would pre-allocate, section layouts other than WriteTo's (all must
+	// be rejected), and the smallest valid file.
 	hostile := func(build func(b []byte) []byte) []byte {
 		var b []byte
-		b = append(b, fileMagicV2...)
+		b = append(b, fileMagic...)
 		b = binary.AppendUvarint(b, 1) // one name
 		b = binary.AppendUvarint(b, 1)
 		b = binary.AppendUvarint(b, 1)
@@ -224,7 +180,7 @@ func FuzzReadArchive(f *testing.F) {
 		b = binary.AppendUvarint(b, 1<<24) // buckets
 		return append(b, 0)
 	}))
-	f.Add(hostile(func(b []byte) []byte { // unknown section id: must be skipped
+	f.Add(hostile(func(b []byte) []byte { // unknown section id: must be rejected
 		b = binary.AppendUvarint(b, 0)
 		b = binary.AppendUvarint(b, 1)
 		b = binary.AppendUvarint(b, 99)
@@ -237,6 +193,22 @@ func FuzzReadArchive(f *testing.F) {
 		b = binary.AppendUvarint(b, sectionBlockIndex)
 		b = binary.AppendUvarint(b, 1<<40)
 		return b
+	}))
+	index := func(b []byte) []byte { // an empty block index
+		return binary.AppendUvarint(binary.AppendUvarint(b, sectionBlockIndex), 0)
+	}
+	rollups := func(b []byte) []byte { // a rollup section of no tiers
+		return binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, sectionRollups), 1), 0)
+	}
+	f.Add(hostile(func(b []byte) []byte { // no chunks, no tiers: valid
+		return rollups(index(binary.AppendUvarint(binary.AppendUvarint(b, 0), 2)))
+	}))
+	f.Add(hostile(func(b []byte) []byte { // the two sections swapped: must be rejected
+		return index(rollups(binary.AppendUvarint(binary.AppendUvarint(b, 0), 2)))
+	}))
+	f.Add(hostile(func(b []byte) []byte { // a third, unknown section: must be rejected
+		b = rollups(index(binary.AppendUvarint(binary.AppendUvarint(b, 0), 3)))
+		return binary.AppendUvarint(binary.AppendUvarint(b, 99), 0)
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -180,8 +180,10 @@ func (p *pipeline) writeLoop() {
 }
 
 // readLoop demultiplexes responses by tag (the echoed tenant is
-// informational). A tag with no pending call belongs to an abandoned
-// (timed-out) request; its payload is discarded without allocating.
+// informational). A tag pending with a nil call belongs to an abandoned
+// (timed-out) request; its payload is discarded without allocating. A
+// tag not pending at all was never issued or was already answered, and
+// fails the connection with ErrProtocol.
 func (p *pipeline) readLoop(br *bufio.Reader) {
 	defer close(p.readerDone)
 	for {
@@ -191,9 +193,13 @@ func (p *pipeline) readLoop(br *bufio.Reader) {
 			return
 		}
 		p.mu.Lock()
-		call := p.pending[tag]
+		call, issued := p.pending[tag]
 		delete(p.pending, tag)
 		p.mu.Unlock()
+		if !issued {
+			p.fail(fmt.Errorf("%w: response to tag %d, which is not outstanding", ErrProtocol, tag))
+			return
+		}
 		if call == nil {
 			if _, err := br.Discard(int(n)); err != nil {
 				p.fail(err)
@@ -231,6 +237,9 @@ func (p *pipeline) fail(err error) {
 	p.pending = make(map[uint32]*pcall)
 	p.mu.Unlock()
 	for _, call := range pend {
+		if call == nil {
+			continue // abandoned by a timed-out roundTrip
+		}
 		call.err = sticky
 		call.done <- struct{}{}
 	}
@@ -247,14 +256,17 @@ func (p *pipeline) close() error {
 
 // roundTrip issues one pipelined request and waits for its response
 // under the per-request deadline d (0 = none). A timed-out call is
-// abandoned: the demux reader will discard its late response.
+// abandoned: its tag stays pending with a nil call, so the demux reader
+// discards its late response, and the tag is not reissued meanwhile.
 func (p *pipeline) roundTrip(call *pcall, d time.Duration) error {
 	if err := p.enqueue(call); err != nil {
 		return err
 	}
 	if err := call.wait(d); err != nil {
 		p.mu.Lock()
-		delete(p.pending, call.tag)
+		if p.pending[call.tag] == call {
+			p.pending[call.tag] = nil
+		}
 		p.mu.Unlock()
 		return err
 	}

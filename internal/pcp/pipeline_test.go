@@ -342,33 +342,7 @@ func TestLockstepDeadlineSyscallCount(t *testing.T) {
 // releases the parked response so the client's demux loop must discard
 // an answer to an abandoned tag.
 func TestPipelinedTimeoutKeepsConnectionUsable(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		br := bufio.NewReader(conn)
-		bw := bufio.NewWriter(conn)
-		if err := serverHandshake(br, bw); err != nil {
-			return
-		}
-		typ, payload, err := ReadPDUInto(br, nil)
-		if err != nil || typ != PDUVersionReq {
-			return
-		}
-		respType, resp, version := negotiateVersion(payload, nil)
-		if version < Version3 {
-			return
-		}
-		if WritePDU(bw, respType, resp) != nil || bw.Flush() != nil {
-			return
-		}
+	addr := fakeV3Server(t, func(br *bufio.Reader, bw *bufio.Writer) {
 		var parkedTag, parkedTenant uint32
 		parked := false
 		answer := func(tag, tenant uint32) bool {
@@ -393,9 +367,9 @@ func TestPipelinedTimeoutKeepsConnectionUsable(t *testing.T) {
 				return
 			}
 		}
-	}()
+	})
 
-	c, err := Dial(ln.Addr().String())
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,6 +394,80 @@ func TestPipelinedTimeoutKeepsConnectionUsable(t *testing.T) {
 	}
 	if len(res.Values) != 1 || res.Values[0].Value != 9 {
 		t.Fatalf("post-timeout fetch got %+v", res)
+	}
+}
+
+// fakeV3Server accepts one connection, completes the handshake and a
+// Version3 negotiation, and hands the connection to serve.
+func fakeV3Server(t *testing.T, serve func(br *bufio.Reader, bw *bufio.Writer)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		bw := bufio.NewWriter(conn)
+		if err := serverHandshake(br, bw); err != nil {
+			return
+		}
+		typ, payload, err := ReadPDUInto(br, nil)
+		if err != nil || typ != PDUVersionReq {
+			return
+		}
+		respType, resp, version := negotiateVersion(payload, nil)
+		if version < Version3 {
+			return
+		}
+		if WritePDU(bw, respType, resp) != nil || bw.Flush() != nil {
+			return
+		}
+		serve(br, bw)
+	}()
+	return ln.Addr().String()
+}
+
+// TestPipelinedUnissuedTagFailsFast: a response under a tag the client
+// never issued is a protocol violation, not an abandoned request's late
+// answer. It fails the connection with ErrProtocol at once instead of
+// leaving the request it was meant for to wait out its deadline.
+func TestPipelinedUnissuedTagFailsFast(t *testing.T) {
+	addr := fakeV3Server(t, func(br *bufio.Reader, bw *bufio.Writer) {
+		for {
+			typ, tag, tenant, _, err := ReadWidePDUInto(br, nil)
+			if err != nil {
+				return
+			}
+			if typ != PDUFetchReq {
+				continue
+			}
+			body := AppendFetchResp(nil, FetchResult{Timestamp: 9, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 9}}})
+			if WriteWidePDU(bw, PDUFetchResp, tag+1, tenant, body) != nil || bw.Flush() != nil {
+				return
+			}
+		}
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const deadline = 2 * time.Second
+	c.SetTimeout(deadline)
+
+	start := time.Now()
+	_, err = c.Fetch([]uint32{1})
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("fetch answered under tag+1: err = %v, want ErrProtocol", err)
+	}
+	if elapsed := time.Since(start); elapsed > deadline/4 {
+		t.Fatalf("fetch answered under tag+1 failed after %v, deadline %v: it waited the deadline out", elapsed, deadline)
 	}
 }
 
