@@ -3,6 +3,7 @@ package archive
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"papimc/internal/pcp"
@@ -49,11 +50,22 @@ func (r *Replay) Lookup(name string) (uint32, error) { return r.arch.Lookup(name
 
 // Fetch projects the requested PMIDs out of the sample a live daemon
 // would have served at the clock's current time, at the replay's
-// resolution. Before the first recorded sample it serves that first
-// sample (the daemon would have sampled on first contact); PMIDs
-// outside the schema get StatusNoSuchPMID, matching daemon behaviour
-// for unknown PMIDs.
+// resolution; it is FetchInto into a fresh result.
 func (r *Replay) Fetch(pmids []uint32) (pcp.FetchResult, error) {
+	var res pcp.FetchResult
+	if err := r.FetchInto(pmids, &res); err != nil {
+		return pcp.FetchResult{}, err
+	}
+	return res, nil
+}
+
+// FetchInto is Fetch decoding into res, reusing res.Values' backing
+// array, as pcp.Client's FetchInto does: with a warm result a fetch
+// allocates nothing. Before the first recorded sample it serves that
+// first sample (the daemon would have sampled on first contact); PMIDs
+// outside the schema get StatusNoSuchPMID, matching daemon behaviour
+// for unknown PMIDs. On an error res is left untouched.
+func (r *Replay) FetchInto(pmids []uint32, res *pcp.FetchResult) error {
 	now := int64(r.clock.Now())
 	row, ok := r.arch.floorAt(r.res, now)
 	if !ok {
@@ -67,19 +79,19 @@ func (r *Replay) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 			first = t.at(0).LastTS
 		}
 		if row, ok = r.arch.floorAt(r.res, first); !ok {
-			return pcp.FetchResult{}, fmt.Errorf("archive: replay fetch at %d: %w", now, ErrEmpty)
+			return fmt.Errorf("archive: replay fetch at %d: %w", now, ErrEmpty)
 		}
 	}
-	out := pcp.FetchResult{Timestamp: row.ts, Values: make([]pcp.FetchValue, len(pmids))}
-	for i, id := range pmids {
-		c, inSchema := r.arch.col[id]
-		if !inSchema {
-			out.Values[i] = pcp.FetchValue{PMID: id, Status: pcp.StatusNoSuchPMID}
-			continue
+	res.Timestamp = row.ts
+	res.Values = slices.Grow(res.Values[:0], len(pmids))
+	for _, id := range pmids {
+		v := pcp.FetchValue{PMID: id, Status: pcp.StatusNoSuchPMID}
+		if c, inSchema := r.arch.col[id]; inSchema {
+			v.Status, v.Value = pcp.StatusOK, row.value(c)
 		}
-		out.Values[i] = pcp.FetchValue{PMID: id, Status: pcp.StatusOK, Value: row.value(c)}
+		res.Values = append(res.Values, v)
 	}
-	return out, nil
+	return nil
 }
 
 // EvalWindow implements the metricql WindowPlanner interface: windowed

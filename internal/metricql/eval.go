@@ -26,7 +26,10 @@ type Source interface {
 
 // Value is an evaluation result: a scalar (Names == nil, Vals[0]) or a
 // vector with one element per expanded metric instance. Names may be
-// shared with other values and with later steps: it is read-only.
+// shared with other values and with later steps: it is read-only. Vals
+// is storage the engine owns, valid until the next EvalAll or Eval on
+// the same engine rewrites it: a caller that keeps a value past that
+// copies Vals first.
 type Value struct {
 	Names []string // nil for a scalar
 	Vals  []float64
@@ -74,10 +77,13 @@ type history struct {
 // every selection at one slot per PMID. A step walks the fetch answer
 // against the sorted request by position, bumps the fetch epoch and,
 // when the sample is new or the down set moved, the memo generation:
-// it touches no map.
+// it touches no map. Each node evaluates into storage it owns, and the
+// answer slice and the fetch reply are the engine's too, so a warm step
+// allocates nothing of its own.
 type Engine struct {
 	mu      sync.Mutex
 	src     Source
+	fi      fetchIntoSource   // non-nil if src can fetch into a reused reply
 	wp      WindowPlanner     // non-nil if src can answer windows itself
 	aliases map[string]string // alias -> raw metric name
 	byName  map[string]uint32 // raw metric name -> pmid (namespace cache)
@@ -91,6 +97,15 @@ type Engine struct {
 	ndown   int               // PMIDs down on the last fetch
 	lastTS  int64
 	hasTS   bool
+	res     pcp.FetchResult // the last fetch reply, reused by fi
+	out     []Value         // EvalAll's answer, reused across steps
+}
+
+// fetchIntoSource is the allocation-free fetch pcp.Client and
+// archive.Replay offer: the engine decodes every step's reply into the
+// one it keeps.
+type fetchIntoSource interface {
+	FetchInto(pmids []uint32, res *pcp.FetchResult) error
 }
 
 // WindowPlanner is implemented by sources that can answer a windowed
@@ -112,9 +127,11 @@ type WindowPlanner interface {
 // NewEngine creates an engine over src. The namespace is listed lazily
 // on first Query and refreshed once on a lookup miss.
 func NewEngine(src Source) *Engine {
+	fi, _ := src.(fetchIntoSource)
 	wp, _ := src.(WindowPlanner)
 	return &Engine{
 		src:     src,
+		fi:      fi,
 		wp:      wp,
 		aliases: make(map[string]string),
 		nodes:   make(map[string]*node),
@@ -459,7 +476,8 @@ func collectPMIDs(n *node, dst map[uint32]bool) {
 }
 
 // Eval evaluates a single query; see EvalAll. On a partial result the
-// Value is valid alongside the non-nil *pcp.PartialError.
+// Value is valid alongside the non-nil *pcp.PartialError. The Value's
+// Vals stay valid until the next EvalAll or Eval on the engine.
 func (q *Query) Eval() (Value, error) {
 	vs, err := q.eng.EvalAll(q)
 	if len(vs) > 0 {
@@ -482,6 +500,11 @@ func (q *Query) Eval() (Value, error) {
 // evaluation proceeds over what answered, and the source's
 // *pcp.PartialError (naming the missing nodes) is returned alongside
 // the valid values. Any other error leaves the returned slice nil.
+//
+// The slice and every Value's Vals are the engine's: the next EvalAll
+// or Eval on this engine rewrites them, so a caller keeping a value
+// across steps copies it, and callers sharing the engine across
+// goroutines hold their own lock until they are done reading.
 func (e *Engine) EvalAll(qs ...*Query) ([]Value, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -502,7 +525,13 @@ func (e *Engine) EvalAll(qs ...*Query) ([]Value, error) {
 			e.at = append(e.at, e.slots[id])
 		}
 	}
-	res, err := e.src.Fetch(e.ids)
+	var err error
+	if e.fi != nil {
+		err = e.fi.FetchInto(e.ids, &e.res)
+	} else {
+		e.res, err = e.src.Fetch(e.ids)
+	}
+	res := e.res
 	var pe *pcp.PartialError
 	if err != nil {
 		if pe = partialOf(err); pe == nil {
@@ -551,18 +580,18 @@ func (e *Engine) EvalAll(qs ...*Query) ([]Value, error) {
 	if fresh {
 		e.lastTS, e.hasTS = ts, true
 	}
-	out := make([]Value, len(qs))
-	for i, q := range qs {
+	e.out = e.out[:0]
+	for _, q := range qs {
 		v, err := e.evalNode(q.root, ts, fresh)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		e.out = append(e.out, v)
 	}
 	if pe != nil {
-		return out, pe
+		return e.out, pe
 	}
-	return out, nil
+	return e.out, nil
 }
 
 // partialOf returns the *pcp.PartialError in err's chain, or nil. Only
@@ -580,7 +609,8 @@ func (e *Engine) LastTimestamp() (int64, bool) {
 }
 
 // evalNode evaluates one bound node, memoized in the node until the
-// engine's generation moves. Callers hold e.mu.
+// engine's generation moves: the memo's Vals are the node's buf, which
+// only an evaluation at a new generation rewrites. Callers hold e.mu.
 func (e *Engine) evalNode(n *node, ts int64, fresh bool) (Value, error) {
 	if n.gen == e.gen {
 		return n.val, nil
@@ -591,6 +621,17 @@ func (e *Engine) evalNode(n *node, ts int64, fresh bool) (Value, error) {
 	}
 	n.val, n.gen = v, e.gen
 	return v, nil
+}
+
+// vals returns n's value storage resized to k: every node evaluates
+// into its own, so a step's values share no buffer a later node of the
+// same step writes.
+func (n *node) vals(k int) []float64 {
+	if cap(n.buf) < k {
+		n.buf = make([]float64, k)
+	}
+	n.buf = n.buf[:k]
+	return n.buf
 }
 
 // live returns the names of the metric node m's instances whose node
@@ -613,27 +654,29 @@ func (e *Engine) live(m *node) []string {
 func (e *Engine) evalNodeUncached(n *node, ts int64, fresh bool) (Value, error) {
 	switch n.kind {
 	case nodeNum:
-		return Value{Vals: []float64{n.num}}, nil
+		out := n.vals(1)
+		out[0] = n.num
+		return Value{Vals: out}, nil
 
 	case nodeMetric:
-		vals := make([]float64, 0, len(n.sel))
+		out, j := n.vals(len(n.sel)), 0
 		for _, s := range n.sel {
 			if s.downAt != e.epoch {
-				vals = append(vals, float64(s.last))
+				out[j], j = float64(s.last), j+1
 			}
 		}
-		return Value{Names: e.live(n), Vals: vals}, nil
+		return Value{Names: e.live(n), Vals: out[:j]}, nil
 
 	case nodeUnary:
 		v, err := e.evalNode(n.args[0], ts, fresh)
 		if err != nil {
 			return Value{}, err
 		}
-		out := Value{Names: v.Names, Vals: make([]float64, len(v.Vals))}
+		out := n.vals(len(v.Vals))
 		for i, x := range v.Vals {
-			out.Vals[i] = -x
+			out[i] = -x
 		}
-		return out, nil
+		return Value{Names: v.Names, Vals: out}, nil
 
 	case nodeBinary:
 		l, err := e.evalNode(n.args[0], ts, fresh)
@@ -644,7 +687,7 @@ func (e *Engine) evalNodeUncached(n *node, ts int64, fresh bool) (Value, error) 
 		if err != nil {
 			return Value{}, err
 		}
-		return applyBinary(n.op, l, r)
+		return applyBinary(n, l, r)
 
 	case nodeCall:
 		switch n.fn {
@@ -656,9 +699,9 @@ func (e *Engine) evalNodeUncached(n *node, ts int64, fresh bool) (Value, error) 
 				return Value{}, err
 			}
 			if n.by != "" {
-				return aggregateBy(n.fn, v)
+				return aggregateBy(n, v)
 			}
-			return aggregate(n.fn, v)
+			return aggregate(n, v)
 		case "avg_over", "max_over", "min_over", "rate_over":
 			if v, ok, err := e.evalWindowPushdown(n, ts); err != nil {
 				return Value{}, err
@@ -682,21 +725,23 @@ func (e *Engine) evalNodeUncached(n *node, ts int64, fresh bool) (Value, error) 
 // moved). Callers hold e.mu.
 func (e *Engine) evalCounterFn(n *node, ts int64) (Value, error) {
 	arg := n.args[0]
-	vals := make([]float64, 0, len(arg.sel))
+	out, j := n.vals(len(arg.sel)), 0
 	for _, s := range arg.sel {
 		switch {
 		case s.downAt == e.epoch: // node down this snapshot: drop, don't fabricate a 0 rate
+			continue
 		case s.seen < 2:
-			vals = append(vals, 0)
+			out[j] = 0
 		case n.fn == "delta":
-			vals = append(vals, float64(pcp.CounterDelta(s.prev, s.cur)))
+			out[j] = float64(pcp.CounterDelta(s.prev, s.cur))
 		case s.curTS <= s.prevTS:
-			vals = append(vals, 0)
+			out[j] = 0
 		default:
-			vals = append(vals, float64(pcp.CounterDelta(s.prev, s.cur))/(float64(s.curTS-s.prevTS)/1e9))
+			out[j] = float64(pcp.CounterDelta(s.prev, s.cur)) / (float64(s.curTS-s.prevTS) / 1e9)
 		}
+		j++
 	}
-	return Value{Names: e.live(arg), Vals: vals}, nil
+	return Value{Names: e.live(arg), Vals: out[:j]}, nil
 }
 
 // evalWindow appends the current value of the windowed node's argument
@@ -728,8 +773,8 @@ func (e *Engine) evalWindow(n *node, cur Value, ts int64, fresh bool) (Value, er
 	}
 	h.ts = h.ts[drop:]
 	h.vals = h.vals[drop:]
-	out := Value{Names: cur.Names, Vals: make([]float64, len(cur.Vals))}
-	for i := range out.Vals {
+	out := n.vals(len(cur.Vals))
+	for i := range out {
 		var acc float64
 		switch n.fn {
 		case "rate_over":
@@ -761,9 +806,9 @@ func (e *Engine) evalWindow(n *node, cur Value, ts int64, fresh bool) (Value, er
 				acc /= float64(len(h.vals))
 			}
 		}
-		out.Vals[i] = acc
+		out[i] = acc
 	}
-	return out, nil
+	return Value{Names: cur.Names, Vals: out}, nil
 }
 
 // twoTo64 is 2^64 as a float64, the wrap modulus of a uint64 counter.
@@ -782,7 +827,7 @@ func (e *Engine) evalWindowPushdown(n *node, ts int64) (Value, bool, error) {
 	if arg.kind != nodeMetric {
 		return Value{}, false, nil
 	}
-	vals := make([]float64, 0, len(arg.sel))
+	out, j := n.vals(len(arg.sel)), 0
 	for _, s := range arg.sel {
 		if s.downAt == e.epoch {
 			continue // node down this snapshot: drop, as the ring path does
@@ -794,17 +839,19 @@ func (e *Engine) evalWindowPushdown(n *node, ts int64) (Value, bool, error) {
 		if !ok {
 			return Value{}, false, nil
 		}
-		vals = append(vals, v)
+		out[j], j = v, j+1
 	}
-	return Value{Names: e.live(arg), Vals: vals}, true, nil
+	return Value{Names: e.live(arg), Vals: out[:j]}, true, nil
 }
 
-// aggregate collapses a vector to a scalar.
-func aggregate(fn string, v Value) (Value, error) {
+// aggregate collapses a vector to a scalar in n's storage.
+func aggregate(n *node, v Value) (Value, error) {
 	if len(v.Vals) == 0 {
-		return Value{}, fmt.Errorf("metricql: %s() of empty vector", fn)
+		return Value{}, fmt.Errorf("metricql: %s() of empty vector", n.fn)
 	}
-	return Value{Vals: []float64{reduce(fn, v.Vals)}}, nil
+	out := n.vals(1)
+	out[0] = reduce(n.fn, v.Vals)
+	return Value{Vals: out}, nil
 }
 
 // reduce folds vals (non-empty) under one aggregate function.
@@ -840,9 +887,9 @@ func nodeOf(name string) string {
 // output is deterministic; an all-down input yields an empty (non-nil)
 // vector rather than an error — the accompanying *pcp.PartialError
 // names what is missing.
-func aggregateBy(fn string, v Value) (Value, error) {
+func aggregateBy(n *node, v Value) (Value, error) {
 	if v.Names == nil {
-		return Value{}, fmt.Errorf("metricql: %s(...) by (node) needs a vector argument", fn)
+		return Value{}, fmt.Errorf("metricql: %s(...) by (node) needs a vector argument", n.fn)
 	}
 	groups := make(map[string][]float64)
 	for i, name := range v.Names {
@@ -854,20 +901,20 @@ func aggregateBy(fn string, v Value) (Value, error) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := Value{Names: make([]string, 0, len(keys)), Vals: make([]float64, 0, len(keys))}
-	for _, k := range keys {
-		out.Names = append(out.Names, k)
-		out.Vals = append(out.Vals, reduce(fn, groups[k]))
+	out := Value{Names: keys, Vals: n.vals(len(keys))}
+	for i, k := range keys {
+		out.Vals[i] = reduce(n.fn, groups[k])
 	}
 	return out, nil
 }
 
-// applyBinary combines two values, broadcasting a scalar against a
-// vector. Vector-vector requires equal widths (checked at bind time;
-// re-checked here for safety) and keeps the left operand's names.
-func applyBinary(op byte, l, r Value) (Value, error) {
+// applyBinary combines two values into n's storage, broadcasting a
+// scalar against a vector. Vector-vector requires equal widths (checked
+// at bind time; re-checked here for safety) and keeps the left
+// operand's names.
+func applyBinary(n *node, l, r Value) (Value, error) {
 	apply := func(a, b float64) float64 {
-		switch op {
+		switch n.op {
 		case '+':
 			return a + b
 		case '-':
@@ -886,27 +933,29 @@ func applyBinary(op byte, l, r Value) (Value, error) {
 	rscalar := r.Names == nil && len(r.Vals) == 1
 	switch {
 	case lscalar && rscalar:
-		return Value{Vals: []float64{apply(l.Vals[0], r.Vals[0])}}, nil
+		out := n.vals(1)
+		out[0] = apply(l.Vals[0], r.Vals[0])
+		return Value{Vals: out}, nil
 	case lscalar:
-		out := Value{Names: r.Names, Vals: make([]float64, len(r.Vals))}
+		out := n.vals(len(r.Vals))
 		for i, x := range r.Vals {
-			out.Vals[i] = apply(l.Vals[0], x)
+			out[i] = apply(l.Vals[0], x)
 		}
-		return out, nil
+		return Value{Names: r.Names, Vals: out}, nil
 	case rscalar:
-		out := Value{Names: l.Names, Vals: make([]float64, len(l.Vals))}
+		out := n.vals(len(l.Vals))
 		for i, x := range l.Vals {
-			out.Vals[i] = apply(x, r.Vals[0])
+			out[i] = apply(x, r.Vals[0])
 		}
-		return out, nil
+		return Value{Names: l.Names, Vals: out}, nil
 	default:
 		if len(l.Vals) != len(r.Vals) {
 			return Value{}, fmt.Errorf("metricql: operand widths differ (%d vs %d)", len(l.Vals), len(r.Vals))
 		}
-		out := Value{Names: l.Names, Vals: make([]float64, len(l.Vals))}
+		out := n.vals(len(l.Vals))
 		for i := range l.Vals {
-			out.Vals[i] = apply(l.Vals[i], r.Vals[i])
+			out[i] = apply(l.Vals[i], r.Vals[i])
 		}
-		return out, nil
+		return Value{Names: l.Names, Vals: out}, nil
 	}
 }

@@ -15,6 +15,11 @@
 //	sum(rate(nest.mba*.read_bytes))
 //
 // once, instead of fetching 16 raw counters and doing the math itself.
+//
+// Every node of a bound expression evaluates into storage it owns, so a
+// warm step of a bound panel allocates nothing here; the values an
+// evaluation returns stay valid until the next evaluation on the same
+// engine, and a caller keeping one copies its Vals.
 package metricql
 
 import (

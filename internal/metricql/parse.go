@@ -34,7 +34,8 @@ type node struct {
 	key   string      // canonical bound form, the interning key
 	val   Value       // the memoized value, current while gen is the engine's
 	gen   uint64
-	hist  history // nodeCall with a window: the sample ring
+	buf   []float64 // the storage val.Vals lives in, rewritten only when gen moves
+	hist  history   // nodeCall with a window: the sample ring
 }
 
 // funcSpec describes one callable function.

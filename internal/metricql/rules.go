@@ -31,7 +31,6 @@ type Firing struct {
 
 type ruleState struct {
 	rule     Rule
-	q        *Query
 	run      int   // consecutive breaching samples
 	armed    bool  // hysteresis: must observe a clear sample to re-arm
 	lastFire int64 // timestamp of last firing
@@ -47,6 +46,7 @@ type Ruleset struct {
 	eng    *Engine
 	onFire func(Firing)
 	rules  []*ruleState
+	qs     []*Query // each rule's query, in rules order: one EvalAll a step
 	lastTS int64
 	hasTS  bool
 }
@@ -77,7 +77,8 @@ func (rs *Ruleset) Add(r Rule) error {
 	} else if w > 1 {
 		return fmt.Errorf("metricql: rule %q: expression is a vector of %d; aggregate it to a scalar", r.Name, w)
 	}
-	rs.rules = append(rs.rules, &ruleState{rule: r, q: q, armed: true})
+	rs.rules = append(rs.rules, &ruleState{rule: r, armed: true})
+	rs.qs = append(rs.qs, q)
 	return nil
 }
 
@@ -105,11 +106,7 @@ func (rs *Ruleset) Step() error {
 	if len(rs.rules) == 0 {
 		return nil
 	}
-	qs := make([]*Query, len(rs.rules))
-	for i, st := range rs.rules {
-		qs[i] = st.q
-	}
-	vals, err := rs.eng.EvalAll(qs...)
+	vals, err := rs.eng.EvalAll(rs.qs...)
 	if err != nil {
 		return err
 	}

@@ -120,3 +120,30 @@ func TestRulesetSameIntervalNoop(t *testing.T) {
 		t.Errorf("five same-interval steps fired %d times, want 1", fired)
 	}
 }
+
+// TestRulesetStepAllocs: a warm rules step allocates only what the
+// source's fetch does, and the fake's FetchInto spends nothing. The
+// ruleset keeps its query slice instead of building one a step.
+func TestRulesetStepAllocs(t *testing.T) {
+	e, f := newEngineFake()
+	fired := 0
+	rs := NewRuleset(e, func(Firing) { fired++ })
+	for _, r := range []Rule{
+		{Name: "read-bw", Expr: "sum(rate(nest.mba*.read_bytes))", Op: ">", Threshold: 1000},
+		{Name: "load", Expr: "kernel.load", Op: ">=", Threshold: 10},
+	} {
+		if err := rs.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		f.ts += 1_000_000_000
+		f.vals[1] += 2000
+		if err := rs.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || fired != 2 {
+		t.Errorf("a warm rules step allocates %v times and the rules fired %d times, want 0 and 2", allocs, fired)
+	}
+}

@@ -32,6 +32,7 @@ type registration struct {
 // Component evaluates metricql expressions as PAPI events.
 type Component struct {
 	mu         sync.Mutex
+	read       sync.Mutex // held by a read from its evaluation until it is done with the engine's values
 	engine     *metricql.Engine
 	registered map[string]registration
 }
@@ -182,11 +183,12 @@ func (c *Component) NewCounters(natives []string) (papi.Counters, error) {
 		}
 		qs[i] = q
 	}
-	return &counters{engine: c.engine, qs: qs}, nil
+	return &counters{engine: c.engine, read: &c.read, qs: qs}, nil
 }
 
 type counters struct {
 	engine *metricql.Engine
+	read   *sync.Mutex // the component's: counters share its engine
 	qs     []*metricql.Query
 	closed bool
 }
@@ -202,6 +204,8 @@ func (s *counters) ReadAt(t simtime.Time) ([]uint64, error) {
 		return nil, fmt.Errorf("derived: counters closed")
 	}
 	_ = t
+	s.read.Lock()
+	defer s.read.Unlock()
 	vals, err := s.engine.EvalAll(s.qs...)
 	if err != nil {
 		return nil, err
