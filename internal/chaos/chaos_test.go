@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"papimc/internal/faultconn"
+	"papimc/internal/leakcheck"
 	"papimc/internal/pcp"
 	"papimc/internal/testutil"
 )
@@ -26,7 +27,7 @@ func opts(profile string) Options {
 }
 
 func TestCleanScheduleNoViolations(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	rep, err := Run(opts("clean"))
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +55,7 @@ func TestCleanScheduleNoViolations(t *testing.T) {
 // declared-stale answers, or clean errors; exact stats accounting; no
 // partial archive rows.
 func TestProfilesHoldInvariants(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	for _, name := range Names(Profiles) {
 		if name == "clean" {
 			continue // covered above
@@ -96,7 +97,7 @@ func TestProfilesHoldInvariants(t *testing.T) {
 // byte-identical report — same fault trace, same stats, same verdict —
 // across repeated runs and across worker counts.
 func TestDeterministicAcrossRunsAndWorkers(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	base := opts("mixed")
 	run := func(workers int) string {
 		o := base
@@ -123,7 +124,7 @@ func TestDeterministicAcrossRunsAndWorkers(t *testing.T) {
 // re-stamped to now) must fail the suite with a torn-value violation and
 // a usable repro line — the suite's own smoke detector.
 func TestBreakStaleDetected(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	o := opts("flaky") // resets + refused redials reliably force stale serves
 	o.Trials = 6
 
@@ -174,7 +175,7 @@ func TestBreakStaleDetected(t *testing.T) {
 // TestSingleTrialReplayMatches: replaying one trial by index (the repro
 // path) reproduces exactly the trial from the full sweep.
 func TestSingleTrialReplayMatches(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	o := opts("resets")
 	full, err := Run(o)
 	if err != nil {
@@ -201,7 +202,7 @@ func TestSingleTrialReplayMatches(t *testing.T) {
 // deadline observes a timeout within bounds when the stream silently
 // stalls — the deadline path fires, the call does not hang.
 func TestClientDeadlineUnderStall(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	_, addr := testutil.StartSyntheticDaemon(t, 4)
 	inj := faultconn.New(1, faultconn.Schedule{
 		// Stall the response stream mid-PDU, after the 4-byte handshake
@@ -245,7 +246,7 @@ func TestClientDeadlineUnderStall(t *testing.T) {
 // TestRecorderSurvivesExactMidWriteReset: a reset pinned mid-PDU on the
 // proxy's upstream write path must not leave a partial archive row.
 func TestRecorderSurvivesExactMidWriteReset(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	// Connection setup is 13 bytes each way (the 4-byte magic, then the
 	// 9-byte version request or response), so both offsets land inside
 	// the first tagged PDU after it.

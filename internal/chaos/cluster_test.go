@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"papimc/internal/testutil"
+	"papimc/internal/leakcheck"
 )
 
 // TestClusterProfiles drives a small tree through every named profile.
@@ -12,7 +12,7 @@ import (
 // surviving groups, edge conservation laws) are checked inside
 // runClusterTrial; any violation fails here with the repro line.
 func TestClusterProfiles(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	for _, name := range Names(ClusterProfiles) {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -45,7 +45,7 @@ func TestClusterProfiles(t *testing.T) {
 // across worker counts, which proves no timing-dependent state leaks
 // into the results.
 func TestClusterAcceptance(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	o := ClusterOptions{
 		Seed:    0xC10C,
 		Trials:  3,
@@ -96,7 +96,7 @@ func TestClusterAcceptance(t *testing.T) {
 // TestClusterSingleTrialReplay checks that -trial replay reproduces the
 // same trial the full sweep produced.
 func TestClusterSingleTrialReplay(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	o := ClusterOptions{
 		Seed:    0xD1CE,
 		Trials:  3,

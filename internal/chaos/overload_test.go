@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"papimc/internal/leakcheck"
 	"papimc/internal/pmproxy"
-	"papimc/internal/testutil"
 )
 
 // TestOverloadPolicies runs the full overload trial for every
@@ -14,7 +14,7 @@ import (
 // exact per-tenant conservation and typed sheds throughout. A failure
 // prints the deterministic report and the one-command repro line.
 func TestOverloadPolicies(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	for _, policy := range pmproxy.PolicyNames() {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
@@ -38,7 +38,7 @@ func TestOverloadPolicies(t *testing.T) {
 // TestOverloadReproducible pins byte-reproducibility: the same seed
 // yields the identical report string at different worker counts.
 func TestOverloadReproducible(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	o := OverloadOptions{Seed: 7, Policy: "token-bucket", Trials: 2, Trial: -1}
 	o.Workers = 1
 	a, err := RunOverload(o)
@@ -66,7 +66,7 @@ func TestOverloadReproducible(t *testing.T) {
 // TestOverloadSingleTrialReplay pins the repro path: replaying trial 1
 // alone reproduces exactly trial 1's line from the full sweep.
 func TestOverloadSingleTrialReplay(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	full, err := RunOverload(OverloadOptions{Seed: 11, Policy: "priority", Trials: 2, Trial: -1})
 	if err != nil {
 		t.Fatal(err)

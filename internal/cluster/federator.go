@@ -305,8 +305,8 @@ func (f *Federator) FetchBatch(sets [][]uint32) ([]pcp.FetchResult, error) {
 // owns reports whether id is one of the federator's PMIDs.
 func (f *Federator) owns(id uint32) bool { return id != 0 && int(id) <= len(f.route) }
 
-// FetchAll fetches the federator's entire namespace in PMID order — the
-// batch form the PDU layer's PDUFetchAllReq maps to.
+// FetchAll fetches the federator's entire namespace in PMID order, in
+// process: one Fetch of every PMID it routes.
 func (f *Federator) FetchAll() (pcp.FetchResult, error) {
 	ids := make([]uint32, len(f.route))
 	for i := range ids {

@@ -11,10 +11,10 @@ import (
 	"time"
 
 	"papimc/internal/cluster"
+	"papimc/internal/leakcheck"
 	"papimc/internal/pcp"
 	"papimc/internal/pmproxy"
 	"papimc/internal/simtime"
-	"papimc/internal/testutil"
 )
 
 // flakyListener fails every Accept with a temporary error while failing
@@ -135,7 +135,7 @@ func listenLoopback(t *testing.T) net.Listener {
 // idle, and Close ends them; and the process ends with the goroutines
 // it started with.
 func TestServerLifecycle(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	for _, name := range []string{"daemon", "proxy", "cluster"} {
 		t.Run(name+"/accept-backoff", func(t *testing.T) {
 			tier := newLifecycleTier(t, name)

@@ -41,8 +41,7 @@ func ServeOn(f *Federator, ln net.Listener) (*Server, string) {
 }
 
 func newServer(f *Federator) *Server {
-	h := fedHandler{f}
-	return pcp.NewServer(taggedConcurrency, func() pcp.Handler { return h })
+	return pcp.NewServer(taggedConcurrency, fedHandler{f})
 }
 
 // fedHandler adapts a Federator to pcp.Handler. It is stateless — every
@@ -53,12 +52,6 @@ type fedHandler struct{ f *Federator }
 
 func (h fedHandler) Names() ([]pcp.NameEntry, error) { return h.f.names, nil }
 
-func (h fedHandler) Fetch(_ uint32, pmids []uint32) (pcp.FetchResult, error) {
-	return h.f.Fetch(pmids)
-}
-
-func (h fedHandler) FetchAll(uint32) (pcp.FetchResult, error) { return h.f.FetchAll() }
-
-func (h fedHandler) FetchBatch(_ uint32, sets [][]uint32) ([]pcp.FetchResult, error) {
+func (h fedHandler) Fetch(_ uint32, sets [][]uint32, _ []pcp.FetchResult) ([]pcp.FetchResult, error) {
 	return h.f.FetchBatch(sets)
 }

@@ -10,15 +10,15 @@ import (
 	"testing"
 
 	"papimc/internal/cluster"
+	"papimc/internal/leakcheck"
 	"papimc/internal/pcp"
 	"papimc/internal/simtime"
-	"papimc/internal/testutil"
 )
 
 const testInterval = 10 * simtime.Millisecond
 
 func TestServedFederatorClientParity(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	tr, err := cluster.Assemble(cluster.Config{Nodes: 4, FanOut: 2, Seed: 3, Interval: testInterval})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,19 @@ func TestServedFederatorClientParity(t *testing.T) {
 	defer c.Close()
 
 	tr.Clock.Advance(testInterval + 1)
-	remote, err := c.FetchAll()
+	rn, err := c.Names()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, _ := tr.Root.Names()
+	if !reflect.DeepEqual(rn, ln) {
+		t.Error("served Names differs from in-process")
+	}
+	all := make([]uint32, len(rn))
+	for i, e := range rn {
+		all[i] = e.PMID
+	}
+	remote, err := c.Fetch(all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +57,7 @@ func TestServedFederatorClientParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(remote, local) {
-		t.Errorf("served FetchAll differs from in-process: %+v vs %+v", remote, local)
-	}
-	rn, err := c.Names()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, _ := tr.Root.Names()
-	if !reflect.DeepEqual(rn, ln) {
-		t.Error("served Names differs from in-process")
+		t.Errorf("served fetch of every PMID differs from in-process FetchAll: %+v vs %+v", remote, local)
 	}
 }
 
@@ -63,7 +67,7 @@ func TestServedFederatorClientParity(t *testing.T) {
 // stays correct when many client goroutines share one pipelined
 // connection.
 func TestServedFederatorBatchParity(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	tr, err := cluster.Assemble(cluster.Config{Nodes: 4, FanOut: 2, Seed: 3, Interval: testInterval})
 	if err != nil {
 		t.Fatal(err)

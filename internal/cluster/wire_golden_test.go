@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"papimc/internal/cluster"
+	"papimc/internal/leakcheck"
 	"papimc/internal/pcp"
 	"papimc/internal/pmproxy"
 	"papimc/internal/simtime"
@@ -38,7 +39,7 @@ func wireScript() []wireStep {
 		{"names", pcp.PDUNamesReq, nil},
 		{"fetch", pcp.PDUFetchReq, good},
 		{"fetch-truncated", pcp.PDUFetchReq, good[:len(good)-4]},
-		{"fetch-all", pcp.PDUFetchAllReq, nil},
+		{"fetch-all", 6, nil}, // the retired whole-namespace fetch
 		{"fetch-batch", pcp.PDUFetchBatchReq, pcp.AppendFetchBatchReq(nil, [][]uint32{{1, 2}, {4}, {1, 2}})},
 		{"unknown-99", 99, []byte{0xde, 0xad}},
 		{"version-malformed", pcp.PDUVersionReq, []byte{0, 3}},
@@ -132,12 +133,11 @@ func playWireSession(t *testing.T, addr string, maxVersion uint32) []byte {
 }
 
 // TestWireGolden pins the bytes each serving tier sends, at every
-// protocol version, against transcripts recorded before the tiers were
-// moved onto the shared pcp.Server: the refactor's "same wire bytes"
-// (including the proxy's "unknown PDU type 6" for FetchAll) is checked
-// here rather than asserted. Regenerate with -update.
+// protocol version, against recorded transcripts, including every
+// tier's "unknown PDU type 6" for the retired whole-namespace fetch.
+// Regenerate with -update only for an intended wire change.
 func TestWireGolden(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	clock := simtime.NewClock()
 	clock.Advance(3 * testInterval)
 	d, err := pcp.NewDaemon(clock, testInterval, testutil.SyntheticMetrics(4))

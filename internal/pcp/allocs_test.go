@@ -58,39 +58,59 @@ func TestFetchReqRoundTripDoesNotAllocate(t *testing.T) {
 
 // The serving side of the same read: a warm in-order serving cycle —
 // decode the request, fetch from the published snapshot (clock still),
-// encode the response, frame it and flush — must not allocate. The
-// per-connection dispatch is driven directly so only the server's work
-// is counted. It pins the retained response buffer: before the server
-// owned it, every response was encoded into a buffer that was never
-// stored back and so allocated afresh.
+// encode the response, frame it and flush — must not allocate, for a
+// single fetch and for a batch. The dispatch is driven directly so only
+// the server's work is counted. It pins the retained response buffer
+// and result storage: before the server owned them, every response was
+// encoded into a buffer that was never stored back and so allocated
+// afresh.
 func TestServeFetchDoesNotAllocate(t *testing.T) {
 	d, _, _ := startPipelineDaemon(t, 16)
 	pmids := make([]uint32, 16)
 	for i := range pmids {
 		pmids[i] = uint32(i + 1)
 	}
-	h := d.srv.newHandler()
-	sc := reqScratch{payload: AppendFetchReq(nil, pmids)}
-	var batch frameBatch
-	cycle := func() {
-		respType := sc.dispatch(h, PDUFetchReq, 7, true)
-		if respType != PDUFetchResp {
-			t.Fatalf("response type %d, want %d", respType, PDUFetchResp)
+	sets := [][]uint32{pmids[:4], pmids[4:], pmids[:4]}
+	for _, tc := range []struct {
+		name          string
+		typ, respType uint8
+		payload       []byte
+		values        int
+	}{
+		{"fetch", PDUFetchReq, PDUFetchResp, AppendFetchReq(nil, pmids), 16},
+		{"batch", PDUFetchBatchReq, PDUFetchBatchResp, AppendFetchBatchReq(nil, sets), 4},
+	} {
+		sc := reqScratch{payload: tc.payload}
+		var batch frameBatch
+		cycle := func() {
+			respType := sc.dispatch(d.srv.h, tc.typ, 7, true)
+			if respType != tc.respType {
+				t.Fatalf("%s: response type %d, want %d", tc.name, respType, tc.respType)
+			}
+			if err := batch.append(respType, 1, 7, sc.resp); err != nil {
+				t.Fatal(err)
+			}
+			if err := batch.flush(io.Discard); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := batch.append(respType, 1, 7, sc.resp); err != nil {
-			t.Fatal(err)
+		cycle() // prime the reusable buffers
+		if got := testing.AllocsPerRun(100, cycle); got != 0 {
+			t.Errorf("%s: serving cycle allocates %.1f objects per run, want 0", tc.name, got)
 		}
-		if err := batch.flush(io.Discard); err != nil {
-			t.Fatal(err)
+		var res FetchResult
+		if tc.typ == PDUFetchBatchReq {
+			results, pe, err := DecodeFetchBatchRespInto(sc.resp, nil)
+			if err != nil || pe != nil || len(results) != len(sets) {
+				t.Fatalf("%s: served response does not decode to %d sets: %+v, %v, %v", tc.name, len(sets), results, pe, err)
+			}
+			res = results[0]
+		} else if err := DecodeFetchRespInto(sc.resp, &res); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}
-	cycle() // prime the reusable buffers
-	if got := testing.AllocsPerRun(100, cycle); got != 0 {
-		t.Errorf("serving cycle allocates %.1f objects per run, want 0", got)
-	}
-	var res FetchResult
-	if err := DecodeFetchRespInto(sc.resp, &res); err != nil || len(res.Values) != 16 {
-		t.Errorf("served response does not decode to 16 values: %+v, %v", res, err)
+		if len(res.Values) != tc.values {
+			t.Errorf("%s: first set decodes to %d values, want %d", tc.name, len(res.Values), tc.values)
+		}
 	}
 }
 

@@ -291,17 +291,11 @@ func (c *Client) Names() ([]NameEntry, error) {
 // Fetch retrieves values for the given PMIDs. Against a federated
 // server it may return both a valid (partial) result and a
 // *PartialError naming the nodes that contributed nothing; see
-// FetchInto.
+// FetchInto. A result travels with a nil error or a *PartialError,
+// never with any other error.
 func (c *Client) Fetch(pmids []uint32) (FetchResult, error) {
 	var res FetchResult
 	err := c.FetchInto(pmids, &res)
-	return partialOrNothing(res, err)
-}
-
-// partialOrNothing is the by-value contract of Fetch and FetchAll: a
-// result travels with a nil error or a *PartialError, never with any
-// other error.
-func partialOrNothing(res FetchResult, err error) (FetchResult, error) {
 	var pe *PartialError
 	if err != nil && !errors.As(err, &pe) {
 		return FetchResult{}, err
@@ -321,29 +315,6 @@ func partialOrNothing(res FetchResult, err error) (FetchResult, error) {
 func (c *Client) FetchInto(pmids []uint32, res *FetchResult) error {
 	call := getCall()
 	call.typ, call.req = PDUFetchReq, AppendFetchReq(call.req[:0], pmids)
-	return c.fetchRoundTrip(call, res)
-}
-
-// FetchAll retrieves every metric the server exports, in PMID order,
-// from one snapshot — the batch form of Fetch, one round trip for the
-// whole namespace. Partial results surface as in FetchInto.
-func (c *Client) FetchAll() (FetchResult, error) {
-	var res FetchResult
-	err := c.FetchAllInto(&res)
-	return partialOrNothing(res, err)
-}
-
-// FetchAllInto is FetchAll decoding into res, reusing its backing array.
-func (c *Client) FetchAllInto(res *FetchResult) error {
-	call := getCall()
-	call.typ, call.req = PDUFetchAllReq, call.req[:0]
-	return c.fetchRoundTrip(call, res)
-}
-
-// fetchRoundTrip performs one fetch-family round trip, decoding a full
-// or partial fetch response into res; a partial response returns the
-// reconstructed *PartialError.
-func (c *Client) fetchRoundTrip(call *pcall, res *FetchResult) error {
 	err := c.roundTrip(call, PDUFetchResp, PDUFetchPartialResp)
 	if err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"papimc/internal/cluster"
+	"papimc/internal/leakcheck"
 	"papimc/internal/pcp"
 	"papimc/internal/pmproxy"
 	"papimc/internal/testutil"
@@ -16,13 +17,13 @@ import (
 // wire versions — lockstep and tagged — against the server
 // replies that are not plain successes (TestVersionNegotiationMatrix
 // covers those): an error PDU, an admission shed, and partial results
-// from a federator with a node down — and the proxy's FetchAll, which
-// must equal the daemon's. Values, error types and
+// from a federator with a node down. Values, error types and
 // errors.Is/As classification must not depend on the transport, except
 // where the protocol says so: a typed PDUStatusError only exists on
 // Version3, so the lockstep wire carries the same rejection as a plain
 // error.
 func TestClientPathsAgree(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	_, daddr := testutil.StartSyntheticDaemon(t, 4)
 	shedder := pmproxy.New(pmproxy.Config{
 		Upstream:  daddr,
@@ -33,12 +34,6 @@ func TestClientPathsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { shedder.Close() })
-	relay := pmproxy.New(pmproxy.Config{Upstream: daddr})
-	raddr, err := relay.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { relay.Close() })
 	dead := pmproxy.New(pmproxy.Config{
 		Dial: func() (*pcp.Client, error) { return nil, errors.New("no upstream") },
 	})
@@ -82,8 +77,8 @@ func TestClientPathsAgree(t *testing.T) {
 	}
 
 	type partials struct {
-		fetch, all pcp.FetchResult
-		batch      []pcp.FetchResult
+		fetch pcp.FetchResult
+		batch []pcp.FetchResult
 	}
 	var first *partials
 	for _, v := range []uint32{pcp.Version1, pcp.MaxVersion} {
@@ -106,16 +101,6 @@ func TestClientPathsAgree(t *testing.T) {
 		}
 		if errors.Is(err, pcp.ErrOverload) || errors.Is(err, pcp.ErrProtocol) {
 			t.Errorf("v%d: a plain error PDU classified as %v", v, err)
-		}
-
-		// The proxy serves FetchAll as its fetch of the whole name table:
-		// within one sampling interval, the daemon's own answer.
-		direct, err := dial(daddr).FetchAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if all, err := dial(raddr).FetchAll(); err != nil || !reflect.DeepEqual(all, direct) {
-			t.Errorf("v%d: proxy FetchAll = %+v, %v; want the daemon's %+v", v, all, err, direct)
 		}
 
 		pc := dial(paddr)
@@ -144,8 +129,6 @@ func TestClientPathsAgree(t *testing.T) {
 		var got partials
 		got.fetch, err = cc.Fetch(spanning)
 		wantPartial(t, "Fetch", err)
-		got.all, err = cc.FetchAll()
-		wantPartial(t, "FetchAll", err)
 		got.batch, err = cc.FetchBatch(sets)
 		wantPartial(t, "FetchBatch", err)
 		if len(got.fetch.Values) != 4 || got.fetch.Values[1].Status != pcp.StatusNodeDown ||

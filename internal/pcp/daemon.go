@@ -80,7 +80,7 @@ func NewDaemon(clock *simtime.Clock, interval simtime.Duration, metrics []Metric
 		byName[m.Name] = uint32(i + 1)
 	}
 	d := &Daemon{clock: clock, interval: interval}
-	d.srv = NewServer(1, func() Handler { return &daemonConn{d: d} })
+	d.srv = NewServer(1, daemonHandler{d})
 	d.table.Store(newTable(ms, byName))
 	return d, nil
 }
@@ -202,31 +202,7 @@ func (d *Daemon) Fetch(pmids []uint32) FetchResult {
 // It takes no locks: values, PMIDs and timestamp all come from one
 // published snapshot, so a result is never torn across samples.
 func (d *Daemon) FetchInto(pmids []uint32, vals []FetchValue) FetchResult {
-	s := d.current()
-	vals = slices.Grow(vals, len(pmids))
-	for _, id := range pmids {
-		if id == 0 || int(id) > len(s.values) {
-			vals = append(vals, FetchValue{PMID: id, Status: StatusNoSuchPMID})
-			continue
-		}
-		vals = append(vals, s.values[id-1])
-	}
-	return FetchResult{Timestamp: int64(s.at), Values: vals}
-}
-
-// FetchAll returns the daemon's current view of every metric, in PMID
-// order — the batch fetch, one snapshot read for the whole namespace.
-func (d *Daemon) FetchAll() FetchResult {
-	return d.FetchAllInto(nil)
-}
-
-// FetchAllInto is FetchAll appending the values to vals. Like
-// FetchInto it takes no locks: the whole answer is one published
-// snapshot, so it can never be torn across samples.
-func (d *Daemon) FetchAllInto(vals []FetchValue) FetchResult {
-	s := d.current()
-	vals = append(vals, s.values...)
-	return FetchResult{Timestamp: int64(s.at), Values: vals}
+	return d.current().project(pmids, vals)
 }
 
 // FetchBatch answers one result per PMID set, all served from a single
@@ -242,21 +218,27 @@ func (d *Daemon) FetchBatch(sets [][]uint32) []FetchResult {
 func (d *Daemon) FetchBatchInto(sets [][]uint32, results []FetchResult) []FetchResult {
 	s := d.current()
 	for i, pmids := range sets {
-		var res FetchResult
+		var vals []FetchValue
 		if i < cap(results) {
-			res = results[:i+1][i]
+			vals = results[:i+1][i].Values[:0]
 		}
-		vals := slices.Grow(res.Values[:0], len(pmids))
-		for _, id := range pmids {
-			if id == 0 || int(id) > len(s.values) {
-				vals = append(vals, FetchValue{PMID: id, Status: StatusNoSuchPMID})
-				continue
-			}
-			vals = append(vals, s.values[id-1])
-		}
-		results = append(results[:i], FetchResult{Timestamp: int64(s.at), Values: vals})
+		results = append(results[:i], s.project(pmids, vals))
 	}
 	return results[:len(sets)]
+}
+
+// project appends the snapshot's values of pmids to vals, answering an
+// unknown PMID with StatusNoSuchPMID.
+func (s *snapshot) project(pmids []uint32, vals []FetchValue) FetchResult {
+	vals = slices.Grow(vals, len(pmids))
+	for _, id := range pmids {
+		if id == 0 || int(id) > len(s.values) {
+			vals = append(vals, FetchValue{PMID: id, Status: StatusNoSuchPMID})
+			continue
+		}
+		vals = append(vals, s.values[id-1])
+	}
+	return FetchResult{Timestamp: int64(s.at), Values: vals}
 }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves clients in the
@@ -272,30 +254,13 @@ func (d *Daemon) StartOn(ln net.Listener) string { return d.srv.StartOn(ln) }
 // connection handlers to finish. It is idempotent.
 func (d *Daemon) Close() error { return d.srv.Close() }
 
-// daemonConn is the daemon's per-connection Handler: the fetched values
-// are appended to scratch it owns, so with the server's request scratch
-// steady-state fetch serving does not allocate.
-type daemonConn struct {
-	d     *Daemon
-	vals  []FetchValue
-	batch []FetchResult
-}
+// daemonHandler is the daemon as a Handler. It holds no state: values are
+// projected into the server's per-request results, so steady-state
+// fetch serving does not allocate.
+type daemonHandler struct{ d *Daemon }
 
-func (c *daemonConn) Names() ([]NameEntry, error) { return c.d.table.Load().names, nil }
+func (h daemonHandler) Names() ([]NameEntry, error) { return h.d.table.Load().names, nil }
 
-func (c *daemonConn) Fetch(_ uint32, pmids []uint32) (FetchResult, error) {
-	res := c.d.FetchInto(pmids, c.vals[:0])
-	c.vals = res.Values
-	return res, nil
-}
-
-func (c *daemonConn) FetchAll(uint32) (FetchResult, error) {
-	res := c.d.FetchAllInto(c.vals[:0])
-	c.vals = res.Values
-	return res, nil
-}
-
-func (c *daemonConn) FetchBatch(_ uint32, sets [][]uint32) ([]FetchResult, error) {
-	c.batch = c.d.FetchBatchInto(sets, c.batch[:0])
-	return c.batch, nil
+func (h daemonHandler) Fetch(_ uint32, sets [][]uint32, results []FetchResult) ([]FetchResult, error) {
+	return h.d.FetchBatchInto(sets, results[:0]), nil
 }

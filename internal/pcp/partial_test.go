@@ -4,8 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"papimc/internal/simtime"
 )
 
 func TestPartialRespRoundTrip(t *testing.T) {
@@ -60,53 +58,5 @@ func TestPartialRespTruncated(t *testing.T) {
 		if _, err := DecodePartialResp(b[:cut], &got); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
-	}
-}
-
-func TestDaemonFetchAll(t *testing.T) {
-	clock := simtime.NewClock()
-	metrics := []Metric{
-		{Name: "b.metric", Read: func(simtime.Time) (uint64, error) { return 2, nil }},
-		{Name: "a.metric", Read: func(simtime.Time) (uint64, error) { return 1, nil }},
-		{Name: "c.metric", Read: func(simtime.Time) (uint64, error) { return 3, nil }},
-	}
-	d, err := NewDaemon(clock, 10*simtime.Millisecond, metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := d.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	res, err := c.FetchAll()
-	if err != nil {
-		t.Fatalf("FetchAll: %v", err)
-	}
-	// PMIDs are assigned in sorted-name order: a=1, b=2, c=3.
-	want := []FetchValue{
-		{PMID: 1, Status: StatusOK, Value: 1},
-		{PMID: 2, Status: StatusOK, Value: 2},
-		{PMID: 3, Status: StatusOK, Value: 3},
-	}
-	if !reflect.DeepEqual(res.Values, want) {
-		t.Errorf("FetchAll values: got %+v want %+v", res.Values, want)
-	}
-
-	// The batch answer must match the enumerated fetch from the same
-	// snapshot (the clock has not advanced).
-	enum, err := c.Fetch([]uint32{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(enum, res) {
-		t.Errorf("FetchAll != enumerated fetch: %+v vs %+v", res, enum)
 	}
 }

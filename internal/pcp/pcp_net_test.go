@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"papimc/internal/leakcheck"
 	"papimc/internal/nest"
 	"papimc/internal/pcp"
 	"papimc/internal/simtime"
@@ -21,6 +22,7 @@ import (
 )
 
 func TestDaemonNamesOverNetwork(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	bed := testutil.StartNestDaemon(t, testutil.SampleInterval)
 	c := testutil.Dial(t, bed.Addr)
 	entries, err := c.Names()
@@ -31,12 +33,13 @@ func TestDaemonNamesOverNetwork(t *testing.T) {
 		t.Fatalf("got %d metrics, want 16", len(entries))
 	}
 	found := false
-	for _, e := range entries {
+	for i, e := range entries {
 		if e.Name == "perfevent.hwcounters.nest_mba0_imc.PM_MBA0_READ_BYTES.value.cpu87" {
 			found = true
 		}
-		if e.PMID == 0 {
-			t.Errorf("metric %q has PMID 0", e.Name)
+		// PMIDs are assigned in sorted-name order, from 1.
+		if e.PMID != uint32(i+1) || i > 0 && entries[i-1].Name >= e.Name {
+			t.Errorf("entry %d = %+v: want PMID %d in sorted-name order", i, e, i+1)
 		}
 	}
 	if !found {
@@ -45,6 +48,7 @@ func TestDaemonNamesOverNetwork(t *testing.T) {
 }
 
 func TestFetchSeesTraffic(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	bed := testutil.StartNestDaemon(t, testutil.SampleInterval)
 	c := testutil.Dial(t, bed.Addr)
 	bed.Ctl.AddTraffic(true, 0, 64*800, 0, 0)
@@ -70,6 +74,7 @@ func TestFetchSeesTraffic(t *testing.T) {
 }
 
 func TestDaemonSamplingIntervalStaleness(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	bed := testutil.StartNestDaemon(t, testutil.SampleInterval)
 	c := testutil.Dial(t, bed.Addr)
 	name := pcp.NestMetricName(bed.NestPMU(), nest.Event{Channel: 0})
@@ -104,6 +109,7 @@ func TestDaemonSamplingIntervalStaleness(t *testing.T) {
 }
 
 func TestFetchUnknownPMID(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	bed := testutil.StartNestDaemon(t, testutil.SampleInterval)
 	c := testutil.Dial(t, bed.Addr)
 	res, err := c.Fetch([]uint32{9999, 0})
@@ -118,6 +124,7 @@ func TestFetchUnknownPMID(t *testing.T) {
 }
 
 func TestLookupUnknownName(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	bed := testutil.StartNestDaemon(t, testutil.SampleInterval)
 	c := testutil.Dial(t, bed.Addr)
 	if _, err := c.Lookup("no.such.metric"); err == nil {
@@ -128,6 +135,7 @@ func TestLookupUnknownName(t *testing.T) {
 // TestConcurrentClients spins a daemon and hammers it from several
 // goroutines to exercise concurrent connection handling.
 func TestConcurrentClients(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	bed := testutil.StartNestDaemon(t, simtime.Millisecond)
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
@@ -158,6 +166,7 @@ func TestConcurrentClients(t *testing.T) {
 // the name table still resolves — the client refreshes once on a miss
 // instead of returning a permanent "unknown metric" error.
 func TestLookupRefreshesOnMiss(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	bed := testutil.StartNestDaemon(t, testutil.SampleInterval)
 	c := testutil.Dial(t, bed.Addr)
 	if _, err := c.Names(); err != nil { // populate the cache
@@ -189,6 +198,7 @@ func TestLookupRefreshesOnMiss(t *testing.T) {
 }
 
 func TestDaemonRegisterValidation(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	bed := testutil.StartNestDaemon(t, testutil.SampleInterval)
 	if err := bed.Daemon.Register(pcp.Metric{Name: "no.reader"}); err == nil {
 		t.Error("expected error for nil reader")
@@ -205,6 +215,7 @@ func TestDaemonRegisterValidation(t *testing.T) {
 // no lost responses and per-connection monotonic timestamps. Run with
 // -race, this is the serving tier's concurrency gate.
 func TestDaemonFanOutRace(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	bed := testutil.StartNestDaemon(t, simtime.Millisecond)
 	name := pcp.NestMetricName(bed.NestPMU(), nest.Event{Channel: 0})
 
@@ -288,7 +299,7 @@ func TestDaemonFanOutRace(t *testing.T) {
 // answers the version request with 2 and then waits for the client to
 // hang up.
 func TestDialRefusesVersion2Answer(t *testing.T) {
-	testutil.NoGoroutineLeak(t)
+	leakcheck.NoGoroutineLeak(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

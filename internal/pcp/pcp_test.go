@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"papimc/internal/leakcheck"
 	"papimc/internal/simtime"
 )
 
@@ -137,6 +138,7 @@ func TestNewDaemonValidation(t *testing.T) {
 }
 
 func TestBadHandshakeRejected(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	clock := simtime.NewClock()
 	d, err := NewDaemon(clock, simtime.Millisecond, nil)
 	if err != nil {

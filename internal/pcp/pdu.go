@@ -34,11 +34,8 @@ const (
 	// list (see AppendPartialResp). Clients surface it as a FetchResult
 	// plus a *PartialError.
 	PDUFetchPartialResp uint8 = 5
-	// PDUFetchAllReq is the batch fetch: an empty payload answered with
-	// every metric in the server's table, in PMID order, from one
-	// snapshot. One round trip serves a whole EventSet or a cluster
-	// snapshot instead of a names exchange plus an enumerated fetch.
-	PDUFetchAllReq uint8 = 6
+	// Type 6, a whole-namespace fetch no client sent, is retired:
+	// servers answer it as an unknown PDU type.
 	// PDUVersionReq negotiates the wire protocol version after the magic
 	// handshake: the payload is the sender's maximum version, the reply
 	// (PDUVersionResp) is the version the connection speaks — Version3 to

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"papimc/internal/leakcheck"
 	"papimc/internal/simtime"
 )
 
@@ -20,6 +21,7 @@ import (
 // metrics over TCP with the clock advanced past one sample interval.
 func startPipelineDaemon(t *testing.T, n int) (*Daemon, *simtime.Clock, string) {
 	t.Helper()
+	leakcheck.NoGoroutineLeak(t)
 	clock := simtime.NewClock()
 	var ms []Metric
 	for i := 0; i < n; i++ {
@@ -179,8 +181,12 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 	// The whole-namespace and batch fetches go through the same seam: the
 	// lockstep clients (whose batch is one round trip per set) return what
 	// the Version3 client does.
+	all := make([]uint32, len(namesNew))
+	for i, e := range namesNew {
+		all[i] = e.PMID
+	}
 	sets := [][]uint32{{1, 2}, {4}, {1, 2}}
-	allNew, err := cNew.FetchAll()
+	allNew, err := cNew.Fetch(all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +195,10 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(allNew.Values) != 4 || len(batchNew) != len(sets) {
-		t.Fatalf("FetchAll returned %d values, FetchBatch %d sets", len(allNew.Values), len(batchNew))
+		t.Fatalf("full fetch returned %d values, FetchBatch %d sets", len(allNew.Values), len(batchNew))
 	}
 	for _, c := range []*Client{cV2, cOld} {
-		all, err := c.FetchAll()
+		got, err := c.Fetch(all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,8 +206,8 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(all, allNew) {
-			t.Fatalf("FetchAll at version %d differs:\ngot:  %+v\nwant: %+v", c.Version(), all, allNew)
+		if !reflect.DeepEqual(got, allNew) {
+			t.Fatalf("full fetch at version %d differs:\ngot:  %+v\nwant: %+v", c.Version(), got, allNew)
 		}
 		if !reflect.DeepEqual(batch, batchNew) {
 			t.Fatalf("FetchBatch at version %d differs:\ngot:  %+v\nwant: %+v", c.Version(), batch, batchNew)
@@ -598,14 +604,13 @@ func TestPipelineConcurrentStress(t *testing.T) {
 // payload of exactly size bytes: eight values carrying id (none when
 // they would not fit), topped up by the partial-answer cause. The
 // smallest batch answer is batchRespMin bytes, so smaller sizes get that.
-// Below depth 2 it serves the values from one scratch slice and
-// overwrites all of it on entry, as a handler that reuses its result
-// buffer does; above, each call owns its result and ids finish out of
-// order.
+// A set of any other length is a plain fetch, answered with its PMIDs.
+// It serves the values from the server's result storage and overwrites
+// all of it on entry, as a handler that reuses its result buffer does;
+// above depth 1 it also sleeps, so ids finish out of order.
 type paddedHandler struct {
 	Handler
 	concurrent bool
-	vals       []FetchValue
 }
 
 const (
@@ -617,21 +622,22 @@ const (
 // padByte is byte i of the filler of the payload asked for as {size, id}.
 func padByte(size int, id uint32, i int) byte { return byte(uint32(size) + id*131 + uint32(i)*7) }
 
-func (h *paddedHandler) Fetch(_ uint32, pmids []uint32) (FetchResult, error) {
-	h.vals = h.vals[:0]
-	for _, id := range pmids {
-		h.vals = append(h.vals, FetchValue{PMID: id, Status: StatusOK, Value: uint64(id)})
+func (h paddedHandler) Fetch(_ uint32, sets [][]uint32, results []FetchResult) ([]FetchResult, error) {
+	var vals []FetchValue
+	if cap(results) > 0 {
+		vals = results[:1][0].Values[:0]
 	}
-	return FetchResult{Timestamp: 1, Values: h.vals}, nil
-}
-
-func (h *paddedHandler) FetchBatch(_ uint32, sets [][]uint32) ([]FetchResult, error) {
+	if len(sets[0]) != 2 {
+		for _, id := range sets[0] {
+			vals = append(vals, FetchValue{PMID: id, Status: StatusOK, Value: uint64(id)})
+		}
+		return append(results[:0], FetchResult{Timestamp: 1, Values: vals}), nil
+	}
 	size, id := int(sets[0][0]), sets[0][1]
-	vals := h.vals[:cap(h.vals)]
 	if h.concurrent {
 		time.Sleep(time.Duration(id%4) * 200 * time.Microsecond)
-		vals = nil
 	}
+	vals = vals[:cap(vals)]
 	for i := range vals {
 		vals[i] = FetchValue{PMID: 0xDEAD, Status: StatusValueError, Value: 0xDEAD}
 	}
@@ -643,14 +649,11 @@ func (h *paddedHandler) FetchBatch(_ uint32, sets [][]uint32) ([]FetchResult, er
 			vals = append(vals, FetchValue{PMID: id, Status: StatusOK, Value: uint64(id)<<32 | uint64(j)})
 		}
 	}
-	if !h.concurrent {
-		h.vals = vals
-	}
 	cause := make([]byte, max(pad, 0))
 	for i := range cause {
 		cause[i] = padByte(size, id, i)
 	}
-	return []FetchResult{{Timestamp: int64(id), Values: vals}}, &PartialError{Missing: []string{""}, Cause: string(cause)}
+	return append(results[:0], FetchResult{Timestamp: int64(id), Values: vals}), &PartialError{Missing: []string{""}, Cause: string(cause)}
 }
 
 // TestOrderedServingLargeResponses drives every user of frameBatch —
@@ -664,13 +667,14 @@ func (h *paddedHandler) FetchBatch(_ uint32, sets [][]uint32) ([]FetchResult, er
 // earlier answers may still be queued, and an answer damaged by that
 // would carry poison or another request's id.
 func TestOrderedServingLargeResponses(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	sizes := []int{0, 4095, 4096, 4097, serveFlushBytes + 1, MaxPDUBytes}
 	const callers = 8
 	const rounds = 18 // each caller sends every size three times
 
 	for _, depth := range []int{1, 32} {
 		t.Run(fmt.Sprintf("serve-depth-%d", depth), func(t *testing.T) {
-			srv := NewServer(depth, func() Handler { return &paddedHandler{concurrent: depth > 1} })
+			srv := NewServer(depth, paddedHandler{concurrent: depth > 1})
 			addr, err := srv.Start("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)

@@ -11,35 +11,37 @@ import (
 
 // Handler is one tier's request logic behind a Server: the daemon, the
 // proxy and the cluster federator each implement it and nothing else of
-// the serving plumbing. The server asks for a Handler per connection
-// (Server's newHandler), so a handler may keep per-connection state —
-// the daemon its value scratch — and on an ordered connection (depth 1)
-// is never called concurrently.
-// Results may alias that state or shared caches: the server encodes each
-// answer before it calls the connection's handler again. At a depth
-// above 1 the handler is called from concurrent goroutines and must
-// return results the calls do not share.
+// the serving plumbing. One Handler serves every connection, called
+// concurrently from all of them (and, above depth 1, from several
+// requests of one), so it keeps no per-request state.
+//
+// Every fetch is a batch. Fetch answers sets, one result per set, into
+// results: the server's per-request scratch, passed as the scratch's
+// last request left it. It returns the answer — results grown to
+// len(sets), or storage of its own — and the server keeps that slice in
+// the scratch for the next request. A single fetch reaches the handler
+// as the one-set batch. The server encodes each answer before the
+// scratch serves another request, so an answer may alias the handler's
+// immutable shared state, such as a cache entry.
 //
 // tenant is the requester's in-band identity from a tagged frame, zero
 // (the default tenant) on a lockstep connection. A returned error
 // becomes an error PDU, except that a *PartialError travels with the
-// (partial) results it accompanies; see reqScratch.fail and answerFetch.
+// (partial) results it accompanies; see reqScratch.dispatch.
 type Handler interface {
 	Names() ([]NameEntry, error)
-	Fetch(tenant uint32, pmids []uint32) (FetchResult, error)
-	FetchAll(tenant uint32) (FetchResult, error)
-	FetchBatch(tenant uint32, sets [][]uint32) ([]FetchResult, error)
+	Fetch(tenant uint32, sets [][]uint32, results []FetchResult) ([]FetchResult, error)
 }
 
 // Server is the serving core shared by every tier that speaks the
 // protocol's server side: the listener and its accept loop, the
 // connection registry, the handshake, version negotiation, the lockstep
 // and tagged serving loops, request decoding, response and error
-// encoding, and shutdown. A tier supplies a Handler per connection and
-// the in-flight depth of its tagged connections.
+// encoding, and shutdown. A tier supplies its Handler and the in-flight
+// depth of its tagged connections.
 type Server struct {
-	newHandler func() Handler
-	depth      int
+	h     Handler
+	depth int
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -50,22 +52,21 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 }
 
-// NewServer builds a server that asks newHandler for a Handler per
-// accepted connection. depth is how many requests of one tagged
-// (Version3) connection may be in their handler at once, fixed in code
-// by the constructing tier: at 1 requests are answered in order by the
-// connection's goroutine with write coalescing and fully reused scratch
-// (the daemon and the proxy, whose handlers are CPU-bound and fast);
-// above 1 requests run on up to depth worker goroutines that the
-// connection keeps until it ends, so one stalled handler does not
-// head-of-line-block the connection (the cluster federator, whose
-// handlers wait on downstream edges).
-func NewServer(depth int, newHandler func() Handler) *Server {
+// NewServer builds a server that serves every connection through h.
+// depth is how many requests of one tagged (Version3) connection may be
+// in their handler at once, fixed in code by the constructing tier: at
+// 1 requests are answered in order by the connection's goroutine with
+// write coalescing and fully reused scratch (the daemon and the proxy,
+// whose handlers are CPU-bound and fast); above 1 requests run on up to
+// depth worker goroutines that the connection keeps until it ends, so
+// one stalled handler does not head-of-line-block the connection (the
+// cluster federator, whose handlers wait on downstream edges).
+func NewServer(depth int, h Handler) *Server {
 	return &Server{
-		newHandler: newHandler,
-		depth:      depth,
-		closed:     make(chan struct{}),
-		conns:      make(map[net.Conn]struct{}),
+		h:      h,
+		depth:  depth,
+		closed: make(chan struct{}),
+		conns:  make(map[net.Conn]struct{}),
 	}
 }
 
@@ -190,18 +191,18 @@ func negotiateVersion(payload, dst []byte) (respType uint8, resp []byte, version
 }
 
 // reqScratch is the reusable state of one in-flight request: the frame
-// (header and payload), the decoded PMIDs or sets, and the encoded
-// response. An ordered connection owns one for its lifetime and a
-// concurrent one a fixed pool of them, so steady-state serving does not
-// allocate. The server, not the handler, owns resp: every encoder below
-// stores the grown buffer back.
+// (header and payload), the decoded sets, the handler's results and the
+// encoded response. An ordered connection owns one for its lifetime and
+// a concurrent one a fixed pool of them, so steady-state serving does
+// not allocate. The server, not the handler, owns results and resp:
+// dispatch stores the grown storage back.
 type reqScratch struct {
 	typ     uint8
 	tag     uint32
 	tenant  uint32
 	payload []byte
-	pmids   []uint32
 	sets    [][]uint32
+	results []FetchResult
 	resp    []byte
 }
 
@@ -219,24 +220,27 @@ func (sc *reqScratch) dispatch(h Handler, typ uint8, tenant uint32, typed bool) 
 		}
 		sc.resp = AppendNamesResp(sc.resp[:0], entries)
 		return PDUNamesResp
-	case PDUFetchReq:
-		pmids, err := DecodeFetchReqInto(sc.payload, sc.pmids[:0])
-		if err != nil {
-			return sc.fail(err, typed)
+	case PDUFetchReq, PDUFetchBatchReq:
+		var sets [][]uint32
+		var err error
+		if typ == PDUFetchReq {
+			// A single fetch is the one-set batch, decoded into the
+			// first set's storage.
+			var set []uint32
+			if cap(sc.sets) > 0 {
+				set = sc.sets[:1][0][:0]
+			}
+			if set, err = DecodeFetchReqInto(sc.payload, set); err == nil {
+				sets = append(sc.sets[:0], set)
+			}
+		} else {
+			sets, err = DecodeFetchBatchReqInto(sc.payload, sc.sets[:0])
 		}
-		sc.pmids = pmids
-		res, err := h.Fetch(tenant, pmids)
-		return sc.answerFetch(res, err, typed)
-	case PDUFetchAllReq:
-		res, err := h.FetchAll(tenant)
-		return sc.answerFetch(res, err, typed)
-	case PDUFetchBatchReq:
-		sets, err := DecodeFetchBatchReqInto(sc.payload, sc.sets[:0])
 		if err != nil {
 			return sc.fail(err, typed)
 		}
 		sc.sets = sets
-		results, err := h.FetchBatch(tenant, sets)
+		results, err := h.Fetch(tenant, sets, sc.results)
 		var missing []string
 		var cause string
 		if err != nil {
@@ -244,31 +248,24 @@ func (sc *reqScratch) dispatch(h Handler, typ uint8, tenant uint32, typed bool) 
 			if !errors.As(err, &pe) {
 				return sc.fail(err, typed)
 			}
-			// A partial batch rides in the batch response's own
-			// missing/cause header instead of a separate PDU type.
 			missing, cause = pe.Missing, pe.Cause
 		}
-		sc.resp = AppendFetchBatchResp(sc.resp[:0], results, missing, cause)
-		return PDUFetchBatchResp
+		sc.results = results
+		switch {
+		case typ == PDUFetchBatchReq:
+			// A partial batch rides in the batch response's own
+			// missing/cause header instead of a separate PDU type.
+			sc.resp = AppendFetchBatchResp(sc.resp[:0], results, missing, cause)
+			return PDUFetchBatchResp
+		case err != nil:
+			sc.resp = AppendPartialResp(sc.resp[:0], results[0], missing, cause)
+			return PDUFetchPartialResp
+		}
+		sc.resp = AppendFetchResp(sc.resp[:0], results[0])
+		return PDUFetchResp
 	default:
 		return sc.fail(fmt.Errorf("unknown PDU type %d", typ), typed)
 	}
-}
-
-// answerFetch encodes a fetch outcome: full results as a fetch response,
-// partial results (a *PartialError) as PDUFetchPartialResp, hard
-// failures as an error PDU.
-func (sc *reqScratch) answerFetch(res FetchResult, err error, typed bool) uint8 {
-	if err == nil {
-		sc.resp = AppendFetchResp(sc.resp[:0], res)
-		return PDUFetchResp
-	}
-	pe := (*PartialError)(nil)
-	if !errors.As(err, &pe) {
-		return sc.fail(err, typed)
-	}
-	sc.resp = AppendPartialResp(sc.resp[:0], res, pe.Missing, pe.Cause)
-	return PDUFetchPartialResp
 }
 
 // fail encodes a serving error: a typed PDUStatusError on a tagged
@@ -294,7 +291,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := serverHandshake(br, bw); err != nil {
 		return
 	}
-	h := s.newHandler()
 	var sc reqScratch
 	for {
 		typ, payload, err := ReadPDUInto(br, sc.payload)
@@ -307,7 +303,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if typ == PDUVersionReq {
 			respType, sc.resp, version = negotiateVersion(payload, sc.resp[:0])
 		} else {
-			respType = sc.dispatch(h, typ, 0, false)
+			respType = sc.dispatch(s.h, typ, 0, false)
 		}
 		if err := WritePDU(bw, respType, sc.resp); err != nil {
 			return
@@ -317,9 +313,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if version == Version3 {
 			if s.depth > 1 {
-				serveConcurrent(conn, br, h, s.depth)
+				serveConcurrent(conn, br, s.h, s.depth)
 			} else {
-				serveOrdered(conn, br, h, &sc)
+				serveOrdered(conn, br, s.h, &sc)
 			}
 			return
 		}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net"
 	"testing"
+
+	"papimc/internal/leakcheck"
 )
 
 // TestStatusErrorCodec pins the typed-rejection payload: round trip,
@@ -118,11 +120,11 @@ func TestWideFrameRoundTrip(t *testing.T) {
 // except tenant 99, which it always sheds.
 type tenantEcho struct{ Handler }
 
-func (tenantEcho) Fetch(tenant uint32, _ []uint32) (FetchResult, error) {
+func (tenantEcho) Fetch(tenant uint32, _ [][]uint32, _ []FetchResult) ([]FetchResult, error) {
 	if tenant == 99 {
-		return FetchResult{}, fmt.Errorf("tenant 99 always shed: %w", ErrOverload)
+		return nil, fmt.Errorf("tenant 99 always shed: %w", ErrOverload)
 	}
-	return FetchResult{Timestamp: 1, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: uint64(tenant)}}}, nil
+	return []FetchResult{{Timestamp: 1, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: uint64(tenant)}}}}, nil
 }
 
 // TestTenantTravelsInBand proves SetTenant reaches a Version3 server's
@@ -130,6 +132,7 @@ func (tenantEcho) Fetch(tenant uint32, _ []uint32) (FetchResult, error) {
 // answers every fetch with the tenant it saw, and typed status errors
 // travel back as errors.Is(..., ErrOverload).
 func TestTenantTravelsInBand(t *testing.T) {
+	leakcheck.NoGoroutineLeak(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

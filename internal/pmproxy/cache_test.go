@@ -5,40 +5,33 @@ import (
 	"testing"
 )
 
-// TestShardDistribution: distinct pmid-sets must land across many of the
-// cache shards (the point of sharding is that they never contend on one
-// lock), and the total entry count must equal the number of distinct
-// request encodings.
-func TestShardDistribution(t *testing.T) {
+// TestCacheEntries: each distinct pmid-set is one cache entry, and the
+// map is reset, not grown, once it holds maxEntries.
+func TestCacheEntries(t *testing.T) {
 	_, _, _, p, _ := rig(t, nil)
-	const sets = 48
-	for i := 0; i < sets; i++ {
+	entries := func() int {
+		p.cacheMu.Lock()
+		defer p.cacheMu.Unlock()
+		return len(p.cache)
+	}
+	for i := 0; i < maxEntries; i++ {
 		// Distinct pmid-sets; unknown pmids still produce a valid result
 		// (per-value NoSuchPMID status), which is all the cache needs.
 		if _, err := p.Fetch([]uint32{uint32(i + 1), uint32(i + 100)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	total, occupied := 0, 0
-	for i := range p.shards {
-		p.shards[i].mu.Lock()
-		n := len(p.shards[i].m)
-		p.shards[i].mu.Unlock()
-		total += n
-		if n > 0 {
-			occupied++
-		}
+	if n := entries(); n != maxEntries {
+		t.Errorf("cache holds %d entries, want %d", n, maxEntries)
 	}
-	if total != sets {
-		t.Errorf("cache holds %d entries, want %d", total, sets)
+	if st := p.Stats(); st.UpstreamFetches != maxEntries || st.CoalescedHits != 0 {
+		t.Errorf("stats = %+v, want %d upstream fetches and 0 hits", st, maxEntries)
 	}
-	// FNV-1a over the encoded requests should spread 48 keys over most of
-	// the 16 shards; a heavily skewed hash would defeat the sharding.
-	if occupied < numShards/2 {
-		t.Errorf("only %d of %d shards occupied for %d distinct sets", occupied, numShards, sets)
+	if _, err := p.Fetch([]uint32{0}); err != nil {
+		t.Fatal(err)
 	}
-	if st := p.Stats(); st.UpstreamFetches != sets || st.CoalescedHits != 0 {
-		t.Errorf("stats = %+v, want %d upstream fetches and 0 hits", st, sets)
+	if n := entries(); n != 1 {
+		t.Errorf("cache holds %d entries past the bound, want 1 after the reset", n)
 	}
 }
 

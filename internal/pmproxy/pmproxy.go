@@ -7,15 +7,14 @@
 // fetch requests landing within one interval are served from a single
 // upstream round trip — M clients cost O(1) upstream fetches per
 // interval instead of M. Every fetch takes one path: a single fetch is
-// the one-set batch, and FetchAll is the fetch of the cached name
-// table's PMIDs. That path is built to scale with cores:
+// the one-set batch. That path is built to scale with cores:
 //
-//   - The coalescing cache is sharded by request hash, so distinct
-//     pmid-sets never contend on one lock.
-//   - A cache hit is lock-free: each entry publishes its current answer
-//     through an atomic pointer, so the common case (every dashboard
-//     fetching the same metrics within one interval) is a pointer load,
-//     not a mutex acquisition.
+//   - The coalescing cache is one map behind a mutex held only for the
+//     lookup, never across an upstream round trip.
+//   - A cache hit takes no entry lock: each entry publishes its current
+//     answer through an atomic pointer, so the common case (every
+//     dashboard fetching the same metrics within one interval) is a
+//     map lookup and a pointer load.
 //   - Only refreshes serialize, per entry (single-flight): one goroutine
 //     performs the upstream round trip while identical concurrent
 //     requests queue behind it and then hit the freshened cache.
@@ -169,23 +168,9 @@ type entry struct {
 	mu  sync.Mutex
 }
 
-// numShards splits the coalescing cache so distinct pmid-sets land on
-// distinct locks. 16 shards keeps the worst-case map mutex hold times
-// negligible at far more cores than the daemon tier ever sees, at the
-// cost of a few hundred bytes.
-const numShards = 16
-
-// maxShardEntries bounds each shard; on overflow the shard is reset
+// maxEntries bounds the coalescing cache; on overflow the map is reset
 // (distinct pmid-sets are rare in practice).
-const maxShardEntries = 64
-
-// shard is one slice of the coalescing cache: a mutex-guarded map from
-// encoded fetch request to its entry. The lock covers only map access —
-// never upstream round trips.
-type shard struct {
-	mu sync.Mutex
-	m  map[string]*entry
-}
+const maxEntries = 1024
 
 // nameTable is the cached upstream name table, published atomically.
 type nameTable struct {
@@ -208,7 +193,10 @@ type Proxy struct {
 	names  atomic.Pointer[nameTable]
 	nameMu sync.Mutex // single-flight gate for name-table refresh
 
-	shards [numShards]shard
+	// cache maps an encoded fetch request to its entry. cacheMu covers
+	// only map access — never upstream round trips.
+	cacheMu sync.Mutex
+	cache   map[string]*entry
 
 	// Admission layer: policy (nil = disabled), weighted fair queue
 	// gating upstream work (nil = disabled), per-upstream breaker
@@ -253,13 +241,11 @@ func New(cfg Config) *Proxy {
 	p := &Proxy{
 		cfg:   cfg,
 		sem:   make(chan struct{}, cfg.PoolSize),
+		cache: make(map[string]*entry),
 		sleep: time.Sleep,
 		boRng: xrand.New(cfg.Seed),
 	}
-	p.srv = pcp.NewServer(1, func() pcp.Handler { return proxyHandler{p} })
-	for i := range p.shards {
-		p.shards[i].m = make(map[string]*entry)
-	}
+	p.srv = pcp.NewServer(1, proxyHandler{p})
 	if cfg.Admission.Policy != "" {
 		pol, err := NewPolicy(cfg.Admission.Policy, cfg.Admission)
 		if err != nil {
@@ -412,8 +398,10 @@ func (p *Proxy) release(c *pcp.Client) {
 	<-p.sem
 }
 
-// discard drops a connection after a failure; a timed-out round trip
-// leaves the stream mid-PDU, so the connection cannot be reused.
+// discard drops a connection after a failure. A timed-out round trip
+// leaves the stream mid-PDU only at Version1 — a tagged connection
+// abandons the tag and drops its late reply — but a reset or protocol
+// error leaves any connection unusable, and the retry redials.
 func (p *Proxy) discard(c *pcp.Client) {
 	c.Close()
 	<-p.sem
@@ -504,44 +492,24 @@ func (p *Proxy) jitter(d time.Duration) time.Duration {
 // common hit case allocates neither the buffer nor the key string.
 var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// shardFor hashes an encoded fetch request (FNV-1a) onto a shard.
-func (p *Proxy) shardFor(key []byte) *shard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	// Xor-fold before reducing: FNV-1a's low bits alone cluster when keys
-	// differ in only a few bytes, and the shard index is a small power of
-	// two.
-	h ^= h >> 32
-	h ^= h >> 16
-	return &p.shards[h%numShards]
-}
-
 // lookup finds or creates the cache entry for an encoded request.
 func (p *Proxy) lookup(key []byte) *entry {
-	sh := p.shardFor(key)
-	sh.mu.Lock()
-	e, ok := sh.m[string(key)]
+	p.cacheMu.Lock()
+	e, ok := p.cache[string(key)]
 	if !ok {
-		if len(sh.m) >= maxShardEntries {
-			sh.m = make(map[string]*entry)
+		if len(p.cache) >= maxEntries {
+			p.cache = make(map[string]*entry)
 		}
 		e = &entry{}
-		sh.m[string(key)] = e
+		p.cache[string(key)] = e
 	}
-	sh.mu.Unlock()
+	p.cacheMu.Unlock()
 	return e
 }
 
 // Fetch serves one client fetch through the coalescing cache as the
-// default tenant. Exported for in-process use; the network handler goes
-// through FetchTenant. The returned result is shared with other readers
+// default tenant. Exported for in-process use; the network handler calls
+// serve directly. The returned result is shared with other readers
 // of the same cache entry and must be treated as read-only.
 func (p *Proxy) Fetch(pmids []uint32) (pcp.FetchResult, error) {
 	return p.FetchTenant(DefaultTenant, pmids)
@@ -780,27 +748,9 @@ type proxyHandler struct{ p *Proxy }
 
 func (h proxyHandler) Names() ([]pcp.NameEntry, error) { return h.p.Names() }
 
-func (h proxyHandler) Fetch(tenant uint32, pmids []uint32) (pcp.FetchResult, error) {
-	return h.p.FetchTenant(tenant, pmids)
-}
-
-// FetchAll is the tenant's fetch of every PMID in the cached name table,
-// in PMID order: one client fetch, answered from one upstream snapshot.
-func (h proxyHandler) FetchAll(tenant uint32) (pcp.FetchResult, error) {
-	names, err := h.p.Names()
-	if err != nil {
-		return pcp.FetchResult{}, err
-	}
-	pmids := make([]uint32, len(names))
-	for i, n := range names {
-		pmids[i] = n.PMID
-	}
-	slices.Sort(pmids)
-	return h.p.FetchTenant(tenant, pmids)
-}
-
-func (h proxyHandler) FetchBatch(tenant uint32, sets [][]uint32) ([]pcp.FetchResult, error) {
-	return h.p.FetchBatchTenant(tenant, sets)
+func (h proxyHandler) Fetch(tenant uint32, sets [][]uint32, results []pcp.FetchResult) ([]pcp.FetchResult, error) {
+	results = slices.Grow(results[:0], len(sets))[:len(sets)]
+	return results, h.p.serve(tenant, sets, results)
 }
 
 // Close stops the listener, disconnects clients, waits for handlers to

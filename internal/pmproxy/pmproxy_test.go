@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"papimc/internal/arch"
+	"papimc/internal/leakcheck"
 	"papimc/internal/mem"
 	"papimc/internal/nest"
 	"papimc/internal/pcp"
@@ -50,6 +51,7 @@ func startNestDaemon(t *testing.T, interval simtime.Duration) nestBed {
 // of it sharing the daemon's clock.
 func rig(t *testing.T, cfg func(*Config)) (*mem.Controller, *simtime.Clock, *pcp.Daemon, *Proxy, string) {
 	t.Helper()
+	leakcheck.NoGoroutineLeak(t)
 	bed := startNestDaemon(t, sampleInterval)
 	c := Config{
 		Upstream:   bed.Addr,
@@ -199,28 +201,6 @@ func TestStaleServingWhenUpstreamDown(t *testing.T) {
 	// An uncached pmid-set has nothing to degrade to: error PDU.
 	if _, err := c.Fetch([]uint32{3}); err == nil {
 		t.Error("expected error for uncached set with upstream down")
-	}
-}
-
-// TestProxyFetchAll: the proxy answers FetchAll as one client fetch of
-// its cached name table's PMIDs — one upstream round trip, so one
-// snapshot — equal to the daemon's own FetchAll within the interval.
-func TestProxyFetchAll(t *testing.T) {
-	_, _, d, p, addr := rig(t, nil)
-	c, err := pcp.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	got, err := c.FetchAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := d.FetchAll(); !reflect.DeepEqual(got, want) {
-		t.Errorf("proxy FetchAll = %+v\nwant the daemon's %+v", got, want)
-	}
-	if st := p.Stats(); st.ClientFetches != 1 || st.UpstreamFetches != 1 || st.UpstreamBatchRTs != 0 {
-		t.Errorf("stats = %+v, want one client fetch served by one plain upstream fetch", st)
 	}
 }
 
